@@ -21,10 +21,12 @@ from typing import Iterable, Sequence
 
 from .errors import (
     CapacityError,
+    DiracLabError,
     FormatError,
     NotFound,
     ShapeError,
     SizeError,
+    _BudgetHit,
 )
 from .hypercore import Hypergraph, berge_girth_of
 from .matchpower import Matching
@@ -399,10 +401,6 @@ def is_k_sparse(A: Absorber, K: int) -> bool:
 # Bounded exact search for rooted absorbers
 # ---------------------------------------------------------------------------
 
-class _BudgetStop(Exception):
-    pass
-
-
 def _pm_on_subset(
     G: Hypergraph,
     verts: Sequence[int],
@@ -461,7 +459,8 @@ def find_rooted_absorber(
     """Exact search for an absorber of order at most Q on the given roots.
 
     Orders are tried from small to large (so the first hit has minimum
-    order; pass min_order to skip the degenerate low orders). Within an
+    order; pass min_order to skip the degenerate low orders). Order 0 is a
+    lookup of the root tuple among the host edges, charged one node. Within an
     order, covering matchings extending the roots are enumerated first,
     since the roots are the tight constraint, and each complete covering
     candidate is finished by a perfect-matching search on its non-root
@@ -487,10 +486,13 @@ def find_rooted_absorber(
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
-            raise _BudgetStop
+            raise _BudgetHit
 
-    ok_idx = [i for i, e in enumerate(G.edges) if forb.isdisjoint(e)]
-    ok_pos = {i: pos for pos, i in enumerate(ok_idx)}
+    # host edges avoiding `forbidden`, and each one's position in that list;
+    # built on first use, since coverings that stay on the roots' incidence
+    # lists never need them
+    ok_idx: list[int] = []
+    ok_pos: dict[int, int] = {}
 
     def covering_candidates(chosen: list[int], covered: set[int]):
         """Yield indices (into G.edges) extending the partial covering."""
@@ -498,9 +500,13 @@ def find_rooted_absorber(
         if missing:
             pivot = min(missing)
             for i in G.incident[pivot]:
-                if i in ok_pos and covered.isdisjoint(G.edges[i]):
+                e = G.edges[i]
+                if forb.isdisjoint(e) and covered.isdisjoint(e):
                     yield i
         else:
+            if not ok_pos:
+                ok_idx.extend(i for i, e in enumerate(G.edges) if forb.isdisjoint(e))
+                ok_pos.update((i, pos) for pos, i in enumerate(ok_idx))
             start = 0
             for j in reversed(chosen):
                 if root_set.isdisjoint(G.edges[j]):
@@ -511,7 +517,22 @@ def find_rooted_absorber(
                 if covered.isdisjoint(G.edges[i]):
                     yield i
 
+    def accept(A: Absorber) -> Absorber | None:
+        ok, reason = verify_absorber(A, G)
+        if not ok:
+            raise DiracLabError(f"rooted search built a broken absorber: {reason}")
+        if require_sparse is not None and not is_k_sparse(A, require_sparse):
+            return None
+        return A
+
     def search(order: int) -> Absorber | None:
+        if order == 0:
+            # the only order-0 absorber is the root tuple itself as an edge
+            spend()
+            edge = tuple(sorted(roots))
+            if edge not in G.edge_set:
+                return None
+            return accept(Absorber(roots, Matching((edge,)), Matching(())))
         a = order // k + 1
 
         def rec(chosen: list[int], covered: set[int]) -> Absorber | None:
@@ -523,12 +544,9 @@ def find_rooted_absorber(
                 pm = _pm_on_subset(G, nonroots, frozenset(cov_edges), spend)
                 if pm is None:
                     return None
-                A = Absorber(roots, Matching.from_edges(cov_edges), Matching.from_edges(pm))
-                ok, reason = verify_absorber(A, G)
-                assert ok, reason
-                if require_sparse is not None and not is_k_sparse(A, require_sparse):
-                    return None
-                return A
+                return accept(
+                    Absorber(roots, Matching.from_edges(cov_edges), Matching.from_edges(pm))
+                )
             for i in covering_candidates(chosen, covered):
                 spend()
                 e = G.edges[i]
@@ -551,7 +569,7 @@ def find_rooted_absorber(
             found = search(order)
             if found is not None:
                 return found
-    except _BudgetStop:
+    except _BudgetHit:
         raise NotFound(
             f"budget of {budget} nodes exhausted searching order <= {Q}", "budget"
         ) from None

@@ -82,3 +82,10 @@ class StageFailure(DiracLabError):
 
 class TargetInfeasible(DiracLabError):
     """The degradation target is below the graph's current minimum degree."""
+
+
+class _BudgetHit(Exception):
+    """A search spent its node budget. Raised from inside a backtracking
+    search and caught by the function that owns it, which reports the stop
+    as a partial result or as NotFound("budget"); it never leaves the
+    package."""

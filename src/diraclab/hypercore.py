@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -176,17 +177,19 @@ def min_d_degree(H: Hypergraph, d: int) -> tuple[int, tuple[int, ...]]:
     """Minimum degree over all d-subsets of the vertex set, with one argmin.
 
     Returns ``(value, witness)`` where ``witness`` is the lexicographically
-    first d-set attaining the minimum.
+    first d-set attaining the minimum. Each edge's d-subsets are counted once,
+    so the cost is O(m C(k,d) + C(n,d)) rather than one pass over the edges
+    per d-set.
     """
     if d < 1 or d > H.k - 1:
         raise SizeError(f"d must satisfy 1 <= d <= k-1, got d={d}, k={H.k}")
     if H.n < d:
         raise SizeError(f"need at least d={d} vertices, have {H.n}")
+    counts = Counter(S for e in H.edges for S in combinations(e, d))
     best = None
     best_set: tuple[int, ...] = ()
     for S in combinations(range(H.n), d):
-        sm = mask_of(S)
-        deg = sum(1 for em in H.edge_masks if em & sm == sm)
+        deg = counts.get(S, 0)
         if best is None or deg < best:
             best, best_set = deg, S
             if best == 0:

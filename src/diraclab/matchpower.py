@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, NotFound, ShapeError, SizeError, SpecError
+from .errors import CapacityError, NotFound, ShapeError, SizeError, SpecError, _BudgetHit
 from .hypercore import Hypergraph, induced, mask_of
 
 __all__ = [
@@ -116,10 +116,6 @@ class BlockReport:
     uncovered: tuple[int, ...]
     failed_blocks: tuple[tuple[int, ...], ...]
     blocks_total: int
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 def find_perfect_matching(H: Hypergraph, budget: int | None = None) -> MatchResult:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, SizeError
 from .hypercore import Hypergraph, min_d_degree
-from .matchpower import find_perfect_matching, max_matching
+from .matchpower import find_perfect_matching
 
 __all__ = [
     "ThresholdRecord",
@@ -296,9 +296,3 @@ def verify_threshold_sandwich(n: int, k: int, d: int) -> SandwichReport:
         lower_ratio=Fraction(lower, denom),
         exact_available=upper is not None,
     )
-
-
-def barrier_max_matching_deficit(H: Hypergraph) -> int:
-    """Exact maximum-matching size of a barrier graph (used by tests to
-    confirm the counting certificates against the search engine)."""
-    return len(max_matching(H, mode="exact").matching)

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import make_contracted
+from conftest import make_contracted, seeded_subgraph
 
 from diraclab.absorbing import (
     Absorber,
@@ -34,7 +34,8 @@ from diraclab.absorbing import (
     verify_absorber,
     verify_r_absorber,
 )
-from diraclab.errors import FormatError, NotFound, ShapeError, SizeError
+from diraclab import absorbing
+from diraclab.errors import DiracLabError, FormatError, NotFound, ShapeError, SizeError
 from diraclab.hypercore import Hypergraph, berge_girth_of, k_density
 from diraclab.matchpower import Matching
 
@@ -317,8 +318,6 @@ def test_find_rooted_absorber_validation():
 
 
 def test_found_absorbers_verify_on_random_hosts():
-    from conftest import seeded_subgraph
-
     hits = 0
     for seed in range(24):
         H = seeded_subgraph(8, 3, 0.65, seed=seed)
@@ -331,6 +330,116 @@ def test_found_absorbers_verify_on_random_hosts():
         assert ok, reason
         assert A.order % 3 == 0 and A.order <= 6
     assert hits >= 10
+
+
+ROOTED_HOSTS = [Hypergraph.complete(6, 3), Hypergraph.complete(8, 3)] + [
+    seeded_subgraph(9, 3, 0.7, seed=s) for s in range(12)
+]
+ROOT_TUPLES = ((0, 1, 2), (0, 4, 8), (5, 1, 3))
+
+
+def rooted_cases():
+    for H in ROOTED_HOSTS:
+        for roots in ROOT_TUPLES:
+            if max(roots) < H.n:
+                yield H, roots, tuple(sorted(roots)) in H.edge_set
+
+
+def test_rooted_order0_is_the_root_edge():
+    hits = 0
+    for H, roots, present in rooted_cases():
+        if not present:
+            continue
+        hits += 1
+        A = find_rooted_absorber(H, roots, Q=6)
+        assert A.roots == roots and A.order == 0
+        assert A.covering.edges == (tuple(sorted(roots)),)
+        assert A.noncovering.edges == ()
+        # order 0 is a single lookup, charged one node
+        assert find_rooted_absorber(H, roots, Q=0, budget=1) == A
+        with pytest.raises(NotFound) as exc:
+            find_rooted_absorber(H, roots, Q=0, budget=0)
+        assert exc.value.reason == "budget"
+    assert hits >= 10
+
+
+def test_rooted_search_falls_through_to_order_k():
+    cases = absent = 0
+    for H, roots, present in rooted_cases():
+        runs = [find_rooted_absorber(H, roots, Q=3, min_order=3)]
+        cases += 1
+        if not present:
+            absent += 1
+            runs.append(find_rooted_absorber(H, roots, Q=6))
+        for A in runs:
+            assert A.order == 3
+            assert verify_absorber(A, H) == (True, None)
+            assert oracle_absorber_ok(roots, A.covering.edges, A.noncovering.edges, H.edge_set)
+        if not present:
+            assert runs[0] == runs[1]
+    assert cases >= 20 and absent >= 5
+
+
+def test_rooted_search_avoids_forbidden_edges():
+    for H, roots, _ in rooted_cases():
+        for forbidden in ({6}, {3, 7}):
+            if forbidden & set(roots):
+                continue
+            try:
+                A = find_rooted_absorber(H, roots, Q=6, forbidden=forbidden, min_order=3)
+            except NotFound:
+                continue
+            assert all(forbidden.isdisjoint(e) for e in A.edges)
+            # same search as on the host with the forbidden vertices' edges gone
+            assert A == find_rooted_absorber(H.remove_vertices(forbidden), roots, Q=6, min_order=3)
+
+
+def test_rooted_sparse_request_rejects_trivial_absorber():
+    H = Hypergraph.from_edges(4, 3, [(0, 1, 2)])
+    assert find_rooted_absorber(H, (0, 1, 2), Q=3).order == 0
+    with pytest.raises(NotFound) as exc:
+        find_rooted_absorber(H, (0, 1, 2), Q=3, require_sparse=3)
+    assert exc.value.reason == "exhausted"
+    hits = 0
+    for H, roots, present in rooted_cases():
+        if not present:
+            continue
+        try:
+            A = find_rooted_absorber(H, roots, Q=6, require_sparse=3)
+        except NotFound:
+            continue
+        hits += 1
+        assert A.order > 0 and is_k_sparse(A, 3)
+    assert hits >= 5
+
+
+@pytest.mark.parametrize(
+    "H, roots, kwargs, covering, noncovering",
+    [
+        (Hypergraph.complete(7, 3), (0, 1, 2), {"min_order": 3},
+         ((0, 1, 3), (2, 4, 5)), ((3, 4, 5),)),
+        (Hypergraph.complete(8, 3), (0, 1, 2), {"forbidden": {3, 4}, "min_order": 3},
+         ((0, 1, 5), (2, 6, 7)), ((5, 6, 7),)),
+        (seeded_subgraph(9, 3, 0.7, seed=0), (0, 4, 8), {},
+         ((0, 1, 4), (2, 7, 8)), ((1, 2, 7),)),
+        (seeded_subgraph(9, 3, 0.7, seed=9), (0, 4, 8), {},
+         ((0, 1, 2), (3, 4, 8)), ((1, 2, 3),)),
+        (seeded_subgraph(9, 3, 0.7, seed=3), (1, 2, 3), {"forbidden": {0}},
+         ((1, 2, 7), (3, 4, 5)), ((4, 5, 7),)),
+    ],
+)
+def test_rooted_search_pinned_results(H, roots, kwargs, covering, noncovering):
+    A = find_rooted_absorber(H, roots, Q=6, **kwargs)
+    assert (A.roots, A.covering.edges, A.noncovering.edges) == (roots, covering, noncovering)
+
+
+def test_rooted_search_raises_on_failed_verification(monkeypatch):
+    # the re-verification is an explicit raise, so it also runs under python -O
+    monkeypatch.setattr(absorbing, "verify_absorber", lambda A, host=None: (False, "forged"))
+    with pytest.raises(DiracLabError, match="forged"):
+        find_rooted_absorber(K6, (0, 1, 2), Q=6)
+    with pytest.raises(DiracLabError, match="forged"):
+        find_rooted_absorber(K6, (0, 1, 2), Q=6, min_order=3)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Oracles:
 - derived seeds are recomputed from the hash directly;
 - degradation output is re-checked with a from-scratch deletability scan
-  (an edge is deletable iff all its d-subsets keep degree above the target);
+  (an edge is deletable iff all its d-subsets keep degree above the target),
+  and compared step for step with a plain rescan-every-step transcription;
 - Wilson endpoints are verified as roots of the defining quadratic;
 - inheritance/load rows are recomputed per subset straight from the host.
 """
@@ -12,12 +13,14 @@ from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations
 from math import comb, sqrt
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraclab.errors import FormatError, SizeError, TargetInfeasible
+from diraclab import lab
+from diraclab.errors import DiracLabError, FormatError, SizeError, TargetInfeasible
 from diraclab.hypercore import Hypergraph, induced, min_d_degree
 from diraclab.lab import (
     INHERITANCE_COLUMNS,
@@ -61,6 +64,37 @@ def scan_deletable(edges, d, target):
         for e in edges
         if all(deg[S] >= target + 1 for S in combinations(e, d))
     ]
+
+
+def rescan_degrade(G, d, target, policy, seed, budget):
+    """Reference schedule: rescan every remaining edge before each deletion.
+
+    Quadratic, but it states the contract directly: the deletable list is
+    rebuilt in edge order each step, "random" draws one index into it and
+    "greedy" takes the least (min d-degree, edge) key.
+    """
+    deg = {}
+    for e in G.edges:
+        for S in combinations(e, d):
+            deg[S] = deg.get(S, 0) + 1
+    rng = Random(seed)
+    remaining = list(G.edges)
+    deleted = []
+    while budget is None or len(deleted) < budget:
+        deletable = [
+            e for e in remaining if all(deg[S] >= target + 1 for S in combinations(e, d))
+        ]
+        if not deletable:
+            break
+        if policy == "random":
+            e = deletable[rng.randrange(len(deletable))]
+        else:
+            e = min(deletable, key=lambda f: (min(deg[S] for S in combinations(f, d)), f))
+        remaining.remove(e)
+        deleted.append(e)
+        for S in combinations(e, d):
+            deg[S] -= 1
+    return tuple(deleted), tuple(remaining)
 
 
 class TestDerivedSeed:
@@ -181,6 +215,35 @@ class TestDegrade:
             degrade_to_degree(Hypergraph.empty(6, 3), 1, 1)
         with pytest.raises(TargetInfeasible):
             degrade_to_degree(Hypergraph.complete(6, 3), 1, 100)
+
+    @pytest.mark.parametrize("budget", [None, 9])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("policy", ["random", "greedy"])
+    def test_matches_rescan_reference(self, policy, d, budget):
+        for host_seed in range(20):
+            n = 8 + host_seed % 8
+            G = sample_hk(n, 3, 0.6, host_seed)
+            target = min_d_degree(G, d)[0] // 2
+            r = degrade_to_degree(G, d, target, policy=policy, seed=host_seed, budget=budget)
+            deleted, remaining = rescan_degrade(G, d, target, policy, host_seed, budget)
+            assert r.deleted == deleted
+            assert r.graph.edges == remaining
+
+    def test_floor_breach_raises(self, monkeypatch):
+        # the post-hoc floor check is an explicit raise, so it also runs
+        # under python -O; here the recount is made to report a breach
+        real = lab.min_d_degree
+        calls = []
+
+        def recount(H, d):
+            calls.append(H)
+            value, witness = real(H, d)
+            return (value, witness) if len(calls) == 1 else (-1, witness)
+
+        monkeypatch.setattr(lab, "min_d_degree", recount)
+        with pytest.raises(DiracLabError, match="degradation broke the degree floor"):
+            degrade_to_degree(Hypergraph.complete(6, 3), 1, 0, seed=1)
+        assert len(calls) == 2
 
     def test_validation(self):
         G = Hypergraph.complete(6, 3)

@@ -29,7 +29,7 @@ from .errors import (
     _BudgetHit,
 )
 from .hypercore import Hypergraph, berge_girth_of
-from .matchpower import Matching
+from .matchpower import Matching, bipartite_matching
 
 __all__ = [
     "BipartitePattern",
@@ -162,7 +162,8 @@ def projective_plane_pattern(p: int) -> BipartitePattern:
             if (line[0] * v[0] + line[1] * v[1] + line[2] * v[2]) % p == 0:
                 edges.append((pi, li))
     P = BipartitePattern.build(len(pts), len(pts), edges, f"plane({p})")
-    assert P.degree == p + 1 and P.girth == 6
+    if P.degree != p + 1 or P.girth != 6:
+        raise DiracLabError(f"plane({p}) has degree {P.degree} and girth {P.girth}")
     return P
 
 
@@ -202,32 +203,9 @@ def generalized_quadrangle_pattern(p: int) -> BipartitePattern:
     ordered = sorted(lines, key=sorted)
     edges = [(pi, li) for li, line in enumerate(ordered) for pi in line]
     P = BipartitePattern.build(len(pts), len(ordered), edges, f"quadrangle({p})")
-    assert P.degree == p + 1 and P.girth == 8
+    if P.degree != p + 1 or P.girth != 8:
+        raise DiracLabError(f"quadrangle({p}) has degree {P.degree} and girth {P.girth}")
     return P
-
-
-def _kuhn_matching(left: int, adj: Sequence[Sequence[int]], order: Sequence[int]) -> list[int] | None:
-    """Left-perfect bipartite matching by augmenting paths; returns the
-    right partner of each left vertex, or None if some left vertex fails."""
-    match_right: dict[int, int] = {}
-
-    def try_assign(a: int, seen: set[int]) -> bool:
-        for b in adj[a]:
-            if b in seen:
-                continue
-            seen.add(b)
-            if b not in match_right or try_assign(match_right[b], seen):
-                match_right[b] = a
-                return True
-        return False
-
-    for a in order:
-        if not try_assign(a, set()):
-            return None
-    out = [-1] * left
-    for b, a in match_right.items():
-        out[a] = b
-    return out
 
 
 def peel_matchings(P: BipartitePattern, count: int, seed: int = 0) -> BipartitePattern:
@@ -250,13 +228,17 @@ def peel_matchings(P: BipartitePattern, count: int, seed: int = 0) -> BipartiteP
             rng.shuffle(row)
         order = list(range(P.left))
         rng.shuffle(order)
-        partner = _kuhn_matching(P.left, adj, order)
-        assert partner is not None, "regular bipartite graph lost its matching"
-        for a, b in enumerate(partner):
+        partner = bipartite_matching(adj, order, frozenset())
+        if partner is None:
+            raise DiracLabError("regular bipartite graph lost its matching")
+        for b, a in partner.items():
             remaining.remove((a, b))
     out = BipartitePattern.build(P.left, P.right, remaining, P.provenance + f"-peel{count}")
-    assert out.degree == P.degree - count
-    assert out.girth >= P.girth
+    if out.degree != P.degree - count or out.girth < P.girth:
+        raise DiracLabError(
+            f"peeling left degree {out.degree} and girth {out.girth}, "
+            f"from degree {P.degree} and girth {P.girth}"
+        )
     return out
 
 
@@ -711,7 +693,8 @@ def contract_absorber(CA: ContractibleAbsorber) -> ContractedAbsorber:
     graph = Hypergraph.from_edges(m + k, k, all_images)
     for A in sub_images:
         ok, reason = verify_absorber(A, graph)
-        assert ok, f"contracted interior lost the absorber property: {reason}"
+        if not ok:
+            raise DiracLabError(f"contracted interior lost the absorber property: {reason}")
     return ContractedAbsorber(
         graph=graph,
         roots=new_roots,

@@ -4,10 +4,6 @@ Every subcommand writes its primary artifact to ``--out`` when given and to
 stdout otherwise.  Exit codes: 0 on success, 1 when a search or a
 verification fails (no matching, rejected absorber, pipeline failure), 2 on
 usage errors and malformed inputs.
-
-``--threads`` is accepted for interface stability but runs stay sequential:
-trial seeds are derived per index, so parallel scheduling could only
-reorder identical work, and sequential execution keeps reports byte-stable.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from .errors import (
     TemplateMatchingFailed,
 )
 from .hypercore import Hypergraph, dumps_khg, girth, k_density, read_khg, write_khg
-from .lab import read_config, run_experiment, sample_hk, experiment_csv, summary_lines
+from .lab import experiment_csv, parse_key_values, read_config, run_experiment, sample_hk, summary_lines
 from .matchpower import (
     Matching,
     dumps_matching,
@@ -304,22 +300,13 @@ def _cmd_template(args) -> int:
     return _check_template(args.input, args.mode, args.samples, args.seed)
 
 
-def _read_params(path: str) -> PipelineParams:
-    raw: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="ascii").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise FormatError(f"expected 'key = value' in params file, got {line!r}")
-        raw[key.strip()] = value.strip()
-    return PipelineParams.from_mapping(raw)
-
-
 def _cmd_pipeline(args) -> int:
     H = read_khg(args.input)
-    params = _read_params(args.params) if args.params else PipelineParams()
+    params = PipelineParams()
+    if args.params:
+        text = Path(args.params).read_text(encoding="ascii")
+        # "lambda" is the documented spelling of lam, a Python keyword
+        params = parse_key_values(text, PipelineParams, aliases={"lambda": "lam"})
     report = dirac_perfect_matching(H, args.d, args.gamma, params=params, seed=args.seed)
     _emit(report.to_json(), args.out)
     if report.status == "success" and report.matching is not None and args.out:
@@ -374,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     top.add_argument("--out", default=None, help="write the primary artifact here instead of stdout")
     top.add_argument("--format", choices=("csv", "json"), default="csv", help="table output encoding")
-    top.add_argument("--threads", type=int, default=1, help="accepted for compatibility; execution is sequential")
     top.add_argument("--budget", type=int, default=None, help="search node budget where a search runs")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -462,9 +448,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except _SEARCH_FAILURES as exc:

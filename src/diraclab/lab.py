@@ -15,19 +15,19 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations
 from math import ceil, comb, sqrt
 from pathlib import Path
 from random import Random
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, get_args, get_type_hints
 
 from .errors import DiracLabError, FormatError, SizeError, TargetInfeasible
 from .hypercore import Hypergraph, induced, min_d_degree
 from .matchpower import find_perfect_matching
-from .thresholds import conjectured_density, parity_barrier, space_barrier
+from .thresholds import _frac, conjectured_density, parity_barrier, space_barrier
 
 __all__ = [
     "WILSON_Z",
@@ -53,6 +53,7 @@ __all__ = [
     "neighborhood_load_check",
     "load_experiment",
     "run_experiment",
+    "parse_key_values",
     "parse_config",
     "dumps_config",
     "read_config",
@@ -70,12 +71,7 @@ __all__ = [
 # platform's math library.
 WILSON_Z = 1.959963984540054
 
-
-def _frac(x) -> Fraction:
-    """Floats go through their decimal literal, everything else directly."""
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+_T = TypeVar("_T")
 
 
 def derived_seed(master_seed: int, index: int) -> int:
@@ -245,12 +241,8 @@ class ExperimentConfig:
     d: int = 1
     p: float = 1.0
     gamma: float = 0.0
-    eps: float = 0.0
     eta: float = 0.0
-    delta: float = 0.0
-    sigma: float = 0.0
     Q: int = 0
-    rho: float = 0.0
     lam: float = 0.0
     trials: int = 1
     master_seed: int = 0
@@ -266,7 +258,7 @@ class ExperimentConfig:
             raise SizeError("name must be nonempty with no whitespace")
         if self.n < 0 or self.k < 1 or self.d < 0:
             raise SizeError(f"bad dimensions n={self.n}, k={self.k}, d={self.d}")
-        for field in ("p", "eps", "eta", "delta", "sigma", "rho", "lam"):
+        for field in ("p", "eta", "lam"):
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
                 raise SizeError(f"{field} must be in [0, 1], got {value}")
@@ -289,38 +281,11 @@ class ExperimentConfig:
         return self.budget or None
 
 
-_CONFIG_TYPES: dict[str, type] = {
-    "name": str,
-    "n": int,
-    "k": int,
-    "d": int,
-    "p": float,
-    "gamma": float,
-    "eps": float,
-    "eta": float,
-    "delta": float,
-    "sigma": float,
-    "Q": int,
-    "rho": float,
-    "lam": float,
-    "trials": int,
-    "master_seed": int,
-    "out": str,
-    "policy": str,
-    "phat": str,
-    "host": str,
-    "timing": bool,
-    "budget": int,
-}
-
-_REQUIRED_KEYS = ("name", "n", "k")
-
-
 def dumps_config(cfg: ExperimentConfig) -> str:
     """Flat key = value text; ``parse_config`` round-trips it losslessly."""
     lines = []
-    for key in _CONFIG_TYPES:
-        value = getattr(cfg, key)
+    for f in fields(cfg):
+        key, value = f.name, getattr(cfg, f.name)
         if isinstance(value, bool):
             text = "true" if value else "false"
         elif isinstance(value, float):
@@ -331,8 +296,16 @@ def dumps_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse key = value lines.  Blank lines and # comments are skipped."""
+def parse_key_values(text: str, cls: type[_T], aliases: Mapping[str, str] = {}) -> _T:
+    """Parse ``key = value`` lines into the dataclass ``cls``.
+
+    Blank lines and # comments are skipped. Keys are the field names of
+    ``cls``, or a key of ``aliases`` naming one; fields without a default
+    are required. Each value is read as its field's annotated type, taking
+    X from ``X | None``: bools are ``true`` or ``false``. An unknown,
+    duplicate, missing or malformed key raises FormatError.
+    """
+    types = get_type_hints(cls)
     values: dict[str, object] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -343,31 +316,33 @@ def parse_config(text: str) -> ExperimentConfig:
             raise FormatError(f"expected 'key = value', got {raw!r}")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_TYPES:
+        name = aliases.get(key, key)
+        if name not in types:
             raise FormatError(f"unknown config key {key!r}")
-        if key in values:
+        if name in values:
             raise FormatError(f"duplicate config key {key!r}")
-        typ = _CONFIG_TYPES[key]
+        typ = next((t for t in get_args(types[name]) if t is not type(None)), types[name])
         if typ is bool:
             if value not in ("true", "false"):
                 raise FormatError(f"{key} must be true or false, got {value!r}")
-            values[key] = value == "true"
-        elif typ is int:
+            values[name] = value == "true"
+        elif typ in (int, float):
             try:
-                values[key] = int(value)
+                values[name] = typ(value)
             except ValueError:
-                raise FormatError(f"{key} wants an integer, got {value!r}") from None
-        elif typ is float:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise FormatError(f"{key} wants a number, got {value!r}") from None
+                wants = "an integer" if typ is int else "a number"
+                raise FormatError(f"{key} wants {wants}, got {value!r}") from None
         else:
-            values[key] = value
-    for key in _REQUIRED_KEYS:
-        if key not in values:
-            raise FormatError(f"missing required config key {key!r}")
-    return ExperimentConfig(**values)  # type: ignore[arg-type]
+            values[name] = value
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
+            raise FormatError(f"missing required config key {f.name!r}")
+    return cls(**values)
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse an experiment config; see ``parse_key_values``."""
+    return parse_key_values(text, ExperimentConfig)
 
 
 def read_config(path) -> ExperimentConfig:

@@ -28,6 +28,7 @@ __all__ = [
     "max_matching",
     "aharoni_haxell_holds",
     "find_disjoint_representatives",
+    "bipartite_matching",
     "match_into_flexible",
     "blockwise_almost_perfect",
     "verify_matching",
@@ -365,6 +366,31 @@ def find_disjoint_representatives(
             reason="budget",
         ) from None
     raise NotFound("no system of disjoint representatives exists", reason="exhausted")
+
+
+def bipartite_matching(
+    adj: Sequence[Sequence[int]], order: Iterable[int], banned: frozenset[int]
+) -> dict[int, int] | None:
+    """Match every left vertex in ``order`` to a right neighbour outside
+    ``banned`` by augmenting paths (Kuhn). Neighbours are tried in ``adj``
+    order. Returns the partner map, right vertex to left vertex, or None as
+    soon as some left vertex cannot be matched."""
+    partner: dict[int, int] = {}
+
+    def augment(a: int, seen: set[int]) -> bool:
+        for b in adj[a]:
+            if b in banned or b in seen:
+                continue
+            seen.add(b)
+            if b not in partner or augment(partner[b], seen):
+                partner[b] = a
+                return True
+        return False
+
+    for a in order:
+        if not augment(a, set()):
+            return None
+    return partner
 
 
 def match_into_flexible(

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import ceil, comb
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
+    DiracLabError,
     NotFound,
     PlacementFailed,
     SizeError,
@@ -41,7 +42,7 @@ from .templates import (
     compact_template,
     structure_matching_after_removal,
 )
-from .thresholds import conjectured_density
+from .thresholds import _frac, conjectured_density
 
 __all__ = [
     "PipelineParams",
@@ -55,13 +56,6 @@ __all__ = [
 ]
 
 STAGES = ("precheck", "rich_set", "template", "structure", "almost_perfect", "absorb", "verify")
-
-
-def _as_fraction(x) -> Fraction:
-    """Floats come in through configs and CLIs; str() keeps 0.2 meaning 1/5."""
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -89,44 +83,6 @@ class PipelineParams:
             raise SizeError(f"unknown template_mode {self.template_mode!r}")
         if self.partition_attempts < 1:
             raise SizeError("need at least one partition attempt")
-
-    @classmethod
-    def from_mapping(cls, m: Mapping[str, str]) -> "PipelineParams":
-        """Build from flat key=value text config; 'lambda' aliases lam."""
-        kwargs: dict[str, object] = {}
-        casts = {
-            "rho": float,
-            "lam": float,
-            "lambda": float,
-            "min_r": int,
-            "trials": int,
-            "template_mode": str,
-            "template_trials": int,
-            "Q": int,
-            "partition_attempts": int,
-            "finder_Q": int,
-            "finder_budget": int,
-        }
-        for key, raw in m.items():
-            if key not in casts:
-                raise SizeError(f"unknown pipeline parameter {key!r}")
-            name = "lam" if key == "lambda" else key
-            kwargs[name] = casts[key](raw)
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "lam": self.lam,
-            "min_r": self.min_r,
-            "trials": self.trials,
-            "template_mode": self.template_mode,
-            "template_trials": self.template_trials,
-            "Q": self.Q,
-            "partition_attempts": self.partition_attempts,
-            "finder_Q": self.finder_Q,
-            "finder_budget": self.finder_budget,
-        }
 
     def block_size(self, k: int) -> int:
         """Default block size: the smallest multiple of k from 2k up."""
@@ -179,7 +135,7 @@ def choose_rich_set(
     Raises NotFound("trials") carrying the best candidate's deficit.
     """
     n, k = G.n, G.k
-    r = ceil(_as_fraction(rho) * n)
+    r = ceil(_frac(rho) * n)
     if not 0 < r <= n:
         raise SizeError(f"rho={rho} asks for {r} of {n} vertices")
     delta_hat = Fraction(min_d_degree(G, 1)[0], comb(n - 1, k - 1))
@@ -234,7 +190,7 @@ def build_absorbing_set(
     carry the stage name.
     """
     n, k = G.n, G.k
-    r = max(params.min_r, ceil(_as_fraction(params.rho) * n))
+    r = max(params.min_r, ceil(_frac(params.rho) * n))
     mode = params.template_mode
     if mode == "auto":
         roomy = n >= _montgomery_size(r, k) + params.block_size(k)
@@ -271,7 +227,7 @@ def build_absorbing_set(
     except (PlacementFailed, SizeError) as exc:
         raise StageFailure("structure", str(exc)) from exc
 
-    cap = min(int(_as_fraction(params.lam) * n), _removal_cap(r, k))
+    cap = min(int(_frac(params.lam) * n), _removal_cap(r, k))
     return AbsorbingSet(X=S.X, structure=S, Z=S.Z_host, lambda_cap=cap)
 
 
@@ -304,7 +260,8 @@ def absorb_and_complete(
     except TemplateMatchingFailed as exc:
         raise StageFailure("absorb-m2", str(exc)) from exc
     out = Matching.from_edges(M1.edges + M2.edges)
-    assert out.covered == A.X | W, "absorption missed its target set"
+    if out.covered != A.X | W:
+        raise DiracLabError("absorption missed its target set")
     return out
 
 
@@ -364,7 +321,7 @@ def dirac_perfect_matching(
     gamma and recorded, but a short graph is still attempted.
     """
     n, k = G.n, G.k
-    gamma_f = _as_fraction(gamma)
+    gamma_f = _frac(gamma)
     stages = {name: "skipped" for name in STAGES}
     counters: dict[str, object] = {}
 
@@ -385,7 +342,7 @@ def dirac_perfect_matching(
             d=d,
             gamma=float(gamma),
             seed=seed,
-            params=params.to_dict(),
+            params=asdict(params),
             degree_measured=degree_measured,
             degree_target=str(target),
             degree_ok=degree_ok,

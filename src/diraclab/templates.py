@@ -20,8 +20,9 @@ from itertools import combinations
 from math import ceil, comb
 from typing import Iterable, Mapping, Sequence
 
-from .absorbing import Absorber, find_rooted_absorber
+from .absorbing import Absorber, _trial_seed, find_rooted_absorber
 from .errors import (
+    DiracLabError,
     FormatError,
     NotFound,
     PlacementFailed,
@@ -30,7 +31,7 @@ from .errors import (
     TemplateMatchingFailed,
 )
 from .hypercore import Hypergraph, induced, read_khg, write_khg
-from .matchpower import Matching, find_perfect_matching
+from .matchpower import Matching, bipartite_matching, find_perfect_matching
 
 __all__ = [
     "BipartiteTemplate",
@@ -115,23 +116,6 @@ def _adjacency(R: BipartiteTemplate) -> list[list[int]]:
     return adj
 
 
-def _x_saturating(adj: Sequence[Sequence[int]], banned: frozenset[int]) -> bool:
-    """Augmenting-path matching of all X vertices into Y+Z minus `banned`."""
-    partner: dict[int, int] = {}
-
-    def augment(x: int, seen: set[int]) -> bool:
-        for w in adj[x]:
-            if w in banned or w in seen:
-                continue
-            seen.add(w)
-            if w not in partner or augment(partner[w], seen):
-                partner[w] = x
-                return True
-        return False
-
-    return all(augment(x, set()) for x in range(len(adj)))
-
-
 _MONTGOMERY_EXHAUSTIVE_CAP = 10 ** 6
 
 
@@ -146,6 +130,7 @@ def verify_montgomery(
     """
     s = R.s
     adj = _adjacency(R)
+    X = range(len(adj))
     total = comb(2 * s, s)
     if mode == "auto":
         mode = "exhaustive" if total <= _MONTGOMERY_EXHAUSTIVE_CAP else "sampled"
@@ -155,14 +140,14 @@ def verify_montgomery(
         checked = 0
         for D in combinations(R.Z, s):
             checked += 1
-            if not _x_saturating(adj, frozenset(D)):
+            if bipartite_matching(adj, X, frozenset(D)) is None:
                 return MontgomeryReport(False, D, checked, "exhaustive")
         return MontgomeryReport(True, None, checked, "exhaustive")
     rng = random.Random(seed)
     Z = list(R.Z)
     for i in range(samples):
         D = tuple(sorted(rng.sample(Z, s)))
-        if not _x_saturating(adj, frozenset(D)):
+        if bipartite_matching(adj, X, frozenset(D)) is None:
             return MontgomeryReport(False, D, i + 1, "sampled")
     return MontgomeryReport(True, None, samples, "sampled")
 
@@ -180,7 +165,7 @@ def search_montgomery(
         raise SizeError("degree cap must be positive")
     right = list(range(3 * s, 7 * s))
     for t in range(trials):
-        rng = random.Random(seed * 1_000_003 + t)
+        rng = random.Random(_trial_seed(seed, t))
         edges: set[tuple[int, int]] = set()
         for _ in range(max_degree):
             targets = rng.sample(right, 3 * s)
@@ -309,7 +294,7 @@ def independent_free_overlay(
     budget = min(edge_budget if edge_budget is not None else 8 * r, len(all_sets))
     exact = r <= _OVERLAY_EXACT_CAP
     for trial in range(trials):
-        rng = random.Random(seed * 1_000_003 + trial)
+        rng = random.Random(_trial_seed(seed, trial))
         H = Hypergraph(r, k, tuple(sorted(rng.sample(all_sets, budget))))
         if exact:
             if find_independent_set(H, t) is None:
@@ -619,7 +604,8 @@ def structure_matching_after_removal(
         chosen = A.covering if edge in in_matching else A.noncovering
         pieces.extend(chosen.edges)
     out = Matching.from_edges(pieces)
-    assert out.covered == S.X - W, "structure matching missed its target set"
+    if out.covered != S.X - W:
+        raise DiracLabError("structure matching missed its target set")
     return out
 
 

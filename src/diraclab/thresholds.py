@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, SizeError
+from .errors import CapacityError, DiracLabError, SizeError
 from .hypercore import Hypergraph, min_d_degree
 from .matchpower import find_perfect_matching
 
@@ -33,6 +33,14 @@ __all__ = [
 ]
 
 _SWEEP_CAP = 24
+
+
+def _frac(x) -> Fraction:
+    """Floats come in through configs and CLIs; going through their decimal
+    literal keeps 0.2 meaning 1/5. Everything else converts directly."""
+    if isinstance(x, float):
+        return Fraction(str(x))
+    return Fraction(x)
 
 
 def conjectured_density(d: int, k: int) -> Fraction:
@@ -169,8 +177,10 @@ def exact_dirac_threshold(n: int, k: int, d: int, route: str = "pruned") -> Thre
     )
     # post-hoc re-verification through the independent search and recount
     val, _ = min_d_degree(witness, d)
-    assert val == best, "witness degree recount disagrees with sweep"
-    assert find_perfect_matching(witness).status == "none", "witness has a matching"
+    if val != best:
+        raise DiracLabError(f"witness degree recount {val} disagrees with sweep {best}")
+    if find_perfect_matching(witness).status != "none":
+        raise DiracLabError("witness has a perfect matching")
     return ThresholdRecord(
         n=n,
         k=k,
@@ -208,10 +218,12 @@ def space_barrier(n: int, k: int, d: int) -> Hypergraph:
     S = set(space_barrier_set(n, k))
     edges = [e for e in combinations(range(n), k) if S.intersection(e)]
     H = Hypergraph(n, k, tuple(edges))
-    assert all(S.intersection(e) for e in H.edges)
+    if not all(S.intersection(e) for e in H.edges):
+        raise DiracLabError("space barrier has an edge missing S")
     expected = math.comb(n - d, k - d) - math.comb(n - d - len(S), k - d)
     val, _ = min_d_degree(H, d)
-    assert val == expected, f"space barrier degree {val} != formula {expected}"
+    if val != expected:
+        raise DiracLabError(f"space barrier degree {val} != formula {expected}")
     return H
 
 
@@ -247,10 +259,12 @@ def parity_barrier(n: int, k: int, d: int) -> Hypergraph:
     directly at construction.
     """
     A = set(parity_barrier_set(n, k, d))
-    assert len(A) % 2 == 1
+    if len(A) % 2 != 1:
+        raise DiracLabError(f"parity barrier set has even size {len(A)}")
     edges = [e for e in combinations(range(n), k) if len(A.intersection(e)) % 2 == 0]
     H = Hypergraph(n, k, tuple(edges))
-    assert all(len(A.intersection(e)) % 2 == 0 for e in H.edges)
+    if not all(len(A.intersection(e)) % 2 == 0 for e in H.edges):
+        raise DiracLabError("parity barrier has an edge meeting A oddly")
     return H
 
 

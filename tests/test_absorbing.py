@@ -105,6 +105,17 @@ def test_peel_matchings_lowers_degree_keeps_girth():
         peel_matchings(base, 4)
 
 
+def test_peel_matchings_pinned_edges():
+    # pinned edges: any change to the shared augmenting-path matcher's
+    # neighbour order or to the seeded vertex order shows up here
+    P = peel_matchings(projective_plane_pattern(3), 2, seed=5)
+    assert sorted(P.edges) == [
+        (0, 4), (0, 10), (1, 0), (1, 5), (2, 3), (2, 11), (3, 4), (3, 8), (4, 1),
+        (4, 3), (5, 6), (5, 9), (6, 1), (6, 11), (7, 0), (7, 12), (8, 6), (8, 10),
+        (9, 2), (9, 5), (10, 8), (10, 9), (11, 2), (11, 7), (12, 7), (12, 12),
+    ]
+
+
 def test_random_regular_pattern_deterministic():
     A = random_regular_pattern(8, 3, 4, seed=1)
     B = random_regular_pattern(8, 3, 4, seed=1)
@@ -547,6 +558,15 @@ def test_contract_rejects_identified_edges():
     t2 = mk((2, 5, 8), [(2, 5, 8)], [])
     CA = assemble_contractible((0, 3, 6), ROOTED, (t1, t2))
     with pytest.raises(ShapeError):
+        contract_absorber(CA)
+
+
+def test_contracted_interior_check_raises(monkeypatch):
+    # the post-hoc interior check is an explicit raise, so it also runs
+    # under python -O; here the verifier is made to reject every interior
+    CA = assemble_contractible((0, 3, 6), ROOTED, (small_sub((1, 4, 7), 9), small_sub((2, 5, 8), 12)))
+    monkeypatch.setattr(absorbing, "verify_absorber", lambda A, host=None: (False, "forced"))
+    with pytest.raises(DiracLabError, match="contracted interior lost the absorber property: forced"):
         contract_absorber(CA)
 
 

@@ -231,6 +231,23 @@ class TestPipeline:
         params.write_text("warp = 9\n")
         assert run(capsys, "pipeline", "run", "--in", k12, "--d", "1", "--gamma", "0.1", "--params", str(params))[0] == 2
 
+    @pytest.mark.parametrize(
+        "text, why",
+        [
+            ("finder_Q = abc\n", "finder_Q wants an integer"),
+            ("rho = 0.5\nrho = 0.4\n", "duplicate config key 'rho'"),
+            ("lam = 0.1\nlambda = 0.2\n", "duplicate config key 'lambda'"),
+        ],
+        ids=("malformed-value", "duplicate-key", "lam-and-lambda"),
+    )
+    def test_malformed_params_are_usage_errors(self, k12, tmp_path, capsys, text, why):
+        params = tmp_path / "p.cfg"
+        params.write_text(text)
+        code, out, err = run(capsys, "pipeline", "run", "--in", k12, "--d", "1", "--gamma", "0.1", "--params", str(params))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {why}")
+
 
 def write_config(path, **fields):
     lines = [f"{key} = {value}" for key, value in fields.items()]
@@ -286,17 +303,6 @@ class TestTopLevel:
 
     def test_no_arguments(self, capsys):
         assert run(capsys)[0] == 2
-
-    def test_threads_validation(self, capsys):
-        assert run(capsys, "--threads", "0", "gen", "complete", "--n", "6", "--k", "3")[0] == 2
-
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
-        cfg = tmp_path / "r.cfg"
-        write_config(cfg, name="res", n=9, k=3, d=1, p=0.7, trials=3)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(capsys, "--threads", "1", "--out", str(a), "experiment", "resilience", "--config", str(cfg))
-        run(capsys, "--threads", "4", "--out", str(b), "experiment", "resilience", "--config", str(cfg))
-        assert a.read_bytes() == b.read_bytes()
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "g.khg"

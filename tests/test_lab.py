@@ -302,12 +302,8 @@ class TestConfig:
             d=2,
             p=0.75,
             gamma=0.2,
-            eps=0.01,
             eta=0.1,
-            delta=0.05,
-            sigma=0.3,
             Q=6,
-            rho=0.25,
             lam=0.15,
             trials=17,
             master_seed=99,

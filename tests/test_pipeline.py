@@ -14,9 +14,11 @@ import pytest
 
 from conftest import seeded_subgraph
 
-from diraclab.errors import NotFound, SizeError, StageFailure
+from diraclab import pipeline
+from diraclab.errors import DiracLabError, FormatError, NotFound, SizeError, StageFailure
 from diraclab.hypercore import Hypergraph
-from diraclab.matchpower import find_perfect_matching
+from diraclab.lab import parse_key_values
+from diraclab.matchpower import Matching, find_perfect_matching
 from diraclab.pipeline import (
     AbsorbingSet,
     PipelineParams,
@@ -125,12 +127,13 @@ class TestBuildAbsorbingSet:
         assert exc.value.stage == "structure"
 
     def test_params_from_mapping(self):
-        p = PipelineParams.from_mapping({"rho": "0.3", "lambda": "0.05", "Q": "6"})
+        aliases = {"lambda": "lam"}
+        p = parse_key_values("rho = 0.3\nlambda = 0.05\nQ = 6\n", PipelineParams, aliases)
         assert p.rho == 0.3
         assert p.lam == 0.05
         assert p.Q == 6
-        with pytest.raises(SizeError):
-            PipelineParams.from_mapping({"nonsense": "1"})
+        with pytest.raises(FormatError):
+            parse_key_values("nonsense = 1\n", PipelineParams, aliases)
         with pytest.raises(SizeError):
             PipelineParams(template_mode="mystery")
 
@@ -158,6 +161,19 @@ class TestAbsorbAndComplete:
         for w in W:
             (edge,) = [e for e in M.edges if w in e]
             assert len(set(edge) & set(A.Z)) == 2
+
+    def test_coverage_check_raises(self, monkeypatch):
+        # the post-hoc coverage check is an explicit raise, so it also runs
+        # under python -O; here the re-matched structure drops an edge
+        real = pipeline.structure_matching_after_removal
+
+        def short(S, W):
+            return Matching(real(S, W).edges[1:])
+
+        monkeypatch.setattr(pipeline, "structure_matching_after_removal", short)
+        A = build_absorbing_set(K18, gamma=0.2, seed=0)
+        with pytest.raises(DiracLabError, match="absorption missed its target set"):
+            absorb_and_complete(K18, A, ())
 
     def test_preconditions(self):
         host = Hypergraph.complete(60, 3)

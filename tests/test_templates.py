@@ -141,6 +141,18 @@ class TestMontgomery:
         b = search_montgomery(3, 4, seed=5)
         assert a == b
 
+    def test_search_pinned_edges(self):
+        # pinned edges: guards the shared augmenting-path matcher and the
+        # seed * 1_000_003 + trial stream
+        R = search_montgomery(3, 4, seed=5)
+        assert R.edges == (
+            (0, 9), (0, 17), (0, 20), (1, 11), (1, 13), (1, 15), (1, 16), (2, 10),
+            (2, 12), (2, 16), (2, 19), (3, 10), (3, 11), (3, 12), (3, 19), (4, 11),
+            (4, 15), (4, 18), (4, 19), (5, 9), (5, 15), (5, 16), (5, 20), (6, 11),
+            (6, 14), (7, 12), (7, 13), (7, 17), (7, 19), (8, 9), (8, 13), (8, 17),
+            (8, 18),
+        )
+
     def test_side_ranges_validated(self):
         with pytest.raises(ShapeError):
             BipartiteTemplate(2, ((0, 1),), 1)  # both ends on the X side
@@ -254,6 +266,21 @@ class TestOverlay:
                 assert got in want
             else:
                 assert got is None
+
+    def test_pinned_graphs(self):
+        # pinned graphs guard the seed * 1_000_003 + trial stream; at the
+        # default budget all 56 triples are drawn, so the second case
+        # samples fewer
+        assert independent_free_overlay(8, 3, seed=0) == (Hypergraph.complete(8, 3), "exact")
+        H, mode = independent_free_overlay(8, 3, edge_budget=30, seed=1)
+        assert mode == "exact"
+        assert H.edges == (
+            (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 2, 4), (0, 2, 7),
+            (0, 3, 6), (0, 4, 5), (0, 4, 7), (0, 5, 6), (1, 2, 4), (1, 2, 5), (1, 2, 6),
+            (1, 2, 7), (1, 3, 6), (1, 4, 5), (1, 4, 7), (1, 5, 7), (2, 3, 5), (2, 3, 6),
+            (2, 4, 6), (2, 4, 7), (2, 5, 6), (2, 5, 7), (3, 4, 6), (3, 4, 7), (3, 5, 7),
+            (4, 5, 7), (5, 6, 7),
+        )
 
     def test_budget_too_small_fails(self):
         with pytest.raises(NotFound) as exc:

@@ -11,7 +11,8 @@ from itertools import combinations
 
 import pytest
 
-from diraclab.errors import CapacityError, SizeError
+from diraclab import thresholds
+from diraclab.errors import CapacityError, DiracLabError, SizeError
 from diraclab.hypercore import Hypergraph, min_d_degree
 from diraclab.matchpower import find_perfect_matching, max_matching
 from diraclab.thresholds import (
@@ -80,6 +81,15 @@ def test_threshold_routes_produce_identical_records():
     assert a.m_value == b.m_value == 3
     assert a.extremal_witness == b.extremal_witness
     assert a.graphs_enumerated == b.graphs_enumerated == 1 << 15
+
+
+def test_witness_recount_disagreement_raises(monkeypatch):
+    # the post-hoc recount is an explicit raise, so it also runs under
+    # python -O; here the recount is made to disagree with the sweep
+    real = thresholds.min_d_degree
+    monkeypatch.setattr(thresholds, "min_d_degree", lambda H, d: (real(H, d)[0] + 1, None))
+    with pytest.raises(DiracLabError, match="disagrees with sweep"):
+        exact_dirac_threshold(4, 2, 1)
 
 
 def test_threshold_6_2_witness_is_two_triangles_or_worse():

@@ -81,8 +81,16 @@ class PipelineParams:
     def __post_init__(self):
         if self.template_mode not in ("auto", "montgomery", "compact"):
             raise SizeError(f"unknown template_mode {self.template_mode!r}")
-        if self.partition_attempts < 1:
-            raise SizeError("need at least one partition attempt")
+        if not 0 < self.rho <= 1:
+            raise SizeError(f"rho must lie in (0, 1], got {self.rho}")
+        if self.lam < 0:
+            raise SizeError(f"lam must be at least 0, got {self.lam}")
+        floors = {"min_r": 1, "trials": 1, "template_trials": 1, "partition_attempts": 1,
+                  "Q": 1, "finder_Q": 0, "finder_budget": 0}
+        for name, low in floors.items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise SizeError(f"{name} must be at least {low}, got {value}")
 
     def block_size(self, k: int) -> int:
         """Default block size: the smallest multiple of k from 2k up."""

@@ -248,6 +248,15 @@ class TestPipeline:
         assert out == ""
         assert err.startswith(f"error: {why}")
 
+    def test_zero_block_size_is_usage_error(self, k12, tmp_path, capsys):
+        params = tmp_path / "p.cfg"
+        params.write_text("Q = 0\n")
+        code, out, err = run(capsys, "pipeline", "run", "--in", k12, "--d", "1", "--gamma", "0.1", "--params", str(params))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Q must be at least 1")
+        assert "Traceback" not in err
+
 
 def write_config(path, **fields):
     lines = [f"{key} = {value}" for key, value in fields.items()]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from diraclab.errors import CapacityError, NotFound, ShapeError, SizeError
 from diraclab.hypercore import Hypergraph
+from diraclab.lab import sample_hk
 from diraclab.matchpower import (
     Matching,
     aharoni_haxell_holds,
@@ -21,6 +22,7 @@ from diraclab.matchpower import (
     parse_matching,
     verify_matching,
 )
+from diraclab.thresholds import parity_barrier, space_barrier
 
 from conftest import seeded_subgraph, small_hypergraph
 
@@ -120,6 +122,121 @@ def test_pm_budget_gives_partial():
     res = find_perfect_matching(H, budget=2)
     assert res.status == "partial"
     assert verify_matching(H, res.matching)[0]
+
+
+def memo_free_pm(H: Hypergraph, budget: int | None = None) -> tuple[str, Matching, tuple[int, ...], int]:
+    """The fail-first search without the dead-state memo, as a reference.
+
+    Same vertex choice (fewest available edges, lowest id on ties), same
+    canonical edge order and same node count as the library search had
+    before it remembered dead masks; it re-explores every revisited mask.
+    """
+    n = H.n
+    if n == 0:
+        return "perfect", Matching(()), (), 0
+    if n % H.k != 0:
+        return "none", Matching(()), tuple(range(n)), 0
+    masks, incident, full = H.edge_masks, H.incident, (1 << n) - 1
+    nodes = 0
+    chosen: list[int] = []
+    best: list[int] = []
+
+    class Stop(Exception):
+        pass
+
+    def rec(covered: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise Stop
+        if covered == full:
+            return True
+        pick = None
+        for v in range(n):
+            if covered >> v & 1:
+                continue
+            avail = [i for i in incident[v] if not masks[i] & covered]
+            if pick is None or len(avail) < len(pick):
+                pick = avail
+                if not avail:
+                    return False
+        for i in pick:
+            chosen.append(i)
+            if len(chosen) > len(best):
+                best[:] = chosen
+            if rec(covered | masks[i]):
+                return True
+            chosen.pop()
+        return False
+
+    def result(status: str, idx: list[int]) -> tuple[str, Matching, tuple[int, ...], int]:
+        m = Matching.from_edges(H.edges[i] for i in idx)
+        return status, m, tuple(sorted(set(range(n)) - m.covered)), nodes
+
+    try:
+        if rec(0):
+            return result("perfect", chosen)
+    except Stop:
+        return result("partial", best)
+    return result("none", best)
+
+
+def memo_hosts() -> list[Hypergraph]:
+    """Seeded binomial hosts, relabelled space and parity barriers, and
+    barriers thinned by a binomial host or given one extra edge, so that
+    both "none" and "perfect" come after real backtracking."""
+    hosts = []
+    for seed in range(20):
+        n = (6, 9, 12, 15, 10)[seed % 5]
+        p = 0.2 + 0.7 * (seed % 7) / 6
+        hosts.append(sample_hk(n, 3, p, seed))
+    rng = random.Random(2024)
+    for n, k in [(6, 3), (9, 3), (12, 3), (8, 4), (12, 4)]:
+        for build in (space_barrier, parity_barrier):
+            H = build(n, k, 1)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            hosts.append(Hypergraph.from_edges(n, k, [[perm[v] for v in e] for e in H.edges]))
+    for seed in range(10):
+        n = (12, 15)[seed % 2]
+        H = (space_barrier, parity_barrier)[seed // 2 % 2](n, 3, 1)
+        if seed < 6:
+            kept = set(sample_hk(n, 3, 0.5 + 0.05 * seed, seed).edges)
+            hosts.append(Hypergraph.from_edges(n, 3, [e for e in H.edges if e in kept]))
+        else:
+            extra = rng.choice([e for e in combinations(range(n), 3) if e not in H.edge_set])
+            hosts.append(Hypergraph.from_edges(n, 3, H.edges + (extra,)))
+    return hosts
+
+
+MEMO_HOSTS = memo_hosts()
+
+
+@pytest.mark.parametrize("H", MEMO_HOSTS, ids=[f"host{i}" for i in range(len(MEMO_HOSTS))])
+def test_pm_memo_matches_memo_free_reference(H):
+    status, matching, uncovered, ref_nodes = memo_free_pm(H)
+    res = find_perfect_matching(H)
+    assert (res.status, res.matching, res.uncovered) == (status, matching, uncovered)
+    assert res.nodes_explored <= ref_nodes
+    # A budget the reference just fits settles the same way; a tighter one
+    # may still settle under the memo, and then it must agree too.
+    for budget in (ref_nodes, ref_nodes // 2, ref_nodes // 5):
+        res = find_perfect_matching(H, budget=budget)
+        ref = memo_free_pm(H, budget=budget)
+        if ref[0] != "partial":
+            assert (res.status, res.matching, res.uncovered) == ref[:3]
+        if res.status != "partial":
+            assert (res.status, res.matching, res.uncovered) == (status, matching, uncovered)
+        assert res.nodes_explored <= budget + 1
+
+
+def test_pm_memo_settles_n18_barriers():
+    # Node counts, not seconds: without the dead-state memo neither proof
+    # finishes within 200,000 nodes.
+    for build in (space_barrier, parity_barrier):
+        res = find_perfect_matching(build(18, 3, 1))
+        assert res.status == "none"
+        assert res.nodes_explored <= 100_000
 
 
 @settings(max_examples=120)

@@ -137,6 +137,45 @@ class TestBuildAbsorbingSet:
         with pytest.raises(SizeError):
             PipelineParams(template_mode="mystery")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("Q", 0),
+            ("Q", -6),
+            ("min_r", 0),
+            ("trials", 0),
+            ("template_trials", 0),
+            ("finder_Q", -1),
+            ("finder_budget", -1),
+            ("rho", 0.0),
+            ("rho", -0.2),
+            ("rho", 1.5),
+            ("lam", -0.1),
+            ("partition_attempts", 0),
+        ],
+    )
+    def test_params_reject_out_of_range(self, field, value):
+        with pytest.raises(SizeError, match=field):
+            PipelineParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"rho": 1.0, "lam": 0.0, "Q": 1, "min_r": 1, "trials": 1, "template_trials": 1},
+            {"finder_Q": 0, "finder_budget": 0, "partition_attempts": 1},
+            {"rho": 0.15, "template_mode": "montgomery"},
+            {"template_mode": "compact"},
+            {"rho": 0.5, "template_mode": "compact", "Q": 12},
+            {"rho": 0.3, "lam": 0.05, "Q": 6},
+            {"rho": 0.5, "Q": 12},
+        ],
+    )
+    def test_params_accept_boundaries_and_values_in_use(self, fields):
+        p = PipelineParams(**fields)
+        for name, value in fields.items():
+            assert getattr(p, name) == value
+
 
 # ---------------------------------------------------------------------------
 # Absorption

@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, FormatError, SizeError, SpecError
+from .errors import CapacityError, DiracLabError, FormatError, SizeError, SpecError
 
 __all__ = [
     "Hypergraph",
@@ -318,9 +318,10 @@ _ENUM_BUDGET = 24
 class _Dinic:
     """Small integer max-flow solver (enough for the density networks).
 
-    The project-selection networks built below have every s-t path of length
-    three (source, edge-node, vertex-node, sink), so the recursive blocking
-    flow never goes deep.
+    ``max_flow`` augments from whatever flow the arcs already carry, so a
+    caller may change capacities between calls. Blocking flows are found by
+    an iterative search, since augmenting paths in a residual network can
+    be as long as the network has nodes.
     """
 
     def __init__(self, n: int):
@@ -337,46 +338,61 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def _bfs(self, s: int, t: int) -> bool:
-        self._level = [-1] * self.n
-        self._level[s] = 0
+    def _levels(self, s: int, t: int) -> list[int]:
+        """BFS levels from ``s``, left unset past the level of ``t``."""
+        adj, to, cap = self.adj, self.to, self.cap
+        level = [-1] * self.n
+        level[s] = 0
         queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for a in self.adj[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and self._level[v] < 0:
-                    self._level[v] = self._level[u] + 1
+        for u in queue:
+            if u == t:
+                break
+            nxt = level[u] + 1
+            for a in adj[u]:
+                v = to[a]
+                if cap[a] > 0 and level[v] < 0:
+                    level[v] = nxt
                     queue.append(v)
-        return self._level[t] >= 0
-
-    def _dfs(self, u: int, t: int, f: int) -> int:
-        if u == t:
-            return f
-        while self._it[u] < len(self.adj[u]):
-            a = self.adj[u][self._it[u]]
-            v = self.to[a]
-            if self.cap[a] > 0 and self._level[v] == self._level[u] + 1:
-                d = self._dfs(v, t, min(f, self.cap[a]))
-                if d > 0:
-                    self.cap[a] -= d
-                    self.cap[a ^ 1] += d
-                    return d
-            self._it[u] += 1
-        return 0
+        return level
 
     def max_flow(self, s: int, t: int) -> int:
+        adj, to, cap = self.adj, self.to, self.cap
         flow = 0
-        while self._bfs(s, t):
-            self._it = [0] * self.n
+        while True:
+            level = self._levels(s, t)
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+            path: list[int] = []
+            u = s
             while True:
-                f = self._dfs(s, t, 1 << 62)
-                if f == 0:
+                if u == t:
+                    f = min(cap[a] for a in path)
+                    for a in path:
+                        cap[a] -= f
+                        cap[a ^ 1] += f
+                    flow += f
+                    path.clear()
+                    u = s
+                    continue
+                arcs = adj[u]
+                i = it[u]
+                want = level[u] + 1
+                while i < len(arcs):
+                    a = arcs[i]
+                    if cap[a] > 0 and level[to[a]] == want:
+                        break
+                    i += 1
+                it[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                    continue
+                # dead end: retreat one arc and skip it
+                if not path:
                     break
-                flow += f
-        return flow
+                u = to[path.pop() ^ 1]
+                it[u] += 1
 
     def source_side(self, s: int) -> set[int]:
         """Nodes reachable from ``s`` in the residual graph (call after max_flow)."""
@@ -433,31 +449,7 @@ def _density_parametric(H: Hypergraph) -> DensityResult:
     support = sorted(H.support())
     vpos = {v: i for i, v in enumerate(support)}
     nv = len(support)
-
-    def solve(lam: Fraction, anchor: int) -> tuple[int, list[int]]:
-        """Max of q*e' - p*v' over edge subsets containing ``anchor``.
-
-        Project-selection cut: rejecting a non-anchor edge cuts its q-arc,
-        keeping an edge forces its vertices' p-arcs into the cut, and the
-        anchor's infinite arc keeps it selected. The cut value is therefore
-        q*(m - e') + p*v', so the maximum equals q*m - mincut. Returns the
-        scaled value and the selected edge indices (residual source side,
-        which is the minimal maximizer).
-        """
-        p, q = lam.numerator, lam.denominator
-        inf = q * m + p * nv + 1
-        s, t = m + nv, m + nv + 1
-        net = _Dinic(m + nv + 2)
-        for i in range(m):
-            net.add(s, i, inf if i == anchor else q)
-            for v in edges[i]:
-                net.add(i, m + vpos[v], inf)
-        for j in range(nv):
-            net.add(m + j, t, p)
-        cut = net.max_flow(s, t)
-        side = net.source_side(s)
-        sel = [i for i in range(m) if i in side]
-        return q * m - cut, sel
+    s, t = m + nv, m + nv + 1
 
     if m < 2:
         return DensityResult(Fraction(0), None, "parametric")
@@ -466,18 +458,62 @@ def _density_parametric(H: Hypergraph) -> DensityResult:
     lam = Fraction(m - 1, full_union.bit_count() - k)
     witness_idx = list(range(m))
     while True:
+        # Project-selection network for lam = p/q: rejecting an edge cuts its
+        # q-arc, keeping an edge forces its vertices' p-arcs into the cut, and
+        # the anchor's infinite arc keeps it selected. The cut value is
+        # q*(m - e') + p*v', so max of q*e' - p*v' over edge sets containing
+        # the anchor is q*m - mincut. One network serves every anchor: only
+        # the source arcs of the old and the new anchor change in between.
+        p, q = lam.numerator, lam.denominator
+        inf = q * m + p * nv + 1
+        net = _Dinic(m + nv + 2)
+        cap = net.cap
+        src_arc, out_arcs, sink_arc = [], [], []
+        for i in range(m):
+            src_arc.append(len(cap))
+            net.add(s, i, q)
+            arcs = []
+            for v in edges[i]:
+                arcs.append((len(cap), vpos[v]))
+                net.add(i, m + vpos[v], inf)
+            out_arcs.append(arcs)
+        for j in range(nv):
+            sink_arc.append(len(cap))
+            net.add(m + j, t, p)
+        flow = 0
         improved = False
         for a in range(m):
-            p, q = lam.numerator, lam.denominator
-            value, sel = solve(lam, a)
+            if a:
+                # Back to q on the old anchor: cancel its flow above q along
+                # its own length-3 paths, which keeps the flow feasible.
+                arc = src_arc[a - 1]
+                excess = cap[arc ^ 1] - q
+                if excess > 0:
+                    flow -= excess
+                    cap[arc ^ 1] = q
+                    for e_arc, j in out_arcs[a - 1]:
+                        d = min(cap[e_arc ^ 1], excess)
+                        cap[e_arc] += d
+                        cap[e_arc ^ 1] -= d
+                        cap[sink_arc[j]] += d
+                        cap[sink_arc[j] ^ 1] -= d
+                        excess -= d
+                cap[arc] = q - cap[arc ^ 1]
+            arc = src_arc[a]
+            cap[arc] = inf - cap[arc ^ 1]
+            flow += net.max_flow(s, t)
             # improving iff (e'-1) - lam*(v'-k) > 0, scaled by q:
-            if value > q - p * k:
+            if q * m - flow > q - p * k:
+                # The residual source side of any maximum flow is the minimal
+                # min cut, so the selection does not depend on the warm start.
+                side = net.source_side(s)
+                sel = [i for i in range(m) if i in side]
                 um = 0
                 for i in sel:
                     um |= H.edge_masks[i]
                 new = Fraction(len(sel) - 1, um.bit_count() - k)
                 if new <= lam:
-                    raise AssertionError("parametric density step failed to improve")
+                    raise DiracLabError("parametric density step failed to improve")
                 lam = new
                 witness_idx = sel
                 improved = True
@@ -499,6 +535,15 @@ def k_density(H: Hypergraph, method: str = "auto") -> DensityResult:
     capped at 24 edges, :class:`CapacityError` above). ``method="parametric"``
     solves the same maximization by ratio iteration over min-cuts and has no
     size cap. ``"auto"`` uses the parametric route.
+
+    The parametric route asks, for each anchor edge in turn, whether some
+    edge set holding it beats the current ratio. It builds one flow network
+    per ratio and carries its maximum flow from anchor to anchor: the old
+    anchor's source arc drops back to its finite capacity (its excess flow
+    is cancelled along its own paths), the new anchor's arc is raised, and
+    the flow is augmented from there. The witness is still the minimal
+    maximizer, because the set reachable from the source in the residual
+    network is the same for every maximum flow.
     """
     if method not in ("auto", "enumerate", "parametric"):
         raise SpecError(f"unknown k_density method {method!r}")

@@ -141,14 +141,36 @@ def find_perfect_matching(H: Hypergraph, budget: int | None = None) -> MatchResu
         return MatchResult("perfect", Matching(()), (), 0)
     if n % k != 0:
         return MatchResult("none", Matching(()), tuple(range(n)), 0)
+    status, picked, nodes = _pm_search(H.edge_masks, H.incident, n, 0, set(), budget)
+    m = Matching.from_edges(H.edges[i] for i in picked)
+    unc = () if status == "perfect" else tuple(sorted(set(range(n)) - m.covered))
+    return MatchResult(status, m, unc, nodes)
 
-    masks = H.edge_masks
-    incident = H.incident
+
+def _pm_search(
+    masks: Sequence[int],
+    incident: Sequence[Sequence[int]],
+    n: int,
+    start: int,
+    dead: set[int],
+    budget: int | None = None,
+) -> tuple[str, list[int], int]:
+    """The search behind :func:`find_perfect_matching`: cover the vertices
+    outside the ``start`` mask with disjoint edges avoiding it.
+
+    Returns ``(status, edge indices, nodes)``: the indices form the perfect
+    matching, or the longest partial one seen. ``dead`` is the memo of
+    covered masks shown to fail; a mask enters it only when its branch loop
+    ran out, never when the budget cut the search. A dead mask therefore
+    means the vertices outside it have no perfect matching in these edges,
+    whatever the start mask was, and a caller may share the memo between
+    searches on the same edges. The status stays exact; only the partial
+    matching kept after a failure may be shorter than a fresh search's.
+    """
     full = (1 << n) - 1
     nodes = 0
     chosen: list[int] = []
     best: list[int] = []
-    dead: set[int] = set()
 
     def rec(covered: int) -> bool:
         nonlocal nodes
@@ -179,17 +201,10 @@ def find_perfect_matching(H: Hypergraph, budget: int | None = None) -> MatchResu
         return False
 
     try:
-        found = rec(0)
+        found = rec(start)
     except _BudgetHit:
-        m = Matching.from_edges(H.edges[i] for i in best)
-        unc = tuple(sorted(set(range(n)) - m.covered))
-        return MatchResult("partial", m, unc, nodes)
-    if found:
-        m = Matching.from_edges(H.edges[i] for i in chosen)
-        return MatchResult("perfect", m, (), nodes)
-    m = Matching.from_edges(H.edges[i] for i in best)
-    unc = tuple(sorted(set(range(n)) - m.covered))
-    return MatchResult("none", m, unc, nodes)
+        return "partial", best, nodes
+    return ("perfect", chosen, nodes) if found else ("none", best, nodes)
 
 
 def _max_matching_masks(
@@ -390,6 +405,20 @@ def bipartite_matching(
     order. Returns the partner map, right vertex to left vertex, or None as
     soon as some left vertex cannot be matched."""
     partner: dict[int, int] = {}
+    return partner if _augment_all(adj, order, banned, partner) else None
+
+
+def _augment_all(
+    adj: Sequence[Sequence[int]],
+    order: Iterable[int],
+    banned: frozenset[int],
+    partner: dict[int, int],
+) -> bool:
+    """Grow the matching ``partner`` (right to left, no right vertex in
+    ``banned``) by one augmenting path per left vertex in ``order``, which
+    must be the unmatched ones. False as soon as one has no augmenting path:
+    then no matching avoiding ``banned`` saturates the left vertices, from
+    whichever matching the search started."""
 
     def augment(a: int, seen: set[int]) -> bool:
         for b in adj[a]:
@@ -403,8 +432,8 @@ def bipartite_matching(
 
     for a in order:
         if not augment(a, set()):
-            return None
-    return partner
+            return False
+    return True
 
 
 def match_into_flexible(

@@ -30,8 +30,8 @@ from .errors import (
     SizeError,
     TemplateMatchingFailed,
 )
-from .hypercore import Hypergraph, induced, read_khg, write_khg
-from .matchpower import Matching, bipartite_matching, find_perfect_matching
+from .hypercore import Hypergraph, induced, mask_of, read_khg, write_khg
+from .matchpower import Matching, _augment_all, _pm_search, find_perfect_matching
 
 __all__ = [
     "BipartiteTemplate",
@@ -126,28 +126,40 @@ def verify_montgomery(
 
     Exhaustive over all C(2s, s) removals while that count stays under a
     million; beyond that a seeded sample is used and the report says so.
-    mode "exhaustive" or "sampled" overrides the size-based choice.
+    mode "exhaustive" or "sampled" overrides the size-based choice. Each
+    removal starts from the previous removal's matching; saturation does
+    not depend on the starting matching, so neither does the report.
     """
     s = R.s
     adj = _adjacency(R)
-    X = range(len(adj))
     total = comb(2 * s, s)
     if mode == "auto":
         mode = "exhaustive" if total <= _MONTGOMERY_EXHAUSTIVE_CAP else "sampled"
     if mode not in ("exhaustive", "sampled"):
         raise SizeError(f"unknown mode {mode!r}")
+    # each removal unmatches only the partners of its own vertices, and only
+    # those are augmented again
+    partner: dict[int, int] = {}
+    unmatched = list(range(len(adj)))
+
+    def saturated(D: tuple[int, ...]) -> bool:
+        unmatched.extend(partner.pop(w) for w in D if w in partner)
+        ok = _augment_all(adj, unmatched, frozenset(D), partner)
+        unmatched.clear()
+        return ok
+
     if mode == "exhaustive":
         checked = 0
         for D in combinations(R.Z, s):
             checked += 1
-            if bipartite_matching(adj, X, frozenset(D)) is None:
+            if not saturated(D):
                 return MontgomeryReport(False, D, checked, "exhaustive")
         return MontgomeryReport(True, None, checked, "exhaustive")
     rng = random.Random(seed)
     Z = list(R.Z)
     for i in range(samples):
         D = tuple(sorted(rng.sample(Z, s)))
-        if bipartite_matching(adj, X, frozenset(D)) is None:
+        if not saturated(D):
             return MontgomeryReport(False, D, i + 1, "sampled")
     return MontgomeryReport(True, None, samples, "sampled")
 
@@ -436,19 +448,28 @@ def verify_resilient_template(
     """Sweep removals W from Z and demand a perfect matching every time.
 
     mode "exhaustive" forces the full sweep, "sampled" forces sampling,
-    "auto" goes exhaustive while the sweep size stays under 10^5.
+    "auto" goes exhaustive while the sweep size stays under 10^5. With no
+    feasible removal size either mode reports ok after 0 removals.
     """
+    if any(not 0 <= z < T.T.n for z in T.Z):
+        raise SizeError("flexible set reaches outside the template's vertices")
     sizes = feasible_removals(T)
     total = sum(comb(T.r, j) for j in sizes)
     if mode == "auto":
         mode = "exhaustive" if total <= _TEMPLATE_EXHAUSTIVE_CAP else "sampled"
     if mode not in ("exhaustive", "sampled"):
         raise SizeError(f"unknown mode {mode!r}")
+    if not sizes:
+        return TemplateReport(True, None, 0, mode)
+    # Search T itself with W already covered: the same branching as on the
+    # induced copy, whose relabelling keeps the vertex and edge order. One
+    # dead-state memo serves every removal, since a dead mask says nothing
+    # about which part of it was W.
+    masks, incident, n = T.T.edge_masks, T.T.incident, T.T.n
+    dead: set[int] = set()
 
     def survives(W: tuple[int, ...]) -> bool:
-        rest = [v for v in range(T.T.n) if v not in set(W)]
-        sub, _ = induced(T.T, rest)
-        return find_perfect_matching(sub).status == "perfect"
+        return _pm_search(masks, incident, n, mask_of(W), dead)[0] == "perfect"
 
     if mode == "exhaustive":
         checked = 0

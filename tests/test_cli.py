@@ -12,9 +12,10 @@ import sys
 import pytest
 
 from diraclab.cli import main
-from diraclab.hypercore import read_khg
+from diraclab.hypercore import Hypergraph, read_khg
 from diraclab.lab import parse_table
 from diraclab.matchpower import find_perfect_matching, read_matching, verify_matching
+from diraclab.templates import ResilientTemplate, write_template
 
 
 def run(capsys, *argv):
@@ -162,6 +163,15 @@ class TestTemplateAndAbsorber:
         assert "r=6" in out
         assert run(capsys, "template", "verify", "--in", str(base), "--mode", "exhaustive")[0] == 0
         assert run(capsys, "verify", "--template", str(base))[0] == 0
+
+    def test_template_without_feasible_removals_verifies_in_both_modes(self, tmp_path, capsys):
+        base = tmp_path / "bare"
+        T = ResilientTemplate(k=3, T=Hypergraph.empty(8, 3), Z=(0, 1, 2), provenance={})
+        write_template(T, str(base))
+        for mode in ("exhaustive", "sampled"):
+            code, out, _ = run(capsys, "template", "verify", "--in", str(base), "--mode", mode)
+            assert code == 0
+            assert out.strip() == f"ok: mode={mode} removals_checked=0"
 
     def test_template_build_needs_out(self, capsys):
         assert run(capsys, "template", "build", "--r", "6", "--k", "3")[0] == 2

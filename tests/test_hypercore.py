@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraclab.errors import CapacityError, FormatError, SizeError, SpecError
+from diraclab.errors import CapacityError, DiracLabError, FormatError, SizeError, SpecError
 from diraclab.hypercore import (
     ContractionSpec,
+    DensityResult,
     Hypergraph,
+    _Dinic,
     berge_girth_of,
     contract,
     degree,
@@ -25,7 +28,7 @@ from diraclab.hypercore import (
     parse_khg,
 )
 
-from conftest import small_hypergraph
+from conftest import make_contracted, small_hypergraph
 
 # ---------------------------------------------------------------------------
 # Oracles. Deliberately dumb and independent of the implementations they check.
@@ -300,6 +303,118 @@ def test_k_density_monotone_under_edge_addition(H, pick):
     extra = missing[pick % len(missing)]
     bigger = H.add_edges([extra])
     assert k_density(bigger).value >= k_density(H).value
+
+
+def rebuild_density(H: Hypergraph) -> tuple[DensityResult, int]:
+    """The parametric route with a fresh flow network per anchor, as it ran
+    before the network was reused. Also returns how many improving steps
+    it took (each one rebuilds the network at a new ratio)."""
+    k, edges, m = H.k, H.edges, len(H.edges)
+    support = sorted(H.support())
+    vpos = {v: i for i, v in enumerate(support)}
+    nv = len(support)
+
+    def solve(lam, anchor):
+        p, q = lam.numerator, lam.denominator
+        inf = q * m + p * nv + 1
+        s, t = m + nv, m + nv + 1
+        net = _Dinic(m + nv + 2)
+        for i in range(m):
+            net.add(s, i, inf if i == anchor else q)
+            for v in edges[i]:
+                net.add(i, m + vpos[v], inf)
+        for j in range(nv):
+            net.add(m + j, t, p)
+        cut = net.max_flow(s, t)
+        side = net.source_side(s)
+        return q * m - cut, [i for i in range(m) if i in side]
+
+    lam = Fraction(m - 1, len(support) - k)
+    witness_idx = list(range(m))
+    steps = 0
+    improved = True
+    while improved:
+        improved = False
+        for a in range(m):
+            p, q = lam.numerator, lam.denominator
+            value, sel = solve(lam, a)
+            if value > q - p * k:
+                verts = {v for i in sel for v in edges[i]}
+                lam = Fraction(len(sel) - 1, len(verts) - k)
+                witness_idx = sel
+                steps += 1
+                improved = True
+                break
+    witness = tuple(edges[i] for i in sorted(witness_idx))
+    return DensityResult(lam, witness, "parametric"), steps
+
+
+def density_hosts() -> list[Hypergraph]:
+    """Seeded graphs with 12 to 40 edges: plain random ones, whose first
+    ratio is often already optimal, and dense cores with pendant edges,
+    where it is not."""
+    rng = random.Random(2024)
+    hosts = []
+    for _ in range(24):
+        k = rng.choice((2, 3, 3, 4))
+        n = rng.randint(k + 5, 13)
+        pool = list(combinations(range(n), k))
+        hosts.append(Hypergraph.from_edges(n, k, rng.sample(pool, min(len(pool), rng.randint(12, 40)))))
+    for _ in range(16):
+        core = rng.randint(5, 6)
+        edges = [e for e in combinations(range(core), 3) if rng.random() < 0.85]
+        n = core + rng.randint(4, 10)
+        while len(edges) < 12 or rng.random() < 0.6:
+            e = tuple(sorted({rng.randrange(core, n), rng.randrange(n), rng.randrange(n)}))
+            if len(e) == 3 and e not in edges:
+                edges.append(e)
+        hosts.append(Hypergraph.from_edges(n, 3, edges[:40]))
+    return hosts
+
+
+def test_k_density_reused_network_matches_rebuilt_networks():
+    steps_seen, enumerated = [], []
+    for H in density_hosts():
+        assert 12 <= len(H.edges) <= 40
+        want, steps = rebuild_density(H)
+        steps_seen.append(steps)
+        assert k_density(H) == want
+        # the oracle doubles its time per edge (about 5 s at 20 edges)
+        if len(H.edges) <= 16:
+            assert k_density(H, method="enumerate").value == want.value
+            enumerated.append(steps)
+    # the improving branch and the rebuild at a new ratio both ran, and the
+    # oracle saw graphs of both kinds
+    assert sum(s == 0 for s in steps_seen) >= 5
+    assert sum(s >= 1 for s in steps_seen) >= 10
+    assert max(steps_seen) >= 2
+    assert 0 in enumerated and max(enumerated) >= 1
+
+
+def test_k_density_contracted_absorbers_pinned():
+    # values from the one-network-per-anchor route; every witness is the
+    # whole contracted graph
+    for K, value in ((4, Fraction(3, 4)), (6, Fraction(25, 36))):
+        for seed in range(3):
+            C = make_contracted(K, seed)
+            res = k_density(C.graph)
+            assert res == DensityResult(value, C.graph.edges, "parametric")
+    assert k_density(make_contracted(4, 0).graph).witness == (
+        (0, 4, 13), (0, 6, 7), (1, 2, 9), (1, 8, 14), (2, 10, 13),
+        (3, 4, 11), (3, 7, 14), (5, 8, 10), (5, 9, 12), (6, 11, 12),
+    )
+
+
+def test_k_density_failed_step_raises(monkeypatch):
+    # a cut whose source side claims every edge cannot beat the whole-graph
+    # ratio, so the re-check must refuse it
+    H = Hypergraph.from_edges(
+        9, 3, list(combinations(range(5), 3)) + [(4, 5, 6), (6, 7, 8)]
+    )
+    assert k_density(H).value > Fraction(len(H.edges) - 1, H.n - 3)
+    monkeypatch.setattr(_Dinic, "source_side", lambda self, s: set(range(self.n)))
+    with pytest.raises(DiracLabError, match="failed to improve"):
+        k_density(H)
 
 
 @given(small_hypergraph(max_n=7, max_k=3), st.randoms(use_true_random=False))

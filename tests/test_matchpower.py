@@ -239,6 +239,23 @@ def test_pm_memo_settles_n18_barriers():
         assert res.nodes_explored <= 100_000
 
 
+@pytest.mark.parametrize(
+    "build, n, nodes, uncovered",
+    [
+        (space_barrier, 12, 613, (9, 10, 11)),
+        (parity_barrier, 12, 789, (6, 10, 11)),
+        (space_barrier, 15, 5_197, (12, 13, 14)),
+        (parity_barrier, 15, 7_674, (6, 13, 14)),
+    ],
+)
+def test_pm_barrier_proofs_pinned(build, n, nodes, uncovered):
+    # exact node counts of the search as it stood before it moved into the
+    # kernel that template verification shares
+    res = find_perfect_matching(build(n, 3, 1))
+    assert (res.status, res.nodes_explored, res.uncovered) == ("none", nodes, uncovered)
+    assert len(res.matching) == n // 3 - 1
+
+
 @settings(max_examples=120)
 @given(small_hypergraph(max_n=7, max_k=3))
 def test_pm_status_matches_naive_oracle(H):

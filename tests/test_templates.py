@@ -6,6 +6,7 @@ to find_perfect_matching, which shares no code with the augmenting-path
 matcher inside verify_montgomery.
 """
 
+import hashlib
 import random
 from itertools import combinations
 from math import comb
@@ -21,7 +22,7 @@ from diraclab.errors import (
     TemplateMatchingFailed,
 )
 from diraclab.hypercore import Hypergraph, induced
-from diraclab.matchpower import find_perfect_matching
+from diraclab.matchpower import bipartite_matching, find_perfect_matching
 from diraclab.templates import (
     AbsorbingStructure,
     BipartiteTemplate,
@@ -59,6 +60,70 @@ def oracle_removal_survives(R, removed):
     ]
     H = Hypergraph.from_edges(len(keep), 2, edges)
     return find_perfect_matching(H).status == "perfect"
+
+
+def scratch_montgomery(R, mode, samples=2000, seed=0):
+    """verify_montgomery as it ran before the matching was carried across
+    removals: a fresh augmenting-path matching for every removal."""
+    adj = [[] for _ in range(3 * R.s)]
+    for x, w in R.edges:
+        adj[x].append(w)
+    X = range(3 * R.s)
+    if mode == "exhaustive":
+        removals = list(combinations(R.Z, R.s))
+    else:
+        rng = random.Random(seed)
+        removals = [tuple(sorted(rng.sample(list(R.Z), R.s))) for _ in range(samples)]
+    for i, D in enumerate(removals):
+        if bipartite_matching(adj, X, frozenset(D)) is None:
+            return (False, D, i + 1, mode)
+    return (True, None, len(removals), mode)
+
+
+def montgomery_candidates(s, cap, count, seed):
+    """Unions of `cap` random injections of X into Y+Z, the shape the
+    search draws; most fail at small caps, most pass at large ones."""
+    rng = random.Random(seed)
+    right = list(range(3 * s, 7 * s))
+    out = []
+    for _ in range(count):
+        edges = set()
+        for _ in range(cap):
+            targets = rng.sample(right, 3 * s)
+            edges.update((x, targets[x]) for x in range(3 * s))
+        deg = [0] * (7 * s)
+        for x, w in edges:
+            deg[x] += 1
+            deg[w] += 1
+        out.append(BipartiteTemplate(s, tuple(sorted(edges)), max(deg)))
+    return out
+
+
+def scratch_template_verify(T, mode, samples=500, seed=0):
+    """verify_resilient_template as it ran before it searched T in place:
+    an induced copy of T minus W for every removal, searched afresh."""
+    sizes = feasible_removals(T)
+
+    def survives(W):
+        sub, _ = induced(T.T, [v for v in range(T.T.n) if v not in W])
+        return find_perfect_matching(sub).status == "perfect"
+
+    if mode == "exhaustive":
+        removals = [W for j in sizes for W in combinations(T.Z, j)]
+    else:
+        rng = random.Random(seed)
+        removals = []
+        for _ in range(samples):
+            j = rng.choice(sizes)
+            removals.append(tuple(sorted(rng.sample(list(T.Z), j))))
+    for i, W in enumerate(removals):
+        if not survives(W):
+            return (False, W, i + 1, mode)
+    return (True, None, len(removals), mode)
+
+
+def report_tuple(rep):
+    return (rep.ok, rep.violating, rep.checked, rep.mode)
 
 
 def oracle_independent(H, subset):
@@ -152,6 +217,39 @@ class TestMontgomery:
             (6, 14), (7, 12), (7, 13), (7, 17), (7, 19), (8, 9), (8, 13), (8, 17),
             (8, 18),
         )
+
+    def test_carried_matching_matches_fresh_matchings(self):
+        outcomes = set()
+        for s, cap in ((2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (5, 4)):
+            for i, R in enumerate(montgomery_candidates(s, cap, 8, seed=10 * s + cap)):
+                for mode, kw in (("exhaustive", {}), ("sampled", {"samples": 60, "seed": i})):
+                    rep = verify_montgomery(R, mode=mode, **kw)
+                    assert report_tuple(rep) == scratch_montgomery(R, mode, **kw)
+                    outcomes.add((mode, rep.ok))
+        # both modes saw passing and failing candidates
+        assert len(outcomes) == 4
+
+    @pytest.mark.parametrize(
+        "s, cap, seed, size, digest",
+        [
+            (5, 4, 0, 58, "d2c530b84dae6ea8"),
+            (5, 4, 1, 56, "7a53d97250350736"),
+            (5, 5, 0, 67, "7ec6459734588482"),
+            (6, 4, 1, 70, "e5e209f3a5b02963"),
+            (6, 5, 0, 83, "7afcf525e0277c68"),
+            (6, 5, 1, 85, "5daf760d23235390"),
+        ],
+    )
+    def test_search_pinned_at_template_scales(self, s, cap, seed, size, digest):
+        # edge counts and sha256 prefixes of repr(edges), from the verifier
+        # that matched every removal afresh
+        R = search_montgomery(s, cap, seed=seed)
+        assert (len(R.edges), R.max_degree) == (size, cap)
+        assert hashlib.sha256(repr(R.edges).encode()).hexdigest()[:16] == digest
+
+    def test_search_pinned_failure_at_scale_6(self):
+        with pytest.raises(NotFound):
+            search_montgomery(6, 4, seed=0)
 
     def test_side_ranges_validated(self):
         with pytest.raises(ShapeError):
@@ -356,6 +454,48 @@ class TestResilientTemplate:
         rep = verify_resilient_template(T)
         assert not rep.ok
         assert rep.violating is not None
+
+    def test_in_place_search_matches_induced_copies(self):
+        outcomes = []
+        for r in (9, 10, 11, 12):
+            for seed in (0, 1):
+                T = build_resilient_template(r, 3, seed=seed)
+                rep = verify_resilient_template(T, mode="exhaustive")
+                assert rep.ok
+                assert report_tuple(rep) == scratch_template_verify(T, "exhaustive")
+                # cut three X vertices of the lift down to none, one and two
+                # of their edges into Z
+                rng = random.Random(100 * r + seed)
+                X = range(3 * T.provenance["s"], 6 * T.provenance["s"])
+                z = set(T.Z)
+                for keep, x in enumerate(rng.sample(X, 3)):
+                    into_z = [e for e in T.T.edges if x in e and z.intersection(e)]
+                    drop = {e for e in T.T.edges if x in e} - set(into_z[:keep])
+                    broken = ResilientTemplate(
+                        3, Hypergraph(T.T.n, 3, tuple(e for e in T.T.edges if e not in drop)), T.Z, {}
+                    )
+                    for mode in ("exhaustive", "sampled"):
+                        rep = verify_resilient_template(broken, mode=mode, samples=60, seed=seed)
+                        want = scratch_template_verify(broken, mode, samples=60, seed=seed)
+                        assert report_tuple(rep) == want
+                        outcomes.append((mode, rep.ok, rep.checked))
+        assert all(not ok for mode, ok, _ in outcomes if mode == "exhaustive")
+        # failures come at many points of the sweep, and some samples miss them
+        assert len({checked for mode, _, checked in outcomes if mode == "exhaustive"}) >= 5
+        assert ("sampled", True, 60) in outcomes and ("sampled", False) in {o[:2] for o in outcomes}
+
+    def test_no_feasible_removal_is_vacuous_in_both_modes(self):
+        T = ResilientTemplate(k=3, T=Hypergraph.empty(8, 3), Z=(0, 1, 2), provenance={})
+        assert feasible_removals(T) == []
+        for mode in ("exhaustive", "sampled"):
+            rep = verify_resilient_template(T, mode=mode)
+            assert report_tuple(rep) == (True, None, 0, mode)
+
+    @pytest.mark.parametrize("stray", [9, -1])
+    def test_flexible_set_outside_the_template_rejected(self, stray):
+        T = ResilientTemplate(3, Hypergraph.complete(9, 3), (0, 1, 2, 3, 4, 5, 6, 7, stray), {})
+        with pytest.raises(SizeError, match="outside"):
+            verify_resilient_template(T)
 
     def test_compact_template(self):
         T = compact_template(6, 3)

@@ -29,7 +29,7 @@ from .errors import (
     _BudgetHit,
 )
 from .hypercore import Hypergraph, berge_girth_of
-from .matchpower import Matching, bipartite_matching
+from .matchpower import Matching, _pm_within, bipartite_matching
 
 __all__ = [
     "BipartitePattern",
@@ -383,52 +383,6 @@ def is_k_sparse(A: Absorber, K: int) -> bool:
 # Bounded exact search for rooted absorbers
 # ---------------------------------------------------------------------------
 
-def _pm_on_subset(
-    G: Hypergraph,
-    verts: Sequence[int],
-    banned: frozenset[tuple[int, ...]],
-    spend,
-) -> list[tuple[int, ...]] | None:
-    """Perfect matching on an exact vertex subset using only edges of G that
-    lie inside it, skipping `banned` edges. Returns None when impossible."""
-    vset = frozenset(verts)
-    if len(vset) % G.k != 0:
-        return None
-    if not vset:
-        return []
-    inside: dict[int, list[tuple[int, ...]]] = {v: [] for v in verts}
-    seen = set()
-    for v in verts:
-        for i in G.incident[v]:
-            e = G.edges[i]
-            if e in seen or e in banned:
-                continue
-            seen.add(e)
-            if vset.issuperset(e):
-                for u in e:
-                    inside[u].append(e)
-
-    chosen: list[tuple[int, ...]] = []
-    covered: set[int] = set()
-
-    def rec() -> bool:
-        if len(covered) == len(vset):
-            return True
-        pivot = min(v for v in vset if v not in covered)
-        for e in inside[pivot]:
-            if covered.isdisjoint(e):
-                spend()
-                chosen.append(e)
-                covered.update(e)
-                if rec():
-                    return True
-                chosen.pop()
-                covered.difference_update(e)
-        return False
-
-    return chosen if rec() else None
-
-
 def find_rooted_absorber(
     G: Hypergraph,
     roots: Sequence[int],
@@ -446,10 +400,15 @@ def find_rooted_absorber(
     order, covering matchings extending the roots are enumerated first,
     since the roots are the tight constraint, and each complete covering
     candidate is finished by a perfect-matching search on its non-root
-    vertices. All candidate edges avoid `forbidden`.
+    vertices, avoiding the covering edges. That search is the fail-first
+    kernel that :func:`~diraclab.matchpower.find_perfect_matching` runs, so
+    the noncovering matching is the first one it finds. All candidate edges
+    avoid `forbidden`.
 
+    The budget counts edges tried, in the covering enumeration and in the
+    non-root searches alike (plus the one node of the order-0 lookup).
     Raises NotFound("exhausted") when the whole space is empty and
-    NotFound("budget") when the node budget runs out first.
+    NotFound("budget") when the budget runs out first.
     """
     k = G.k
     roots = tuple(roots)
@@ -518,13 +477,20 @@ def find_rooted_absorber(
         a = order // k + 1
 
         def rec(chosen: list[int], covered: set[int]) -> Absorber | None:
+            nonlocal nodes
             if len(chosen) == a:
                 if not root_set <= covered:
                     return None
                 cov_edges = [G.edges[i] for i in chosen]
-                nonroots = sorted(covered - root_set)
-                pm = _pm_on_subset(G, nonroots, frozenset(cov_edges), spend)
-                if pm is None:
+                left = None if budget is None else budget - nodes + 1
+                status, pm, used = _pm_within(
+                    G, covered - root_set, left, frozenset(cov_edges)
+                )
+                # the search counts its root call as a node; charge edges tried
+                nodes += used - 1
+                if status == "partial":
+                    raise _BudgetHit
+                if status != "perfect":
                     return None
                 return accept(
                     Absorber(roots, Matching.from_edges(cov_edges), Matching.from_edges(pm))
@@ -804,9 +770,6 @@ def find_sparse_r_absorber(
             f"host offers {len(pool)} usable vertices but the pattern needs {len(kept)}"
         )
 
-    def no_spend():
-        pass
-
     failures: list[dict] = []
     for t in range(trials):
         rng = random.Random(_trial_seed(seed, t))
@@ -819,7 +782,8 @@ def find_sparse_r_absorber(
             img = sorted(phi[ei] for ei in ids)
             if len(img) == k:
                 return [tuple(img)] if G.has_edge(img) else None
-            return _pm_on_subset(G, img, frozenset(), no_spend)
+            status, pm, _ = _pm_within(G, img)
+            return pm if status == "perfect" else None
 
         cov_edges: list[tuple[int, ...]] = []
         non_edges: list[tuple[int, ...]] = []

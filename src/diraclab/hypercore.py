@@ -37,7 +37,6 @@ __all__ = [
     "k_density",
     "contract",
     "mask_of",
-    "bits_of",
     "parse_khg",
     "dumps_khg",
     "read_khg",
@@ -51,16 +50,6 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def bits_of(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask into a sorted tuple of vertex ids."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def _canonical_edges(edges: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -312,7 +301,7 @@ class DensityResult:
     method: str
 
 
-_ENUM_BUDGET = 24
+_ENUM_BUDGET = 20
 
 
 class _Dinic:
@@ -532,7 +521,8 @@ def k_density(H: Hypergraph, method: str = "auto") -> DensityResult:
     an exact :class:`~fractions.Fraction`.
 
     ``method="enumerate"`` checks every edge subset (independent oracle,
-    capped at 24 edges, :class:`CapacityError` above). ``method="parametric"``
+    capped at 20 edges, :class:`CapacityError` above, since the walk doubles
+    per edge and takes seconds at 20). ``method="parametric"``
     solves the same maximization by ratio iteration over min-cuts and has no
     size cap. ``"auto"`` uses the parametric route.
 

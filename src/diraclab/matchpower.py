@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, NotFound, ShapeError, SizeError, SpecError, _BudgetHit
-from .hypercore import Hypergraph, induced, mask_of
+from .hypercore import Hypergraph, mask_of
 
 __all__ = [
     "Matching",
@@ -155,8 +155,9 @@ def _pm_search(
     dead: set[int],
     budget: int | None = None,
 ) -> tuple[str, list[int], int]:
-    """The search behind :func:`find_perfect_matching`: cover the vertices
-    outside the ``start`` mask with disjoint edges avoiding it.
+    """The search behind :func:`find_perfect_matching`, :func:`_pm_within`
+    and the template checks: cover the vertices outside the ``start`` mask
+    with disjoint edges avoiding it.
 
     Returns ``(status, edge indices, nodes)``: the indices form the perfect
     matching, or the longest partial one seen. ``dead`` is the memo of
@@ -205,6 +206,33 @@ def _pm_search(
     except _BudgetHit:
         return "partial", best, nodes
     return ("perfect", chosen, nodes) if found else ("none", best, nodes)
+
+
+def _pm_within(
+    H: Hypergraph,
+    verts: Iterable[int],
+    budget: int | None = None,
+    banned: frozenset[tuple[int, ...]] = frozenset(),
+) -> tuple[str, list[tuple[int, ...]], int]:
+    """:func:`_pm_search` on the subgraph of ``H`` induced on ``verts``,
+    without the edges in ``banned``. Returns ``(status, edges in H's ids,
+    nodes)``, the same as :func:`find_perfect_matching` on the ``induced``
+    copy: ascending ids number the local vertices and list the local edges
+    in canonical order, so the branching is the same.
+    """
+    vs = sorted(verts)
+    n, k = len(vs), H.k
+    if n % k:
+        return "none", [], 0
+    edges = [e for e in combinations(vs, k) if e in H.edge_set and e not in banned]
+    pos = {v: i for i, v in enumerate(vs)}
+    masks = [mask_of(pos[v] for v in e) for e in edges]
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            incident[pos[v]].append(i)
+    status, picked, nodes = _pm_search(masks, incident, n, 0, set(), budget)
+    return status, [edges[i] for i in picked], nodes
 
 
 def _max_matching_masks(
@@ -485,10 +513,9 @@ def blockwise_almost_perfect(
     edges: list[tuple[int, ...]] = []
     for b in range(nblocks):
         block = sorted(order[b * Q : (b + 1) * Q])
-        sub, old = induced(H, block)
-        res = find_perfect_matching(sub, budget=budget_per_block)
-        if res.status == "perfect":
-            edges.extend(tuple(sorted(old[v] for v in e)) for e in res.matching.edges)
+        status, found, _ = _pm_within(H, block, budget_per_block)
+        if status == "perfect":
+            edges.extend(found)
         else:
             failed.append(tuple(block))
             uncovered.update(block)

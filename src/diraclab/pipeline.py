@@ -29,8 +29,8 @@ from .errors import (
 from .hypercore import Hypergraph, induced, min_d_degree
 from .matchpower import (
     Matching,
+    _pm_within,
     blockwise_almost_perfect,
-    find_perfect_matching,
     match_into_flexible,
     verify_matching,
 )
@@ -131,7 +131,6 @@ def _degree_into(G: Hypergraph, v: int, Z: frozenset[int]) -> int:
 def choose_rich_set(
     G: Hypergraph,
     rho,
-    lam,
     trials: int = 64,
     seed: int = 0,
 ) -> RichSet:
@@ -184,7 +183,6 @@ def _removal_cap(r: int, k: int) -> int:
 
 def build_absorbing_set(
     G: Hypergraph,
-    gamma,
     params: PipelineParams = PipelineParams(),
     seed: int = 0,
 ) -> AbsorbingSet:
@@ -212,7 +210,7 @@ def build_absorbing_set(
         r = k * ceil(r / k)
 
     try:
-        rich = choose_rich_set(G, Fraction(r, n), params.lam, params.trials, seed)
+        rich = choose_rich_set(G, Fraction(r, n), params.trials, seed)
     except (NotFound, SizeError) as exc:
         raise StageFailure("rich_set", str(exc)) from exc
 
@@ -365,7 +363,7 @@ def dirac_perfect_matching(
     stages["precheck"] = "ok"
 
     try:
-        A = build_absorbing_set(G, gamma, params, seed)
+        A = build_absorbing_set(G, params, seed)
     except StageFailure as exc:
         for name in ("rich_set", "template", "structure"):
             stages[name] = "ok" if _stage_index(name) < _stage_index(exc.stage) else stages[name]
@@ -409,13 +407,9 @@ def dirac_perfect_matching(
         # partition remainders and failed blocks together form a k-divisible
         # set; one exact attempt on it often clears the leftover outright
         if 0 < len(W) <= 3 * Q and len(W) % k == 0:
-            scrap, scrap_old = induced(G, W)
-            res = find_perfect_matching(scrap, budget=50_000)
-            if res.status == "perfect":
-                block_edges.extend(
-                    tuple(sorted(scrap_old[v] for v in e))
-                    for e in res.matching.edges
-                )
+            status, found, _ = _pm_within(G, W, budget=50_000)
+            if status == "perfect":
+                block_edges.extend(found)
                 W = []
         if len(W) <= A.lambda_cap or not reshuffle_helps:
             break

@@ -30,8 +30,8 @@ from .errors import (
     SizeError,
     TemplateMatchingFailed,
 )
-from .hypercore import Hypergraph, induced, mask_of, read_khg, write_khg
-from .matchpower import Matching, _augment_all, _pm_search, find_perfect_matching
+from .hypercore import Hypergraph, mask_of, read_khg, write_khg
+from .matchpower import Matching, _augment_all, _pm_search
 
 __all__ = [
     "BipartiteTemplate",
@@ -609,17 +609,16 @@ def structure_matching_after_removal(
     if (T.T.n - len(W)) % T.k != 0:
         raise SizeError("removal breaks divisibility")
 
-    W_T = {back[h] for h in W}
-    rest = [v for v in range(T.T.n) if v not in W_T]
-    sub, old_ids = induced(T.T, rest)
-    res = find_perfect_matching(sub)
-    if res.status != "perfect":
+    # T itself with the removed vertices covered at the start: the same
+    # branching as on an induced copy of T - W, as in verify_resilient_template
+    G = T.T
+    W_mask = mask_of(back[h] for h in W)
+    status, picked, _ = _pm_search(G.edge_masks, G.incident, G.n, W_mask, set())
+    if status != "perfect":
         raise TemplateMatchingFailed(
             f"template lost its matching after removing {tuple(sorted(W))}"
         )
-    in_matching = {
-        tuple(sorted(old_ids[v] for v in e)) for e in res.matching.edges
-    }
+    in_matching = {G.edges[i] for i in picked}
     pieces: list[tuple[int, ...]] = []
     for edge, A in S.placements:
         chosen = A.covering if edge in in_matching else A.noncovering

@@ -444,6 +444,44 @@ def test_rooted_search_pinned_results(H, roots, kwargs, covering, noncovering):
     assert (A.roots, A.covering.edges, A.noncovering.edges) == (roots, covering, noncovering)
 
 
+# Budgeted outcomes of the lowest-id subset search that the non-root step
+# used before it moved onto the shared fail-first kernel, one string per
+# host: for each root tuple, (Q, min_order) = (6, 0) then (9, 6), each at
+# budgets 10, 100 and 1000. A digit is the order found, "b" a budget stop
+# and "e" an exhausted search.
+BUDGET_GRID_HOSTS = [
+    seeded_subgraph(n, 3, p, seed=s) for n in (9, 12) for p in (0.3, 0.5) for s in range(6)
+]
+BUDGET_GRID_OUTCOMES = [
+    "333beeb66666", "000bbe333666", "333bee000bee", "000b66000bee", "000666b33bbe", "333bbe000666",
+    "333bbe333b66", "000666333666", "333bbe000666", "000666000666", "000666b33666", "333bbe000b66",
+    "333666b33b66", "000b66000666", "333666333666", "000666b33666", "000666b33666", "333666333b66",
+    "333666000666", "000666000666", "333666000666", "000666333666", "000666000666", "333666333666",
+]
+# The one probe that moved: seeded_subgraph(12, 3, 0.3, seed=1), roots
+# (0, 1, 2), Q=9, min_order=6, budget 10. The fail-first search finishes the
+# order-6 absorber within 10 edges tried; the lowest-id search needed more.
+BUDGET_GRID_MOVED = {(13, 3): "6"}
+
+
+def test_rooted_search_budget_outcomes_pinned():
+    for h, H in enumerate(BUDGET_GRID_HOSTS):
+        got = ""
+        for roots in ((0, 1, 2), (0, 4, 8)):
+            for Q, min_order in ((6, 0), (9, 6)):
+                for budget in (10, 100, 1000):
+                    try:
+                        A = find_rooted_absorber(H, roots, Q, budget=budget, min_order=min_order)
+                    except NotFound as exc:
+                        got += exc.reason[0]
+                    else:
+                        got += str(A.order)
+        want = "".join(
+            BUDGET_GRID_MOVED.get((h, i), c) for i, c in enumerate(BUDGET_GRID_OUTCOMES[h])
+        )
+        assert got == want, h
+
+
 def test_rooted_search_raises_on_failed_verification(monkeypatch):
     # the re-verification is an explicit raise, so it also runs under python -O
     monkeypatch.setattr(absorbing, "verify_absorber", lambda A, host=None: (False, "forged"))

@@ -271,6 +271,14 @@ def test_k_density_enumerate_budget():
     assert k_density(big).value == Fraction(34, 4)
 
 
+def test_k_density_enumerate_cap_is_20_edges():
+    # the walk doubles per edge (about 5 s at 20 edges), so 21 is refused
+    H = Hypergraph(7, 3, Hypergraph.complete(7, 3).edges[:21])
+    with pytest.raises(CapacityError, match="limited to 20 edges, got 21"):
+        k_density(H, method="enumerate")
+    assert k_density(H).method == "parametric"
+
+
 @settings(max_examples=60)
 @given(small_hypergraph(max_n=7))
 def test_k_density_routes_and_oracle_agree(H):

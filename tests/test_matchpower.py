@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab.errors import CapacityError, NotFound, ShapeError, SizeError
-from diraclab.hypercore import Hypergraph
+from diraclab.hypercore import Hypergraph, induced
 from diraclab.lab import sample_hk
 from diraclab.matchpower import (
     Matching,
+    _pm_within,
     aharoni_haxell_holds,
     blockwise_almost_perfect,
     dumps_matching,
@@ -254,6 +255,57 @@ def test_pm_barrier_proofs_pinned(build, n, nodes, uncovered):
     res = find_perfect_matching(build(n, 3, 1))
     assert (res.status, res.nodes_explored, res.uncovered) == ("none", nodes, uncovered)
     assert len(res.matching) == n // 3 - 1
+
+
+def induced_pm(H: Hypergraph, verts, budget: int | None = None):
+    """The subset search as an ``induced`` copy, searched and mapped back."""
+    sub, old = induced(H, verts)
+    res = find_perfect_matching(sub, budget=budget)
+    back = Matching.from_edges([old[v] for v in e] for e in res.matching.edges)
+    return res.status, back, res.nodes_explored
+
+
+def subset_cases():
+    """Random vertex subsets of the memo hosts, most of a size divisible by
+    k (some the whole vertex set), a few not."""
+    rng = random.Random(606)
+    for H in MEMO_HOSTS:
+        sizes = [H.n] + [H.k * rng.randint(1, H.n // H.k) for _ in range(3)]
+        sizes.append(rng.randint(1, H.n))
+        for size in sizes:
+            yield H, tuple(rng.sample(range(H.n), size))
+
+
+SUBSET_CASES = list(subset_cases())
+
+
+def test_pm_within_matches_induced_search():
+    settled = partial = 0
+    for H, verts in SUBSET_CASES:
+        status, found, nodes = _pm_within(H, verts)
+        ref = induced_pm(H, verts)
+        assert (status, Matching.from_edges(found), nodes) == ref
+        if status == "perfect":
+            assert verify_matching(H, found)[0]
+            assert Matching.from_edges(found).covered == set(verts)
+        for budget in (1, max(1, ref[2] // 2), ref[2]):
+            status, found, nodes = _pm_within(H, verts, budget)
+            assert (status, Matching.from_edges(found), nodes) == induced_pm(H, verts, budget)
+            settled += status != "partial"
+            partial += status == "partial"
+    assert settled >= 100 and partial >= 100
+
+
+def test_pm_within_banned_is_deleting_the_edges():
+    rng = random.Random(707)
+    for H, verts in SUBSET_CASES[::2]:
+        if not H.edges:
+            continue
+        banned = frozenset(rng.sample(H.edges, rng.randint(1, len(H.edges))))
+        thinned = Hypergraph(H.n, H.k, tuple(e for e in H.edges if e not in banned))
+        got = _pm_within(H, verts, banned=banned)
+        assert got == _pm_within(thinned, verts)
+        assert (got[0], Matching.from_edges(got[1]), got[2]) == induced_pm(thinned, verts)
 
 
 @settings(max_examples=120)

@@ -52,7 +52,7 @@ K18 = Hypergraph.complete(18, 3)
 
 class TestChooseRichSet:
     def test_complete_host_takes_the_first_sample(self):
-        rich = choose_rich_set(K18, rho=Fraction(1, 3), lam=0.1, seed=0)
+        rich = choose_rich_set(K18, rho=Fraction(1, 3), seed=0)
         assert len(rich.Z) == 6
         assert rich.trials_used == 1
         # delta_hat = 1, so the bar is half of C(5,2)
@@ -62,13 +62,13 @@ class TestChooseRichSet:
     def test_empty_host_not_found(self):
         empty = Hypergraph(12, 3, ())
         with pytest.raises(NotFound) as exc:
-            choose_rich_set(empty, rho=0.5, lam=0.1, trials=5, seed=0)
+            choose_rich_set(empty, rho=0.5, trials=5, seed=0)
         assert exc.value.reason == "trials"
         assert exc.value.details["best_min_degree"] == 0
 
     def test_degree_condition_rechecked_directly(self):
         G = seeded_subgraph(30, 3, p=0.7, seed=2)
-        rich = choose_rich_set(G, rho=0.3, lam=0.1, seed=3)
+        rich = choose_rich_set(G, rho=0.3, seed=3)
         zset = set(rich.Z)
         worst = min(
             sum(1 for e in G.edges if v in e and set(e) - {v} <= zset)
@@ -79,17 +79,17 @@ class TestChooseRichSet:
         assert worst >= rich.threshold
 
     def test_whole_vertex_set_is_vacuously_rich(self):
-        rich = choose_rich_set(K18, rho=1, lam=0.1, seed=0)
+        rich = choose_rich_set(K18, rho=1, seed=0)
         assert rich.Z == tuple(range(18))
         assert rich.min_outside_degree is None
 
     def test_oversized_request_rejected(self):
         with pytest.raises(SizeError):
-            choose_rich_set(K18, rho=2, lam=0.1)
+            choose_rich_set(K18, rho=2)
 
     def test_determinism(self):
-        a = choose_rich_set(K18, rho=0.4, lam=0.1, seed=9)
-        b = choose_rich_set(K18, rho=0.4, lam=0.1, seed=9)
+        a = choose_rich_set(K18, rho=0.4, seed=9)
+        b = choose_rich_set(K18, rho=0.4, seed=9)
         assert a == b
 
 
@@ -99,7 +99,7 @@ class TestChooseRichSet:
 
 class TestBuildAbsorbingSet:
     def test_small_host_gets_the_compact_template(self):
-        A = build_absorbing_set(K18, gamma=0.2, seed=0)
+        A = build_absorbing_set(K18, seed=0)
         assert A.structure.template.provenance["layers"] == "complete"
         assert len(A.Z) == 6
         assert set(A.Z) <= A.X
@@ -108,7 +108,7 @@ class TestBuildAbsorbingSet:
     def test_large_host_gets_the_layered_template(self):
         host = Hypergraph.complete(60, 3)
         A = build_absorbing_set(
-            host, gamma=0.2, params=PipelineParams(rho=0.15, template_mode="montgomery"), seed=0
+            host, params=PipelineParams(rho=0.15, template_mode="montgomery"), seed=0
         )
         assert A.structure.template.provenance["layers"] == "bipartite+lift+overlay"
         assert len(A.Z) == 9
@@ -118,12 +118,12 @@ class TestBuildAbsorbingSet:
 
     def test_empty_host_fails_at_rich_set(self):
         with pytest.raises(StageFailure) as exc:
-            build_absorbing_set(Hypergraph(18, 3, ()), gamma=0.2, seed=0)
+            build_absorbing_set(Hypergraph(18, 3, ()), seed=0)
         assert exc.value.stage == "rich_set"
 
     def test_barrier_host_fails_at_structure(self):
         with pytest.raises(StageFailure) as exc:
-            build_absorbing_set(space_barrier(9, 3, 1), gamma=0.15, seed=1)
+            build_absorbing_set(space_barrier(9, 3, 1), seed=1)
         assert exc.value.stage == "structure"
 
     def test_params_from_mapping(self):
@@ -183,14 +183,14 @@ class TestBuildAbsorbingSet:
 
 class TestAbsorbAndComplete:
     def test_empty_leftover_covers_exactly_x(self):
-        A = build_absorbing_set(K18, gamma=0.2, seed=0)
+        A = build_absorbing_set(K18, seed=0)
         M = absorb_and_complete(K18, A, ())
         assert M.covered == A.X
 
     def test_nonempty_leftover(self):
         host = Hypergraph.complete(60, 3)
         A = build_absorbing_set(
-            host, gamma=0.2, params=PipelineParams(rho=0.15, template_mode="montgomery"), seed=0
+            host, params=PipelineParams(rho=0.15, template_mode="montgomery"), seed=0
         )
         outside = sorted(set(range(60)) - A.X)
         W = outside[:2]
@@ -210,14 +210,14 @@ class TestAbsorbAndComplete:
             return Matching(real(S, W).edges[1:])
 
         monkeypatch.setattr(pipeline, "structure_matching_after_removal", short)
-        A = build_absorbing_set(K18, gamma=0.2, seed=0)
+        A = build_absorbing_set(K18, seed=0)
         with pytest.raises(DiracLabError, match="absorption missed its target set"):
             absorb_and_complete(K18, A, ())
 
     def test_preconditions(self):
         host = Hypergraph.complete(60, 3)
         A = build_absorbing_set(
-            host, gamma=0.2, params=PipelineParams(rho=0.15, template_mode="montgomery"), seed=0
+            host, params=PipelineParams(rho=0.15, template_mode="montgomery"), seed=0
         )
         outside = sorted(set(range(60)) - A.X)
         with pytest.raises(SizeError):
@@ -231,7 +231,7 @@ class TestAbsorbAndComplete:
         # strip every edge joining one outside vertex to two flexible ones
         host = Hypergraph.complete(60, 3)
         A = build_absorbing_set(
-            host, gamma=0.2, params=PipelineParams(rho=0.15, template_mode="montgomery"), seed=0
+            host, params=PipelineParams(rho=0.15, template_mode="montgomery"), seed=0
         )
         outside = sorted(set(range(60)) - A.X)
         w0 = outside[0]
@@ -255,7 +255,7 @@ class TestAbsorbAndComplete:
         # host, absorb there, then absorb again with the edges restored
         G_big = Hypergraph.complete(60, 3)
         params = PipelineParams(rho=0.15, template_mode="montgomery")
-        probe = build_absorbing_set(G_big, gamma=0.2, params=params, seed=0)
+        probe = build_absorbing_set(G_big, params=params, seed=0)
         w0, w1 = sorted(set(range(60)) - probe.X)[:2]
         zset = set(probe.Z)
         dropped = [
@@ -264,7 +264,7 @@ class TestAbsorbAndComplete:
         G_small = Hypergraph.from_edges(
             60, 3, [e for e in G_big.edges if e not in set(dropped)]
         )
-        A = build_absorbing_set(G_small, gamma=0.2, params=params, seed=0)
+        A = build_absorbing_set(G_small, params=params, seed=0)
         assert A.X == probe.X and A.Z == probe.Z
         M_small = absorb_and_complete(G_small, A, (w0, w1))
         M_big = absorb_and_complete(G_big, A, (w0, w1))

@@ -22,7 +22,7 @@ from diraclab.errors import (
     TemplateMatchingFailed,
 )
 from diraclab.hypercore import Hypergraph, induced
-from diraclab.matchpower import bipartite_matching, find_perfect_matching
+from diraclab.matchpower import Matching, bipartite_matching, find_perfect_matching
 from diraclab.templates import (
     AbsorbingStructure,
     BipartiteTemplate,
@@ -583,6 +583,38 @@ class TestAbsorbingStructure:
             W = tuple(rng.sample(S.Z_host, 4))
             M = structure_matching_after_removal(S, W)
             assert M.covered == S.X - set(W)
+
+    def test_in_place_matching_matches_induced_copy(self):
+        # every feasible removal of one layered structure, on its template
+        # and on the template with every fifth edge gone (where some removals
+        # lose their matching), against a search of an induced copy of T - W
+        T = build_resilient_template(9, 3, seed=0)
+        S = build_absorbing_structure(Hypergraph.complete(60, 3), T, embed_Z=range(49, 58))
+        kept = tuple(e for i, e in enumerate(T.T.edges) if i % 5)
+        thin = ResilientTemplate(k=3, T=Hypergraph(T.T.n, 3, kept), Z=T.Z, provenance={})
+        back = {h: t for t, h in S.vertex_map}
+        outcomes = set()
+        for template in (T, thin):
+            S_t = AbsorbingStructure(template, S.placements, S.host, S.X, S.vertex_map)
+            for j in feasible_removals(template):
+                for W in combinations(S.Z_host, j):
+                    W_T = {back[h] for h in W}
+                    sub, old = induced(template.T, [v for v in range(T.T.n) if v not in W_T])
+                    res = find_perfect_matching(sub)
+                    if res.status != "perfect":
+                        with pytest.raises(TemplateMatchingFailed):
+                            structure_matching_after_removal(S_t, W)
+                        outcomes.add("failed")
+                        continue
+                    in_matching = {tuple(old[v] for v in e) for e in res.matching.edges}
+                    expected = Matching.from_edges(
+                        e
+                        for edge, A in S.placements
+                        for e in (A.covering if edge in in_matching else A.noncovering).edges
+                    )
+                    assert structure_matching_after_removal(S_t, W) == expected
+                    outcomes.add("matched")
+        assert outcomes == {"matched", "failed"}
 
     def test_removal_guards(self):
         S = small_structure()

@@ -79,7 +79,6 @@ class Hypergraph:
             raise SizeError(f"vertex count must be nonnegative, got {self.n}")
         if self.k < 1:
             raise SizeError(f"uniformity must be at least 1, got {self.k}")
-        seen = set()
         prev = None
         for e in self.edges:
             if len(e) != self.k:
@@ -88,11 +87,10 @@ class Hypergraph:
                 raise SizeError(f"edge {e} out of range for n={self.n}")
             if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
                 raise SpecError(f"edge {e} is not strictly ascending")
-            if e in seen:
-                raise SpecError(f"duplicate edge {e}")
-            if prev is not None and e < prev:
+            if prev is not None and e <= prev:
+                if e == prev:
+                    raise SpecError(f"duplicate edge {e}")
                 raise SpecError("edge list is not in lexicographic order")
-            seen.add(e)
             prev = e
 
     @classmethod

@@ -492,28 +492,31 @@ def match_into_flexible(
 
 
 def blockwise_almost_perfect(
-    H: Hypergraph, Q: int, seed: int, budget_per_block: int | None = None
+    H: Hypergraph, Q: int, seed: int, verts: Iterable[int] | None = None
 ) -> BlockReport:
-    """Random block partition, one exact PM attempt per block.
+    """Random block partition of ``verts`` (default: every vertex), one
+    exact PM attempt per block.
 
-    Shuffles the vertices with the given seed, cuts off floor(n/Q) blocks of
-    size Q (the remainder stays uncovered), and solves each block
-    independently. Blocks whose search fails are reported, never raised.
+    Shuffles ``sorted(verts)`` with the given seed, cuts off floor(|verts|/Q)
+    blocks of size Q (the remainder stays uncovered), and solves each block
+    on H's own edges, so every id in the report is an id of H. Blocks whose
+    search fails are reported, never raised.
     """
+    order = sorted(set(verts)) if verts is not None else list(range(H.n))
+    if order and not (0 <= order[0] and order[-1] < H.n):
+        raise SizeError("block vertices out of range")
     if Q % H.k != 0:
         raise SizeError(f"block size {Q} must be divisible by k={H.k}")
-    if Q > H.n:
-        raise SizeError(f"block size {Q} exceeds vertex count {H.n}")
-    rng = random.Random(seed)
-    order = list(range(H.n))
-    rng.shuffle(order)
-    nblocks = H.n // Q
+    if Q > len(order):
+        raise SizeError(f"block size {Q} exceeds vertex count {len(order)}")
+    random.Random(seed).shuffle(order)
+    nblocks = len(order) // Q
     uncovered = set(order[nblocks * Q :])
     failed: list[tuple[int, ...]] = []
     edges: list[tuple[int, ...]] = []
     for b in range(nblocks):
         block = sorted(order[b * Q : (b + 1) * Q])
-        status, found, _ = _pm_within(H, block, budget_per_block)
+        status, found, _ = _pm_within(H, block)
         if status == "perfect":
             edges.extend(found)
         else:

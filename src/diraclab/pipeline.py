@@ -26,7 +26,7 @@ from .errors import (
     StageFailure,
     TemplateMatchingFailed,
 )
-from .hypercore import Hypergraph, induced, min_d_degree
+from .hypercore import Hypergraph, min_d_degree
 from .matchpower import (
     Matching,
     _pm_within,
@@ -136,16 +136,19 @@ def choose_rich_set(
 ) -> RichSet:
     """Sample ceil(rho*n)-subsets until every outside vertex has degree at
     least (delta_hat/2)*C(|Z|-1, k-1) into the sample, where delta_hat is
-    the graph's relative minimum 1-degree. The comparison is exact (no
-    floats), with a floor of one edge so an empty graph never qualifies.
+    the graph's relative minimum vertex degree, read off its incidence
+    lists. The comparison is exact (no floats), with a floor of one edge so
+    an empty graph never qualifies. Needs k >= 2.
 
     Raises NotFound("trials") carrying the best candidate's deficit.
     """
     n, k = G.n, G.k
+    if k < 2:
+        raise SizeError(f"a rich set needs uniformity at least 2, got k={k}")
     r = ceil(_frac(rho) * n)
     if not 0 < r <= n:
         raise SizeError(f"rho={rho} asks for {r} of {n} vertices")
-    delta_hat = Fraction(min_d_degree(G, 1)[0], comb(n - 1, k - 1))
+    delta_hat = Fraction(min(map(len, G.incident)), comb(n - 1, k - 1))
     threshold = max(delta_hat / 2 * comb(r - 1, k - 1), Fraction(1))
     rng = random.Random(seed)
     best_deficit: Fraction | None = None
@@ -381,27 +384,19 @@ def dirac_perfect_matching(
     counters["advisory_x_ok"] = Fraction(len(A.X)) <= advisory
 
     rest = sorted(set(range(n)) - A.X)
-    sub, old = induced(G, rest)
     Q = params.block_size(k)
     block_edges: list[tuple[int, ...]] = []
     W: list[int] = []
-    attempts_used = 1
-    for attempt in range(params.partition_attempts):
-        attempts_used = attempt + 1
-        reshuffle_helps = True
-        if sub.n < Q:
-            # too few vertices for even one block: everything is leftover,
-            # and reshuffling cannot change that
-            block_edges, W = [], [old[v] for v in range(sub.n)]
+    # with too few vertices for even one block everything is leftover, and
+    # reshuffling cannot change that
+    for attempt in range(params.partition_attempts if len(rest) >= Q else 1):
+        if len(rest) < Q:
+            block_edges, W = [], rest
             counters["blocks_total"] = 0
             counters["failed_blocks"] = 0
-            reshuffle_helps = False
         else:
-            rep = blockwise_almost_perfect(sub, Q, seed=seed + attempt)
-            block_edges = [
-                tuple(sorted(old[v] for v in e)) for e in rep.matching.edges
-            ]
-            W = sorted(old[v] for v in rep.uncovered)
+            rep = blockwise_almost_perfect(G, Q, seed + attempt, verts=rest)
+            block_edges, W = list(rep.matching.edges), list(rep.uncovered)
             counters["blocks_total"] = rep.blocks_total
             counters["failed_blocks"] = len(rep.failed_blocks)
         # partition remainders and failed blocks together form a k-divisible
@@ -411,9 +406,9 @@ def dirac_perfect_matching(
             if status == "perfect":
                 block_edges.extend(found)
                 W = []
-        if len(W) <= A.lambda_cap or not reshuffle_helps:
+        if len(W) <= A.lambda_cap:
             break
-    counters["retries"] = attempts_used - 1
+    counters["retries"] = attempt
     counters["leftover"] = len(W)
     if len(W) > A.lambda_cap:
         stages["almost_perfect"] = (

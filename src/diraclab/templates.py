@@ -35,7 +35,6 @@ from .matchpower import Matching, _augment_all, _pm_search
 
 __all__ = [
     "BipartiteTemplate",
-    "MontgomeryReport",
     "LiftResult",
     "ResilientTemplate",
     "TemplateReport",
@@ -102,7 +101,15 @@ class BipartiteTemplate:
 
 
 @dataclass(frozen=True)
-class MontgomeryReport:
+class TemplateReport:
+    """Outcome of a removal sweep over a template's flexible set.
+
+    ``ok`` says whether every removal checked kept the required matching;
+    ``violating`` is the first removal that did not (None when ok).
+    ``checked`` counts the removals tried and ``mode`` says whether they
+    were all of them ("exhaustive") or a seeded sample ("sampled").
+    """
+
     ok: bool
     violating: tuple[int, ...] | None
     checked: int
@@ -121,7 +128,7 @@ _MONTGOMERY_EXHAUSTIVE_CAP = 10 ** 6
 
 def verify_montgomery(
     R: BipartiteTemplate, mode: str = "auto", samples: int = 2000, seed: int = 0
-) -> MontgomeryReport:
+) -> TemplateReport:
     """Check that every s-removal from Z leaves an X-saturating matching.
 
     Exhaustive over all C(2s, s) removals while that count stays under a
@@ -153,15 +160,15 @@ def verify_montgomery(
         for D in combinations(R.Z, s):
             checked += 1
             if not saturated(D):
-                return MontgomeryReport(False, D, checked, "exhaustive")
-        return MontgomeryReport(True, None, checked, "exhaustive")
+                return TemplateReport(False, D, checked, "exhaustive")
+        return TemplateReport(True, None, checked, "exhaustive")
     rng = random.Random(seed)
     Z = list(R.Z)
     for i in range(samples):
         D = tuple(sorted(rng.sample(Z, s)))
         if not saturated(D):
-            return MontgomeryReport(False, D, i + 1, "sampled")
-    return MontgomeryReport(True, None, samples, "sampled")
+            return TemplateReport(False, D, i + 1, "sampled")
+    return TemplateReport(True, None, samples, "sampled")
 
 
 def search_montgomery(
@@ -424,14 +431,6 @@ def compact_template(r: int, k: int) -> ResilientTemplate:
     return ResilientTemplate(k=k, T=T, Z=tuple(range(r)), provenance=provenance)
 
 
-@dataclass(frozen=True)
-class TemplateReport:
-    ok: bool
-    violating: tuple[int, ...] | None
-    checked: int
-    mode: str
-
-
 _TEMPLATE_EXHAUSTIVE_CAP = 10 ** 5
 
 
@@ -521,12 +520,6 @@ class AbsorbingStructure:
     def Z_host(self) -> tuple[int, ...]:
         vmap = dict(self.vertex_map)
         return tuple(sorted(vmap[z] for z in self.template.Z))
-
-    def placement_for(self, template_edge: tuple[int, ...]) -> Absorber:
-        for e, A in self.placements:
-            if e == template_edge:
-                return A
-        raise KeyError(template_edge)
 
 
 def build_absorbing_structure(

@@ -95,8 +95,10 @@ def test_raw_constructor_rejects_disorder():
         Hypergraph(5, 3, ((2, 3, 4), (0, 1, 2)))
     with pytest.raises(SpecError):
         Hypergraph(5, 3, ((0, 2, 1),))
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="duplicate edge"):
         Hypergraph(5, 3, ((0, 1, 2), (0, 1, 2)))
+    with pytest.raises(SpecError):
+        Hypergraph(5, 3, ((0, 1, 2), (1, 2, 3), (0, 1, 2)))
     with pytest.raises(SizeError):
         Hypergraph(3, 3, ((0, 1, 3),))
     with pytest.raises(SizeError):

@@ -559,6 +559,54 @@ def test_blockwise_deterministic():
     assert a != c or a.matching == c.matching  # different seed may still coincide
 
 
+def induced_blockwise(H: Hypergraph, Q: int, seed: int, verts):
+    """The block stage on an ``induced`` copy of H[verts], mapped back."""
+    sub, old = induced(H, verts)
+    rep = blockwise_almost_perfect(sub, Q, seed)
+
+    def back(vs):
+        return tuple(old[v] for v in vs)
+
+    return (
+        Matching.from_edges(back(e) for e in rep.matching.edges),
+        back(rep.uncovered),
+        tuple(back(b) for b in rep.failed_blocks),
+        rep.blocks_total,
+    )
+
+
+def test_blockwise_on_subset_matches_induced_copy():
+    rng = random.Random(7)
+    cases = failing = 0
+    for host_seed in range(50):
+        n = rng.randrange(12, 25)
+        H = seeded_subgraph(n, 3, rng.choice((0.2, 0.5, 0.9)), seed=host_seed)
+        for Q in (3, 6, 9):
+            for _ in range(3):
+                S = rng.sample(range(n), rng.randrange(Q, n + 1))
+                seed = rng.randrange(1000)
+                rep = blockwise_almost_perfect(H, Q, seed, verts=S)
+                got = (rep.matching, rep.uncovered, rep.failed_blocks, rep.blocks_total)
+                assert got == induced_blockwise(H, Q, seed, S)
+                cases += 1
+                failing += bool(rep.failed_blocks)
+    assert cases == 450
+    # both outcomes occur, so the comparison covers failed blocks too
+    assert 0 < failing < cases
+
+
+def test_blockwise_validates_subset():
+    H = Hypergraph.complete(9, 3)
+    with pytest.raises(SizeError):
+        blockwise_almost_perfect(H, Q=3, seed=0, verts=[0, 1, 9])
+    with pytest.raises(SizeError):
+        blockwise_almost_perfect(H, Q=3, seed=0, verts=[-1, 0, 1])
+    with pytest.raises(SizeError):
+        blockwise_almost_perfect(H, Q=6, seed=0, verts=[0, 1, 2, 3, 4])
+    with pytest.raises(SizeError):
+        blockwise_almost_perfect(H, Q=4, seed=0, verts=range(8))
+
+
 # ---------------------------------------------------------------------------
 # Verifier and text format
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ known-PM-free barrier host must never come back as a success, whatever
 the seed.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from math import comb
@@ -17,7 +18,7 @@ from conftest import seeded_subgraph
 from diraclab import pipeline
 from diraclab.errors import DiracLabError, FormatError, NotFound, SizeError, StageFailure
 from diraclab.hypercore import Hypergraph
-from diraclab.lab import parse_key_values
+from diraclab.lab import parse_key_values, sample_hk
 from diraclab.matchpower import Matching, find_perfect_matching
 from diraclab.pipeline import (
     AbsorbingSet,
@@ -86,6 +87,10 @@ class TestChooseRichSet:
     def test_oversized_request_rejected(self):
         with pytest.raises(SizeError):
             choose_rich_set(K18, rho=2)
+
+    def test_uniformity_one_rejected(self):
+        with pytest.raises(SizeError):
+            choose_rich_set(Hypergraph.complete(6, 1), rho=0.5)
 
     def test_determinism(self):
         a = choose_rich_set(K18, rho=0.4, seed=9)
@@ -336,6 +341,11 @@ class TestDiracPerfectMatching:
         assert rep.stages[rep.failure_stage].startswith("failed")
         assert not rep.degree_ok
 
+    def test_uniformity_one_fails_at_rich_set(self):
+        rep = dirac_perfect_matching(Hypergraph.complete(6, 1), d=1, gamma=0.1)
+        assert rep.status == "failure"
+        assert rep.failure_stage == "rich_set"
+
     def test_divisibility_precheck(self):
         rep = dirac_perfect_matching(Hypergraph.complete(10, 3), d=2, gamma=0.2)
         assert rep.status == "failure"
@@ -387,3 +397,45 @@ class TestDiracPerfectMatching:
                 wins += 1
                 assert oracle_is_perfect_matching(G, rep.matching)
         assert wins >= 8
+
+
+# ---------------------------------------------------------------------------
+# Pinned report bytes
+# ---------------------------------------------------------------------------
+
+
+def _digest(reports) -> str:
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update(rep.to_json().encode())
+    return h.hexdigest()
+
+
+def test_report_bytes_pinned_on_random_and_complete_hosts():
+    # 170 runs: successes, structure failures, an almost_perfect failure
+    # and 32 runs whose residual is too small for one block
+    def reports():
+        for n in range(12, 31, 3):
+            for s in range(12):
+                G = sample_hk(n, 3, 0.9, seed=1000 * n + s)
+                for params in (PipelineParams(), PipelineParams(Q=9, partition_attempts=3)):
+                    yield dirac_perfect_matching(G, d=1, gamma=0.1, params=params, seed=s)
+        for n in (36, 48):
+            yield dirac_perfect_matching(Hypergraph.complete(n, 3), d=1, gamma=0.1, seed=n)
+
+    assert _digest(reports()) == (
+        "dda0be4447a5b4f717badadee63bacd60ee0746abb2fe922a6b3f959e6935932"
+    )
+
+
+def test_report_bytes_pinned_on_retried_hosts():
+    # retried successes, a retried failure and an almost_perfect failure
+    # with no block
+    seeds = (101, 113, 124, 126, 128, 133, 170, 198)
+    reports = (
+        dirac_perfect_matching(sample_hk(24, 3, 0.9, seed=s), d=1, gamma=0.1, seed=s)
+        for s in seeds
+    )
+    assert _digest(reports) == (
+        "c662d52036b93f1b572a83e8557ec54163c3fcade7ff651db31e5177e534dd82"
+    )

@@ -47,3 +47,18 @@ def test_all_names_are_defined():
                     if name not in defined
                 ]
     assert missing == []
+
+
+def test_host_stages_do_not_import_induced():
+    # the block, pipeline and template stages read the host in place; a
+    # relabelled copy and its map back must not return
+    pkg = Path(diraclab.__file__).parent
+    found = []
+    for name in ("pipeline", "matchpower", "templates"):
+        tree = ast.parse((pkg / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "induced" for a in node.names):
+                found.append(f"{name}.py:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr == "induced":
+                found.append(f"{name}.py:{node.lineno}")
+    assert found == []

@@ -166,12 +166,16 @@ def min_d_degree(H: Hypergraph, d: int) -> tuple[int, tuple[int, ...]]:
     Returns ``(value, witness)`` where ``witness`` is the lexicographically
     first d-set attaining the minimum. Each edge's d-subsets are counted once,
     so the cost is O(m C(k,d) + C(n,d)) rather than one pass over the edges
-    per d-set.
+    per d-set; at d = 1 the degrees are the lengths of ``H.incident``.
     """
     if d < 1 or d > H.k - 1:
         raise SizeError(f"d must satisfy 1 <= d <= k-1, got d={d}, k={H.k}")
     if H.n < d:
         raise SizeError(f"need at least d={d} vertices, have {H.n}")
+    if d == 1:
+        degs = list(map(len, H.incident))
+        low = min(degs)
+        return low, (degs.index(low),)
     counts = Counter(S for e in H.edges for S in combinations(e, d))
     best = None
     best_set: tuple[int, ...] = ()

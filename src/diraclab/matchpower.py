@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, NotFound, ShapeError, SizeError, SpecError, _BudgetHit
 from .hypercore import Hypergraph, mask_of
@@ -135,77 +135,126 @@ def find_perfect_matching(H: Hypergraph, budget: int | None = None) -> MatchResu
     and "none" as a proof, are the same as without the memo; only
     ``nodes_explored`` shrinks. The memo holds at most one entry per failed
     inner node.
+
+    The search keeps its state as bitsets over edge indices: one int of the
+    edges still available, and per vertex the int of its edges, built once
+    per call. A node counts every vertex's available edges with one AND and
+    one popcount each instead of rebuilding the lists, and a chosen edge
+    clears its vertices' edges from the available set. The counts are the
+    list lengths the rule above compares, so the branching, the matching
+    and the node count are those of a scan over every vertex.
     """
     n, k = H.n, H.k
     if n == 0:
         return MatchResult("perfect", Matching(()), (), 0)
     if n % k != 0:
         return MatchResult("none", Matching(()), tuple(range(n)), 0)
-    status, picked, nodes = _pm_search(H.edge_masks, H.incident, n, 0, set(), budget)
+    search = _pm_searcher(H.edge_masks, H.incident, n)
+    status, picked, nodes = search(0, set(), budget)
     m = Matching.from_edges(H.edges[i] for i in picked)
     unc = () if status == "perfect" else tuple(sorted(set(range(n)) - m.covered))
     return MatchResult(status, m, unc, nodes)
 
 
-def _pm_search(
-    masks: Sequence[int],
-    incident: Sequence[Sequence[int]],
-    n: int,
-    start: int,
-    dead: set[int],
-    budget: int | None = None,
-) -> tuple[str, list[int], int]:
+def _pm_searcher(
+    masks: Sequence[int], incident: Sequence[Sequence[int]], n: int
+) -> Callable[[int, set[int], int | None], tuple[str, list[int], int]]:
     """The search behind :func:`find_perfect_matching`, :func:`_pm_within`
-    and the template checks: cover the vertices outside the ``start`` mask
-    with disjoint edges avoiding it.
+    and the template checks, set up once for one edge list. Returns
+    ``search(start, dead, budget)``, which covers the vertices outside the
+    ``start`` mask with disjoint edges avoiding it.
 
-    Returns ``(status, edge indices, nodes)``: the indices form the perfect
-    matching, or the longest partial one seen. ``dead`` is the memo of
-    covered masks shown to fail; a mask enters it only when its branch loop
-    ran out, never when the budget cut the search. A dead mask therefore
-    means the vertices outside it have no perfect matching in these edges,
-    whatever the start mask was, and a caller may share the memo between
-    searches on the same edges. The status stays exact; only the partial
-    matching kept after a failure may be shorter than a fresh search's.
+    ``search`` returns ``(status, edge indices, nodes)``: the indices form
+    the perfect matching, or the longest partial one seen. ``dead`` is the
+    memo of covered masks shown to fail; a mask enters it only when its
+    branch loop ran out, never when the budget cut the search. A dead mask
+    therefore means the vertices outside it have no perfect matching in
+    these edges, whatever the start mask was, and a caller may share the
+    memo between searches on the same edges. The status stays exact; only
+    the partial matching kept after a failure may be shorter than a fresh
+    search's.
+
+    The state is bitsets over edge indices (the column sizes of Dancing
+    Links, read off with one popcount each). ``avail`` holds the edges that
+    avoid every covered vertex, and ``cur[v]`` is ``inc[v]``, the edges at
+    v, while v is uncovered. A covered vertex's slot holds ``SENT``, a block
+    of E + 1 bits above the edge bits that ``avail`` always keeps, so its
+    count exceeds any uncovered vertex's and it is never picked. The counts
+    ``popcount(avail & cur[v])`` are the lengths of the available-edge
+    lists the branching rule compares, so the vertex picked (fewest
+    available edges, lowest id on ties), the edge order (``incident[v]``
+    order) and every node count are those of a scan over all vertices.
     """
+    E = len(masks)
+    nbytes = (E + 7) // 8
+    inc: list[int] = []
+    ends: list[list[int]] = [[] for _ in range(E)]
+    for v in range(n):
+        # set bits in a bytearray: growing an int bit by bit copies it each time
+        row = bytearray(nbytes)
+        for i in incident[v]:
+            row[i >> 3] |= 1 << (i & 7)
+            ends[i].append(v)
+        inc.append(int.from_bytes(row, "little"))
+    ninc = [~b for b in inc]
+    SENT = ((1 << (E + 1)) - 1) << E
     full = (1 << n) - 1
-    nodes = 0
-    chosen: list[int] = []
-    best: list[int] = []
+    every = (1 << E) - 1 | SENT
+    popcount = int.bit_count
 
-    def rec(covered: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetHit
-        if covered == full:
-            return True
-        if covered in dead:
-            return False
-        pick: Sequence[int] | None = None
+    def search(
+        start: int, dead: set[int], budget: int | None = None
+    ) -> tuple[str, list[int], int]:
+        nodes = 0
+        chosen: list[int] = []
+        best: list[int] = []
+        cur = inc[:]
+        avail = every
         for v in range(n):
-            if covered >> v & 1:
-                continue
-            avail = [i for i in incident[v] if not masks[i] & covered]
-            if pick is None or len(avail) < len(pick):
-                pick = avail
-                if not avail:
-                    return False
-        for i in pick:
-            chosen.append(i)
-            if len(chosen) > len(best):
-                best[:] = chosen
-            if rec(covered | masks[i]):
-                return True
-            chosen.pop()
-        dead.add(covered)
-        return False
+            if start >> v & 1:
+                cur[v] = SENT
+                avail &= ninc[v]
 
-    try:
-        found = rec(start)
-    except _BudgetHit:
-        return "partial", best, nodes
-    return ("perfect", chosen, nodes) if found else ("none", best, nodes)
+        def rec(covered: int, avail: int) -> bool:
+            nonlocal nodes
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise _BudgetHit
+            if covered == full:
+                return True
+            if covered in dead:
+                return False
+            cnts = list(map(popcount, map(avail.__and__, cur)))
+            c = min(cnts)
+            if c == 0:
+                return False
+            v = cnts.index(c)
+            for i in incident[v]:
+                if not avail >> i & 1:
+                    continue
+                chosen.append(i)
+                if len(chosen) > len(best):
+                    best[:] = chosen
+                child = avail
+                for u in ends[i]:
+                    child &= ninc[u]
+                    cur[u] = SENT
+                found = rec(covered | masks[i], child)
+                for u in ends[i]:
+                    cur[u] = inc[u]
+                if found:
+                    return True
+                chosen.pop()
+            dead.add(covered)
+            return False
+
+        try:
+            found = rec(start, avail)
+        except _BudgetHit:
+            return "partial", best, nodes
+        return ("perfect", chosen, nodes) if found else ("none", best, nodes)
+
+    return search
 
 
 def _pm_within(
@@ -214,11 +263,11 @@ def _pm_within(
     budget: int | None = None,
     banned: frozenset[tuple[int, ...]] = frozenset(),
 ) -> tuple[str, list[tuple[int, ...]], int]:
-    """:func:`_pm_search` on the subgraph of ``H`` induced on ``verts``,
-    without the edges in ``banned``. Returns ``(status, edges in H's ids,
-    nodes)``, the same as :func:`find_perfect_matching` on the ``induced``
-    copy: ascending ids number the local vertices and list the local edges
-    in canonical order, so the branching is the same.
+    """The :func:`_pm_searcher` search on the subgraph of ``H`` induced on
+    ``verts``, without the edges in ``banned``. Returns ``(status, edges in
+    H's ids, nodes)``, the same as :func:`find_perfect_matching` on the
+    ``induced`` copy: ascending ids number the local vertices and list the
+    local edges in canonical order, so the branching is the same.
     """
     vs = sorted(verts)
     n, k = len(vs), H.k
@@ -231,7 +280,7 @@ def _pm_within(
     for i, e in enumerate(edges):
         for v in e:
             incident[pos[v]].append(i)
-    status, picked, nodes = _pm_search(masks, incident, n, 0, set(), budget)
+    status, picked, nodes = _pm_searcher(masks, incident, n)(0, set(), budget)
     return status, [edges[i] for i in picked], nodes
 
 

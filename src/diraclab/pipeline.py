@@ -26,7 +26,7 @@ from .errors import (
     StageFailure,
     TemplateMatchingFailed,
 )
-from .hypercore import Hypergraph, min_d_degree
+from .hypercore import Hypergraph, mask_of, min_d_degree
 from .matchpower import (
     Matching,
     _pm_within,
@@ -122,12 +122,6 @@ class AbsorbingSet:
     lambda_cap: int
 
 
-def _degree_into(G: Hypergraph, v: int, Z: frozenset[int]) -> int:
-    return sum(
-        1 for i in G.incident[v] if all(u in Z for u in G.edges[i] if u != v)
-    )
-
-
 def choose_rich_set(
     G: Hypergraph,
     rho,
@@ -150,16 +144,23 @@ def choose_rich_set(
         raise SizeError(f"rho={rho} asks for {r} of {n} vertices")
     delta_hat = Fraction(min(map(len, G.incident)), comb(n - 1, k - 1))
     threshold = max(delta_hat / 2 * comb(r - 1, k - 1), Fraction(1))
+    full = (1 << n) - 1
     rng = random.Random(seed)
     best_deficit: Fraction | None = None
     best_min: int | None = None
     for t in range(trials):
         Z = tuple(sorted(rng.sample(range(n), r)))
-        zset = frozenset(Z)
-        outside = [v for v in range(n) if v not in zset]
-        if not outside:
+        out_mask = full & ~mask_of(Z)
+        if not out_mask:
             return RichSet(Z, None, threshold, t + 1)
-        worst = min(_degree_into(G, v, zset) for v in outside)
+        # an edge counts towards v's degree into Z when v is its only vertex
+        # outside Z
+        deg = [0] * n
+        for mk in G.edge_masks:
+            x = mk & out_mask
+            if x and not x & (x - 1):
+                deg[x.bit_length() - 1] += 1
+        worst = min(deg[v] for v in range(n) if out_mask >> v & 1)
         if worst >= threshold:
             return RichSet(Z, worst, threshold, t + 1)
         deficit = threshold - worst

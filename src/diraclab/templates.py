@@ -31,7 +31,7 @@ from .errors import (
     TemplateMatchingFailed,
 )
 from .hypercore import Hypergraph, mask_of, read_khg, write_khg
-from .matchpower import Matching, _augment_all, _pm_search
+from .matchpower import Matching, _augment_all, _pm_searcher
 
 __all__ = [
     "BipartiteTemplate",
@@ -462,13 +462,13 @@ def verify_resilient_template(
         return TemplateReport(True, None, 0, mode)
     # Search T itself with W already covered: the same branching as on the
     # induced copy, whose relabelling keeps the vertex and edge order. One
-    # dead-state memo serves every removal, since a dead mask says nothing
-    # about which part of it was W.
-    masks, incident, n = T.T.edge_masks, T.T.incident, T.T.n
+    # searcher, set up once, and one dead-state memo serve every removal,
+    # since a dead mask says nothing about which part of it was W.
+    search = _pm_searcher(T.T.edge_masks, T.T.incident, T.T.n)
     dead: set[int] = set()
 
     def survives(W: tuple[int, ...]) -> bool:
-        return _pm_search(masks, incident, n, mask_of(W), dead)[0] == "perfect"
+        return search(mask_of(W), dead)[0] == "perfect"
 
     if mode == "exhaustive":
         checked = 0
@@ -606,7 +606,7 @@ def structure_matching_after_removal(
     # branching as on an induced copy of T - W, as in verify_resilient_template
     G = T.T
     W_mask = mask_of(back[h] for h in W)
-    status, picked, _ = _pm_search(G.edge_masks, G.incident, G.n, W_mask, set())
+    status, picked, _ = _pm_searcher(G.edge_masks, G.incident, G.n)(W_mask, set())
     if status != "perfect":
         raise TemplateMatchingFailed(
             f"template lost its matching after removing {tuple(sorted(W))}"

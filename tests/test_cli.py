@@ -333,5 +333,28 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert read_khg(out).edge_count() == 20
 
+    def test_rechecks_hold_under_optimize_flag(self, tmp_path, capsys):
+        # python -O strips asserts; the re-verifications are explicit raises,
+        # so exit codes and output match a plain run
+        barrier, base = tmp_path / "s12.khg", tmp_path / "t6"
+        assert run(capsys, "--out", str(barrier), "gen", "space", "--n", "12", "--k", "3")[0] == 0
+        assert run(capsys, "--out", str(base), "template", "build", "--r", "6", "--k", "3")[0] == 0
+        outcomes = []
+        for argv in (["pm", "--in", str(barrier)], ["template", "verify", "--in", str(base)]):
+            plain, optimized = (
+                subprocess.run(
+                    [sys.executable, *flag, "-m", "diraclab.cli", *argv],
+                    capture_output=True,
+                    text=True,
+                )
+                for flag in ([], ["-O"])
+            )
+            outcome = (plain.returncode, plain.stdout, plain.stderr)
+            assert (optimized.returncode, optimized.stdout, optimized.stderr) == outcome
+            outcomes.append(outcome)
+        (pm_code, _, pm_err), (tv_code, tv_out, _) = outcomes
+        assert pm_code == 1 and "no perfect matching" in pm_err
+        assert tv_code == 0 and tv_out.startswith("ok")
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

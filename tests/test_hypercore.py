@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -138,6 +139,40 @@ def test_min_d_degree_is_minimum_with_lex_first_witness(H):
         assert val == min(all_degrees.values())
         assert all_degrees[witness] == val
         assert witness == min(S for S, v in all_degrees.items() if v == val)
+
+
+def counter_min_vertex_degree(H):
+    """min_d_degree at d = 1 as a Counter over every vertex of every edge,
+    walking the vertices in order and stopping at the first zero."""
+    counts = Counter(v for e in H.edges for v in e)
+    best = best_set = None
+    for v in range(H.n):
+        if best is None or counts[v] < best:
+            best, best_set = counts[v], (v,)
+            if best == 0:
+                break
+    return best, best_set
+
+
+def test_min_vertex_degree_matches_counter_loop():
+    rng = random.Random(163)
+    zeros = 0
+    for seed in range(40):
+        n, k = rng.randint(1, 14), rng.randint(2, 4)
+        p = rng.choice((0.05, 0.2, 0.5, 0.9))
+        H = Hypergraph.from_edges(
+            n, k, [e for e in combinations(range(n), k) if rng.random() < p]
+        )
+        if seed % 2:
+            H = H.remove_vertices(rng.sample(range(n), min(n, 2)))
+        got = min_d_degree(H, 1)
+        assert got == counter_min_vertex_degree(H)
+        zeros += got[0] == 0 and any(H.incident[v] for v in range(got[1][0] + 1, n))
+    # isolated vertices ahead of covered ones: the first zero wins
+    assert zeros >= 5
+    H = Hypergraph.from_edges(8, 3, [(0, 1, 2), (0, 3, 4), (5, 6, 7)])
+    assert min_d_degree(H, 1) == (1, (1,))
+    assert min_d_degree(H.remove_vertices([3]), 1) == (0, (3,))
 
 
 def test_min_d_degree_rejects_bad_d():

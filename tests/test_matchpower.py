@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraclab.errors import CapacityError, NotFound, ShapeError, SizeError
-from diraclab.hypercore import Hypergraph, induced
+from diraclab.errors import CapacityError, NotFound, ShapeError, SizeError, _BudgetHit
+from diraclab.hypercore import Hypergraph, induced, mask_of
 from diraclab.lab import sample_hk
 from diraclab.matchpower import (
     Matching,
+    _pm_searcher,
     _pm_within,
     aharoni_haxell_holds,
     blockwise_almost_perfect,
@@ -23,6 +25,7 @@ from diraclab.matchpower import (
     parse_matching,
     verify_matching,
 )
+from diraclab.templates import build_resilient_template, feasible_removals
 from diraclab.thresholds import parity_barrier, space_barrier
 
 from conftest import seeded_subgraph, small_hypergraph
@@ -234,10 +237,9 @@ def test_pm_memo_matches_memo_free_reference(H):
 def test_pm_memo_settles_n18_barriers():
     # Node counts, not seconds: without the dead-state memo neither proof
     # finishes within 200,000 nodes.
-    for build in (space_barrier, parity_barrier):
+    for build, nodes in ((space_barrier, 39_876), (parity_barrier, 66_089)):
         res = find_perfect_matching(build(18, 3, 1))
-        assert res.status == "none"
-        assert res.nodes_explored <= 100_000
+        assert (res.status, res.nodes_explored) == ("none", nodes)
 
 
 @pytest.mark.parametrize(
@@ -294,6 +296,125 @@ def test_pm_within_matches_induced_search():
             settled += status != "partial"
             partial += status == "partial"
     assert settled >= 100 and partial >= 100
+
+
+# The kernel as it stood when it scanned every vertex at every node, kept
+# verbatim as the reference for the bitset kernel.
+def _pm_search(
+    masks: Sequence[int],
+    incident: Sequence[Sequence[int]],
+    n: int,
+    start: int,
+    dead: set[int],
+    budget: int | None = None,
+) -> tuple[str, list[int], int]:
+    """The search behind :func:`find_perfect_matching`, :func:`_pm_within`
+    and the template checks: cover the vertices outside the ``start`` mask
+    with disjoint edges avoiding it.
+
+    Returns ``(status, edge indices, nodes)``: the indices form the perfect
+    matching, or the longest partial one seen. ``dead`` is the memo of
+    covered masks shown to fail; a mask enters it only when its branch loop
+    ran out, never when the budget cut the search. A dead mask therefore
+    means the vertices outside it have no perfect matching in these edges,
+    whatever the start mask was, and a caller may share the memo between
+    searches on the same edges. The status stays exact; only the partial
+    matching kept after a failure may be shorter than a fresh search's.
+    """
+    full = (1 << n) - 1
+    nodes = 0
+    chosen: list[int] = []
+    best: list[int] = []
+
+    def rec(covered: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise _BudgetHit
+        if covered == full:
+            return True
+        if covered in dead:
+            return False
+        pick: Sequence[int] | None = None
+        for v in range(n):
+            if covered >> v & 1:
+                continue
+            avail = [i for i in incident[v] if not masks[i] & covered]
+            if pick is None or len(avail) < len(pick):
+                pick = avail
+                if not avail:
+                    return False
+        for i in pick:
+            chosen.append(i)
+            if len(chosen) > len(best):
+                best[:] = chosen
+            if rec(covered | masks[i]):
+                return True
+            chosen.pop()
+        dead.add(covered)
+        return False
+
+    try:
+        found = rec(start)
+    except _BudgetHit:
+        return "partial", best, nodes
+    return ("perfect", chosen, nodes) if found else ("none", best, nodes)
+
+
+def assert_kernels_agree(H: Hypergraph, start: int) -> None:
+    """Bitset and scanning kernels on one start mask: the same status, edge
+    indices and nodes, and the same dead memo afterwards, unbudgeted and at
+    budgets 1, half and the full node count."""
+    search = _pm_searcher(H.edge_masks, H.incident, H.n)
+
+    def both(budget):
+        dead_new: set[int] = set()
+        dead_old: set[int] = set()
+        got = search(start, dead_new, budget)
+        ref = _pm_search(H.edge_masks, H.incident, H.n, start, dead_old, budget)
+        assert got == ref
+        assert dead_new == dead_old
+        return ref[2]
+
+    nodes = both(None)
+    for budget in (1, max(1, nodes // 2), nodes):
+        both(budget)
+
+
+@pytest.mark.parametrize("H", MEMO_HOSTS, ids=[f"host{i}" for i in range(len(MEMO_HOSTS))])
+def test_bitset_kernel_matches_scanning_kernel(H):
+    assert_kernels_agree(H, 0)
+
+
+def test_bitset_kernel_matches_scanning_kernel_on_start_masks():
+    # each subset case covers the vertices outside its subset at the start
+    statuses = set()
+    for H, verts in SUBSET_CASES:
+        start = ((1 << H.n) - 1) & ~mask_of(verts)
+        assert_kernels_agree(H, start)
+        statuses.add(_pm_search(H.edge_masks, H.incident, H.n, start, set())[0])
+    assert statuses == {"perfect", "none"}
+
+
+@pytest.mark.parametrize("r", range(9, 13))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_bitset_kernel_matches_scanning_kernel_on_template_removals(r, seed):
+    # one searcher and one memo per template across every feasible removal,
+    # as verify_resilient_template keeps them
+    T = build_resilient_template(r, 3, seed=seed)
+    G = T.T
+    search = _pm_searcher(G.edge_masks, G.incident, G.n)
+    dead_new: set[int] = set()
+    dead_old: set[int] = set()
+    removals = 0
+    for j in feasible_removals(T):
+        for W in combinations(T.Z, j):
+            got = search(mask_of(W), dead_new)
+            ref = _pm_search(G.edge_masks, G.incident, G.n, mask_of(W), dead_old)
+            assert got == ref
+            assert dead_new == dead_old
+            removals += 1
+    assert removals > 0
 
 
 def test_pm_within_banned_is_deleting_the_edges():

@@ -8,8 +8,9 @@ the seed.
 
 import hashlib
 import json
+import random
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 
 import pytest
 
@@ -23,6 +24,7 @@ from diraclab.matchpower import Matching, find_perfect_matching
 from diraclab.pipeline import (
     AbsorbingSet,
     PipelineParams,
+    RichSet,
     absorb_and_complete,
     build_absorbing_set,
     choose_rich_set,
@@ -96,6 +98,52 @@ class TestChooseRichSet:
         a = choose_rich_set(K18, rho=0.4, seed=9)
         b = choose_rich_set(K18, rho=0.4, seed=9)
         assert a == b
+
+
+def per_vertex_rich_set(G, rho, trials, seed):
+    """choose_rich_set with one degree-into-Z count per outside vertex, as
+    it stood before the counts came from one pass over the edges."""
+
+    def degree_into(v, Z):
+        return sum(1 for i in G.incident[v] if all(u in Z for u in G.edges[i] if u != v))
+
+    n, k = G.n, G.k
+    r = ceil(Fraction(rho) * n)
+    delta_hat = Fraction(min(map(len, G.incident)), comb(n - 1, k - 1))
+    threshold = max(delta_hat / 2 * comb(r - 1, k - 1), Fraction(1))
+    rng = random.Random(seed)
+    best_deficit = best_min = None
+    for t in range(trials):
+        Z = tuple(sorted(rng.sample(range(n), r)))
+        zset = frozenset(Z)
+        outside = [v for v in range(n) if v not in zset]
+        if not outside:
+            return RichSet(Z, None, threshold, t + 1)
+        worst = min(degree_into(v, zset) for v in outside)
+        if worst >= threshold:
+            return RichSet(Z, worst, threshold, t + 1)
+        deficit = threshold - worst
+        if best_deficit is None or deficit < best_deficit:
+            best_deficit, best_min = deficit, worst
+    return ("trials", best_min, str(threshold))
+
+
+def test_rich_set_matches_per_vertex_counts():
+    found = missed = 0
+    for seed in range(24):
+        n = (12, 15, 18, 21, 24, 30)[seed % 6]
+        k = 4 if seed % 8 == 7 else 3
+        G = sample_hk(n, k, (0.15, 0.4, 0.7, 0.9)[seed % 4], seed)
+        for rho in (Fraction(1, 10), Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), 1):
+            ref = per_vertex_rich_set(G, rho, 8, seed)
+            try:
+                got = choose_rich_set(G, rho, trials=8, seed=seed)
+            except NotFound as exc:
+                got = (exc.reason, exc.details["best_min_degree"], exc.details["threshold"])
+            assert got == ref
+            found += isinstance(got, RichSet) and got.min_outside_degree is not None
+            missed += isinstance(got, tuple)
+    assert found >= 20 and missed >= 20
 
 
 # ---------------------------------------------------------------------------

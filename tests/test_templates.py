@@ -21,6 +21,7 @@ from diraclab.errors import (
     SizeError,
     TemplateMatchingFailed,
 )
+from diraclab import templates
 from diraclab.hypercore import Hypergraph, induced
 from diraclab.matchpower import Matching, bipartite_matching, find_perfect_matching
 from diraclab.templates import (
@@ -483,6 +484,22 @@ class TestResilientTemplate:
         # failures come at many points of the sweep, and some samples miss them
         assert len({checked for mode, _, checked in outcomes if mode == "exhaustive"}) >= 5
         assert ("sampled", True, 60) in outcomes and ("sampled", False) in {o[:2] for o in outcomes}
+
+    def test_searcher_is_set_up_once_per_verification(self, monkeypatch):
+        built = []
+        real = templates._pm_searcher
+
+        def counting(masks, incident, n):
+            built.append(n)
+            return real(masks, incident, n)
+
+        monkeypatch.setattr(templates, "_pm_searcher", counting)
+        T = build_resilient_template(9, 3, seed=0)
+        for mode in ("exhaustive", "sampled"):
+            rep = verify_resilient_template(T, mode=mode, samples=40)
+            assert rep.ok and rep.checked > 1
+            assert built == [T.T.n]
+            built.clear()
 
     def test_no_feasible_removal_is_vacuous_in_both_modes(self):
         T = ResilientTemplate(k=3, T=Hypergraph.empty(8, 3), Z=(0, 1, 2), provenance={})

@@ -149,7 +149,7 @@ def find_perfect_matching(H: Hypergraph, budget: int | None = None) -> MatchResu
         return MatchResult("perfect", Matching(()), (), 0)
     if n % k != 0:
         return MatchResult("none", Matching(()), tuple(range(n)), 0)
-    search = _pm_searcher(H.edge_masks, H.incident, n)
+    search = _pm_searcher(H.edges, n)
     status, picked, nodes = search(0, set(), budget)
     m = Matching.from_edges(H.edges[i] for i in picked)
     unc = () if status == "perfect" else tuple(sorted(set(range(n)) - m.covered))
@@ -157,47 +157,55 @@ def find_perfect_matching(H: Hypergraph, budget: int | None = None) -> MatchResu
 
 
 def _pm_searcher(
-    masks: Sequence[int], incident: Sequence[Sequence[int]], n: int
+    edges: Sequence[Sequence[int]], n: int
 ) -> Callable[[int, set[int], int | None], tuple[str, list[int], int]]:
-    """The search behind :func:`find_perfect_matching`, :func:`_pm_within`
-    and the template checks, set up once for one edge list. Returns
-    ``search(start, dead, budget)``, which covers the vertices outside the
+    """The exact-cover search behind :func:`find_perfect_matching`,
+    :func:`_pm_within`, :func:`find_disjoint_representatives` and the
+    template checks, set up once for one edge list. Returns
+    ``search(start, dead, budget)``, which covers the columns outside the
     ``start`` mask with disjoint edges avoiding it.
 
+    Each edge is an ascending tuple of column ids. Columns below ``n`` are
+    primary and must be covered exactly once; any higher column is
+    secondary and may be covered at most once (Knuth's secondary columns).
+    A perfect matching of a k-graph on n vertices is the case with no
+    secondary column.
+
     ``search`` returns ``(status, edge indices, nodes)``: the indices form
-    the perfect matching, or the longest partial one seen. ``dead`` is the
-    memo of covered masks shown to fail; a mask enters it only when its
-    branch loop ran out, never when the budget cut the search. A dead mask
-    therefore means the vertices outside it have no perfect matching in
-    these edges, whatever the start mask was, and a caller may share the
-    memo between searches on the same edges. The status stays exact; only
-    the partial matching kept after a failure may be shorter than a fresh
-    search's.
+    the exact cover, or the longest partial one seen. ``dead`` is the memo
+    of covered masks shown to fail; a mask enters it only when its branch
+    loop ran out, never when the budget cut the search. The mask holds the
+    covered secondary columns too, so a dead mask means the primary columns
+    outside it have no cover by edges avoiding it, whatever the start mask
+    was, and a caller may share the memo between searches on the same
+    edges. The status stays exact; only the partial matching kept after a
+    failure may be shorter than a fresh search's.
 
     The state is bitsets over edge indices (the column sizes of Dancing
     Links, read off with one popcount each). ``avail`` holds the edges that
-    avoid every covered vertex, and ``cur[v]`` is ``inc[v]``, the edges at
-    v, while v is uncovered. A covered vertex's slot holds ``SENT``, a block
-    of E + 1 bits above the edge bits that ``avail`` always keeps, so its
-    count exceeds any uncovered vertex's and it is never picked. The counts
-    ``popcount(avail & cur[v])`` are the lengths of the available-edge
-    lists the branching rule compares, so the vertex picked (fewest
-    available edges, lowest id on ties), the edge order (``incident[v]``
-    order) and every node count are those of a scan over all vertices.
+    avoid every covered column, and ``cur[v]`` is ``inc[v]``, the edges at
+    v, while primary column v is uncovered. A covered or secondary column's
+    slot holds ``SENT``, a block of E + 1 bits above the edge bits that
+    ``avail`` always keeps, so its count exceeds any uncovered primary
+    column's and it is never picked. The counts ``popcount(avail & cur[v])``
+    are the lengths of the available-edge lists of a scan over all
+    vertices, and the set bits of ``avail & inc[v]``, low to high, are v's
+    available edges in incidence order; so the column picked (fewest
+    available edges, lowest id on ties), the edge order and every node
+    count are those of that scan.
     """
-    E = len(masks)
-    nbytes = (E + 7) // 8
-    inc: list[int] = []
-    ends: list[list[int]] = [[] for _ in range(E)]
-    for v in range(n):
-        # set bits in a bytearray: growing an int bit by bit copies it each time
-        row = bytearray(nbytes)
-        for i in incident[v]:
-            row[i >> 3] |= 1 << (i & 7)
-            ends[i].append(v)
-        inc.append(int.from_bytes(row, "little"))
+    E = len(edges)
+    cols = max(n, max((e[-1] + 1 for e in edges), default=0))
+    # set bits in a bytearray: growing an int bit by bit copies it each time
+    rows = [bytearray((E + 7) // 8) for _ in range(cols)]
+    for i, e in enumerate(edges):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for v in e:
+            rows[v][byte] |= bit
+    inc = [int.from_bytes(row, "little") for row in rows]
     ninc = [~b for b in inc]
     SENT = ((1 << (E + 1)) - 1) << E
+    base = inc[:n] + [SENT] * (cols - n)
     full = (1 << n) - 1
     every = (1 << E) - 1 | SENT
     popcount = int.bit_count
@@ -208,9 +216,9 @@ def _pm_searcher(
         nodes = 0
         chosen: list[int] = []
         best: list[int] = []
-        cur = inc[:]
+        cur = base[:]
         avail = every
-        for v in range(n):
+        for v in range(cols):
             if start >> v & 1:
                 cur[v] = SENT
                 avail &= ninc[v]
@@ -220,7 +228,7 @@ def _pm_searcher(
             nodes += 1
             if budget is not None and nodes > budget:
                 raise _BudgetHit
-            if covered == full:
+            if covered & full == full:
                 return True
             if covered in dead:
                 return False
@@ -228,20 +236,22 @@ def _pm_searcher(
             c = min(cnts)
             if c == 0:
                 return False
-            v = cnts.index(c)
-            for i in incident[v]:
-                if not avail >> i & 1:
-                    continue
+            cand = avail & inc[cnts.index(c)]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                i = low.bit_length() - 1
                 chosen.append(i)
                 if len(chosen) > len(best):
                     best[:] = chosen
-                child = avail
-                for u in ends[i]:
+                child, cov = avail, covered
+                for u in edges[i]:
                     child &= ninc[u]
+                    cov |= 1 << u
                     cur[u] = SENT
-                found = rec(covered | masks[i], child)
-                for u in ends[i]:
-                    cur[u] = inc[u]
+                found = rec(cov, child)
+                for u in edges[i]:
+                    cur[u] = base[u]
                 if found:
                     return True
                 chosen.pop()
@@ -275,22 +285,18 @@ def _pm_within(
         return "none", [], 0
     edges = [e for e in combinations(vs, k) if e in H.edge_set and e not in banned]
     pos = {v: i for i, v in enumerate(vs)}
-    masks = [mask_of(pos[v] for v in e) for e in edges]
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        for v in e:
-            incident[pos[v]].append(i)
-    status, picked, nodes = _pm_searcher(masks, incident, n)(0, set(), budget)
+    local = [tuple(pos[v] for v in e) for e in edges]
+    status, picked, nodes = _pm_searcher(local, n)(0, set(), budget)
     return status, [edges[i] for i in picked], nodes
 
 
-def _max_matching_masks(
-    masks: Sequence[int],
+def _max_matching(
+    edges: Sequence[Sequence[int]],
     nv: int,
     target: int | None = None,
     budget: int | None = None,
 ) -> tuple[list[int], bool, int]:
-    """Branch-and-bound maximum matching over bitmask edges.
+    """Branch-and-bound maximum matching over edge tuples on ``nv`` vertices.
 
     Branches on the lowest coverable vertex: either one of its available
     edges is used, or the vertex is banned (left uncovered for good). Returns
@@ -298,16 +304,14 @@ def _max_matching_masks(
     soon as a matching of that size appears (the flag then only means the
     search was not cut short by ``budget``).
     """
-    if not masks:
+    if not edges:
         return [], True, 0
-    k = masks[0].bit_count()
+    k = len(edges[0])
+    masks = [mask_of(e) for e in edges]
     incident: list[list[int]] = [[] for _ in range(nv)]
-    for i, mk in enumerate(masks):
-        m = mk
-        while m:
-            low = m & -m
-            incident[low.bit_length() - 1].append(i)
-            m ^= low
+    for i, e in enumerate(edges):
+        for v in e:
+            incident[v].append(i)
     idle = mask_of(v for v in range(nv) if not incident[v])
 
     best: list[int] = []
@@ -364,7 +368,7 @@ def max_matching(H: Hypergraph, mode: str = "exact", budget: int | None = None) 
                 covered |= mk
                 out.append(H.edges[i])
         return MaxMatchingResult(Matching.from_edges(out), True, len(H.edges))
-    sel, optimal, nodes = _max_matching_masks(H.edge_masks, H.n, budget=budget)
+    sel, optimal, nodes = _max_matching(H.edges, H.n, budget=budget)
     return MaxMatchingResult(
         Matching.from_edges(H.edges[i] for i in sel), optimal, nodes
     )
@@ -398,18 +402,12 @@ def aharoni_haxell_holds(
         if L.k != k:
             raise SizeError(f"family uniformity mismatch: {L.k} != {k}")
 
-    def union_masks(I: Sequence[int]) -> list[int]:
-        edge_set = set()
-        for i in I:
-            edge_set.update(links[i].edges)
-        return [mask_of(e) for e in sorted(edge_set)]
-
     def satisfied(I: Sequence[int]) -> bool:
         need = k * (len(I) - 1) + 1
-        masks = union_masks(I)
-        if len(masks) < need:
+        edges = sorted(set().union(*(links[i].edges for i in I)))
+        if len(edges) < need:
             return False
-        sel, _, _ = _max_matching_masks(masks, n, target=need, budget=budget)
+        sel, _, _ = _max_matching(edges, n, target=need, budget=budget)
         return len(sel) >= need
 
     if mode == "exact":
@@ -437,41 +435,30 @@ def aharoni_haxell_holds(
 def find_disjoint_representatives(
     links: Sequence[Hypergraph], budget: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """One edge per family, pairwise vertex-disjoint, by backtracking.
+    """One edge per family, pairwise vertex-disjoint, by exact cover.
 
-    Families are processed in order; candidate edges in canonical order, so
-    the result is deterministic. Raises NotFound("exhausted") when the full
-    search space has no system, NotFound("budget") when cut short.
+    Family f is primary column f, which some edge must cover once, and
+    vertex v is secondary column t + v, covered at most once, with t the
+    number of families; each edge e of family f becomes the row
+    ``(f, t + e[0], ...)``. The :func:`_pm_searcher` kernel then takes the
+    family with the fewest edges still free of the chosen vertices first
+    (lowest index on ties) and tries its edges in canonical order, so the
+    result is deterministic. Where several systems exist, the one returned
+    need not be the first in family order. Raises NotFound("exhausted")
+    when the full search space has no system, NotFound("budget") when cut
+    short.
     """
     t = len(links)
-    per_family = [[(e, mask_of(e)) for e in L.edges] for L in links]
-    chosen: list[tuple[int, ...]] = []
-    nodes = 0
-
-    def rec(i: int, covered: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetHit
-        if i == t:
-            return True
-        for e, mk in per_family[i]:
-            if not mk & covered:
-                chosen.append(e)
-                if rec(i + 1, covered | mk):
-                    return True
-                chosen.pop()
-        return False
-
-    try:
-        if rec(0, 0):
-            return tuple(chosen)
-    except _BudgetHit:
+    rows = [(f,) + tuple(t + v for v in e) for f, L in enumerate(links) for e in L.edges]
+    status, picked, nodes = _pm_searcher(rows, t)(0, set(), budget)
+    if status == "partial":
         raise NotFound(
             f"representative search stopped by budget after {nodes} nodes",
             reason="budget",
-        ) from None
-    raise NotFound("no system of disjoint representatives exists", reason="exhausted")
+        )
+    if status == "none":
+        raise NotFound("no system of disjoint representatives exists", reason="exhausted")
+    return tuple(tuple(v - t for v in rows[i][1:]) for i in sorted(picked))
 
 
 def bipartite_matching(
@@ -528,12 +515,10 @@ def match_into_flexible(
         raise SizeError("W and Z must be disjoint")
     links = []
     for w in ws:
-        residues = [
-            tuple(v for v in e if v != w)
-            for e in G.edges
-            if w in e and zs.issuperset(v for v in e if v != w)
-        ]
-        links.append(Hypergraph.from_edges(G.n, G.k - 1, residues))
+        # dropping w from edges that all contain it keeps their canonical order
+        residues = (tuple(v for v in G.edges[i] if v != w) for i in G.incident[w])
+        kept = tuple(f for f in residues if zs.issuperset(f))
+        links.append(Hypergraph(G.n, G.k - 1, kept))
     reps = find_disjoint_representatives(links, budget=budget)
     return Matching.from_edges(
         tuple(sorted((w,) + f)) for w, f in zip(ws, reps)

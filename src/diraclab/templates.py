@@ -464,7 +464,7 @@ def verify_resilient_template(
     # induced copy, whose relabelling keeps the vertex and edge order. One
     # searcher, set up once, and one dead-state memo serve every removal,
     # since a dead mask says nothing about which part of it was W.
-    search = _pm_searcher(T.T.edge_masks, T.T.incident, T.T.n)
+    search = _pm_searcher(T.T.edges, T.T.n)
     dead: set[int] = set()
 
     def survives(W: tuple[int, ...]) -> bool:
@@ -497,7 +497,6 @@ class FinderConfig:
 
     Q: int = 6
     budget: int | None = None
-    require_sparse: int | None = None
     min_order: int = 0
 
 
@@ -562,7 +561,6 @@ def build_absorbing_structure(
                 roots,
                 Q=finder.Q,
                 forbidden=used - set(roots),
-                require_sparse=finder.require_sparse,
                 budget=finder.budget,
                 min_order=finder.min_order,
             )
@@ -606,7 +604,7 @@ def structure_matching_after_removal(
     # branching as on an induced copy of T - W, as in verify_resilient_template
     G = T.T
     W_mask = mask_of(back[h] for h in W)
-    status, picked, _ = _pm_searcher(G.edge_masks, G.incident, G.n)(W_mask, set())
+    status, picked, _ = _pm_searcher(G.edges, G.n)(W_mask, set())
     if status != "perfect":
         raise TemplateMatchingFailed(
             f"template lost its matching after removing {tuple(sorted(W))}"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 from typing import Sequence
 
@@ -98,6 +99,21 @@ def test_pm_complete_graph():
     assert res.uncovered == ()
     ok, why = verify_matching(Hypergraph.complete(6, 3), res.matching, require_perfect=True)
     assert ok, why
+
+
+def test_pm_set_up_allocates_no_per_edge_objects():
+    # the kernel reads the host's edge tuples; building a mask, an incidence
+    # list or a vertex list per edge (17,296 edges here) costs megabytes
+    H = Hypergraph.complete(48, 3)
+    assert len(H.edges) == 17296
+    tracemalloc.start()
+    try:
+        res = find_perfect_matching(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "perfect"
+    assert peak < 2**20
 
 
 def test_pm_isolated_vertex_is_none():
@@ -365,7 +381,7 @@ def assert_kernels_agree(H: Hypergraph, start: int) -> None:
     """Bitset and scanning kernels on one start mask: the same status, edge
     indices and nodes, and the same dead memo afterwards, unbudgeted and at
     budgets 1, half and the full node count."""
-    search = _pm_searcher(H.edge_masks, H.incident, H.n)
+    search = _pm_searcher(H.edges, H.n)
 
     def both(budget):
         dead_new: set[int] = set()
@@ -403,7 +419,7 @@ def test_bitset_kernel_matches_scanning_kernel_on_template_removals(r, seed):
     # as verify_resilient_template keeps them
     T = build_resilient_template(r, 3, seed=seed)
     G = T.T
-    search = _pm_searcher(G.edge_masks, G.incident, G.n)
+    search = _pm_searcher(G.edges, G.n)
     dead_new: set[int] = set()
     dead_old: set[int] = set()
     removals = 0
@@ -415,6 +431,36 @@ def test_bitset_kernel_matches_scanning_kernel_on_template_removals(r, seed):
             assert dead_new == dead_old
             removals += 1
     assert removals > 0
+
+
+def exact_cover_exists(rows: Sequence[tuple[int, ...]], n: int) -> bool:
+    """Some set of rows covers each column below n once and every other
+    column at most once, by trying every subset of rows."""
+    for size in range(len(rows) + 1):
+        for combo in combinations(rows, size):
+            cols = [c for row in combo for c in row]
+            if len(cols) == len(set(cols)) and set(range(n)) <= set(cols):
+                return True
+    return False
+
+
+def test_secondary_columns_match_exact_cover_oracle():
+    rng = random.Random(2024)
+    seen = {"perfect": 0, "none": 0}
+    for _ in range(300):
+        n, extra = rng.randint(0, 5), rng.randint(0, 5)
+        rows = [
+            tuple(sorted(rng.sample(range(n + extra), rng.randint(1, min(3, n + extra)))))
+            for _ in range(rng.randint(0, 10) if n + extra else 0)
+        ]
+        status, picked, _ = _pm_searcher(rows, n)(0, set())
+        assert (status == "perfect") == exact_cover_exists(rows, n)
+        seen[status] += 1
+        if status == "perfect":
+            cols = [c for i in picked for c in rows[i]]
+            assert len(cols) == len(set(cols))
+            assert set(range(n)) <= set(cols)
+    assert min(seen.values()) >= 50
 
 
 def test_pm_within_banned_is_deleting_the_edges():
@@ -570,6 +616,82 @@ def test_ah_true_implies_representatives(t, seed):
             assert e in links[i].edge_set
             assert not seen.intersection(e)
             seen.update(e)
+
+
+# The representative search as it stood before it ran on the exact-cover
+# kernel: families in index order, edges in canonical order.
+def _representatives_in_family_order(links, budget=None):
+    t = len(links)
+    per_family = [[(e, mask_of(e)) for e in L.edges] for L in links]
+    chosen: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def rec(i: int, covered: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise _BudgetHit
+        if i == t:
+            return True
+        for e, mk in per_family[i]:
+            if not mk & covered:
+                chosen.append(e)
+                if rec(i + 1, covered | mk):
+                    return True
+                chosen.pop()
+        return False
+
+    try:
+        if rec(0, 0):
+            return tuple(chosen)
+    except _BudgetHit:
+        raise NotFound(
+            f"representative search stopped by budget after {nodes} nodes",
+            reason="budget",
+        ) from None
+    raise NotFound("no system of disjoint representatives exists", reason="exhausted")
+
+
+def test_representatives_agree_with_family_order_search():
+    rng = random.Random(4321)
+    outcomes = {"found": 0, "exhausted": 0}
+    for _ in range(400):
+        t, kp = rng.randint(1, 5), rng.randint(1, 3)
+        n = rng.randint(kp, 9)
+        p = rng.uniform(0.05, 0.5)
+        links = [
+            Hypergraph.from_edges(n, kp, [e for e in combinations(range(n), kp) if rng.random() < p])
+            for _ in range(t)
+        ]
+        try:
+            want = _representatives_in_family_order(links)
+        except NotFound as exc:
+            assert exc.reason == "exhausted"
+            with pytest.raises(NotFound) as info:
+                find_disjoint_representatives(links)
+            assert info.value.reason == "exhausted"
+            outcomes["exhausted"] += 1
+            continue
+        reps = find_disjoint_representatives(links)
+        assert len(reps) == len(want) == t
+        used: set[int] = set()
+        for L, e in zip(links, reps):
+            assert e in L.edge_set
+            assert used.isdisjoint(e)
+            used.update(e)
+        outcomes["found"] += 1
+    assert min(outcomes.values()) >= 100
+
+
+def test_one_family_takes_its_first_edge():
+    rng = random.Random(99)
+    for _ in range(50):
+        edges = [e for e in combinations(range(8), 3) if rng.random() < 0.3]
+        if not edges:
+            continue
+        L = Hypergraph.from_edges(8, 3, edges)
+        assert find_disjoint_representatives([L]) == (L.edges[0],)
+        assert _representatives_in_family_order([L]) == (L.edges[0],)
 
 
 # ---------------------------------------------------------------------------

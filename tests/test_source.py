@@ -62,3 +62,21 @@ def test_host_stages_do_not_import_induced():
             elif isinstance(node, ast.Attribute) and node.attr == "induced":
                 found.append(f"{name}.py:{node.lineno}")
     assert found == []
+
+
+def test_budgeted_searches_are_the_two_kernels():
+    # every budgeted backtracking search runs on the exact-cover kernel or
+    # is the rooted-absorber enumeration; a new hand-rolled one must not
+    # appear beside them
+    pkg = Path(diraclab.__file__).parent
+    raisers = set()
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "_BudgetHit":
+                    raisers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert raisers == {"matchpower._pm_searcher", "absorbing.find_rooted_absorber"}

@@ -489,9 +489,9 @@ class TestResilientTemplate:
         built = []
         real = templates._pm_searcher
 
-        def counting(masks, incident, n):
+        def counting(edges, n):
             built.append(n)
-            return real(masks, incident, n)
+            return real(edges, n)
 
         monkeypatch.setattr(templates, "_pm_searcher", counting)
         T = build_resilient_template(9, 3, seed=0)

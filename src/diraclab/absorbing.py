@@ -420,43 +420,13 @@ def find_rooted_absorber(
     if forb.intersection(roots):
         raise SizeError("roots overlap the forbidden set")
     root_set = frozenset(roots)
-
     nodes = 0
 
-    def spend():
+    def charge(count: int) -> None:
         nonlocal nodes
-        nodes += 1
+        nodes += count
         if budget is not None and nodes > budget:
             raise _BudgetHit
-
-    # host edges avoiding `forbidden`, and each one's position in that list;
-    # built on first use, since coverings that stay on the roots' incidence
-    # lists never need them
-    ok_idx: list[int] = []
-    ok_pos: dict[int, int] = {}
-
-    def covering_candidates(chosen: list[int], covered: set[int]):
-        """Yield indices (into G.edges) extending the partial covering."""
-        missing = [x for x in roots if x not in covered]
-        if missing:
-            pivot = min(missing)
-            for i in G.incident[pivot]:
-                e = G.edges[i]
-                if forb.isdisjoint(e) and covered.isdisjoint(e):
-                    yield i
-        else:
-            if not ok_pos:
-                ok_idx.extend(i for i, e in enumerate(G.edges) if forb.isdisjoint(e))
-                ok_pos.update((i, pos) for pos, i in enumerate(ok_idx))
-            start = 0
-            for j in reversed(chosen):
-                if root_set.isdisjoint(G.edges[j]):
-                    start = ok_pos[j] + 1
-                    break
-            for pos in range(start, len(ok_idx)):
-                i = ok_idx[pos]
-                if covered.isdisjoint(G.edges[i]):
-                    yield i
 
     def accept(A: Absorber) -> Absorber | None:
         ok, reason = verify_absorber(A, G)
@@ -466,61 +436,72 @@ def find_rooted_absorber(
             return None
         return A
 
-    def search(order: int) -> Absorber | None:
-        if order == 0:
-            # the only order-0 absorber is the root tuple itself as an edge
-            spend()
-            edge = tuple(sorted(roots))
-            if edge not in G.edge_set:
+    # host edges avoiding `forbidden`, listed on first need: coverings that
+    # stay on the roots' incidence lists never use them
+    free: list[tuple[int, ...]] = []
+
+    def rec(
+        a: int, chosen: list[tuple[int, ...]], covered: set[int], start: int
+    ) -> Absorber | None:
+        """Extend a partial covering of `a` edges. Edges at the lowest
+        uncovered root come first; once every root is covered, the covering
+        goes on with free edges from position `start` up, so each set of
+        non-root edges is tried once."""
+        if len(chosen) == a:
+            if not root_set <= covered:
                 return None
-            return accept(Absorber(roots, Matching((edge,)), Matching(())))
-        a = order // k + 1
+            left = None if budget is None else budget - nodes + 1
+            status, pm, used = _pm_within(G, covered - root_set, left, frozenset(chosen))
+            # the kernel counts its root call as a node and stops at left + 1,
+            # so this charge raises exactly when the kernel hit the budget
+            charge(used - 1)
+            if status != "perfect":
+                return None
+            return accept(Absorber(roots, Matching.from_edges(chosen), Matching.from_edges(pm)))
+        if root_set <= covered:
+            if not free:
+                free.extend(e for e in G.edges if forb.isdisjoint(e))
+            pool, positions, blocked = free, range(start, len(free)), covered
+        else:
+            pivot = min(x for x in roots if x not in covered)
+            pool, positions, blocked = G.edges, G.incident[pivot], covered | forb
+        for p in positions:
+            e = pool[p]
+            if not blocked.isdisjoint(e):
+                continue
+            charge(1)
+            chosen.append(e)
+            covered.update(e)
+            got = rec(a, chosen, covered, p + 1 if pool is free else 0)
+            if got is not None:
+                return got
+            chosen.pop()
+            covered.difference_update(e)
+        return None
 
-        def rec(chosen: list[int], covered: set[int]) -> Absorber | None:
-            nonlocal nodes
-            if len(chosen) == a:
-                if not root_set <= covered:
-                    return None
-                cov_edges = [G.edges[i] for i in chosen]
-                left = None if budget is None else budget - nodes + 1
-                status, pm, used = _pm_within(
-                    G, covered - root_set, left, frozenset(cov_edges)
-                )
-                # the search counts its root call as a node; charge edges tried
-                nodes += used - 1
-                if status == "partial":
-                    raise _BudgetHit
-                if status != "perfect":
-                    return None
-                return accept(
-                    Absorber(roots, Matching.from_edges(cov_edges), Matching.from_edges(pm))
-                )
-            for i in covering_candidates(chosen, covered):
-                spend()
-                e = G.edges[i]
-                chosen.append(i)
-                covered.update(e)
-                got = rec(chosen, covered)
-                if got is not None:
-                    return got
-                chosen.pop()
-                covered.difference_update(e)
-            return None
-
-        return rec([], set())
-
-    lo = max(0, min_order)
     try:
-        for order in range(lo, Q + 1):
+        for order in range(max(0, min_order), Q + 1):
             if order % k:
                 continue
-            found = search(order)
+            if order == 0:
+                # the only order-0 absorber is the root tuple itself as an edge
+                charge(1)
+                edge = tuple(sorted(roots))
+                if edge not in G.edge_set:
+                    continue
+                found = accept(Absorber(roots, Matching((edge,)), Matching(())))
+            else:
+                found = rec(order // k + 1, [], set(), 0)
             if found is not None:
                 return found
     except _BudgetHit:
         raise NotFound(
             f"budget of {budget} nodes exhausted searching order <= {Q}", "budget"
         ) from None
+    finally:
+        # rec reaches itself through its closure; dropping the name breaks
+        # that cycle, so the walk is freed without waiting for a collection
+        del rec
     raise NotFound(
         f"no absorber of order <= {Q} rooted at {roots}", "exhausted"
     )

@@ -353,6 +353,17 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+def _count(text: str) -> int:
+    """argparse type for a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="diraclab",
@@ -361,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     top.add_argument("--out", default=None, help="write the primary artifact here instead of stdout")
     top.add_argument("--format", choices=("csv", "json"), default="csv", help="table output encoding")
-    top.add_argument("--budget", type=int, default=None, help="search node budget where a search runs")
+    top.add_argument(
+        "--budget", type=_count, default=None, help="search node budget where a search runs"
+    )
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a hypergraph as .khg")
@@ -410,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     tpv = tpsub.add_parser("verify")
     tpv.add_argument("--in", dest="input", required=True, help="path base written by template build")
     tpv.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
-    tpv.add_argument("--samples", type=int, default=500)
+    tpv.add_argument("--samples", type=_count, default=500)
     tp.set_defaults(func=_cmd_template)
 
     pl = sub.add_parser("pipeline", help="end-to-end perfect matching construction")
@@ -436,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--perfect", action="store_true", help="matchings must also be perfect")
     ver.add_argument("--sparsity", type=int, default=None, help="absorbers must have Berge girth >= this")
     ver.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
-    ver.add_argument("--samples", type=int, default=500)
+    ver.add_argument("--samples", type=_count, default=500)
     ver.set_defaults(func=_cmd_verify)
 
     return top

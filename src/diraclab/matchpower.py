@@ -393,6 +393,8 @@ def aharoni_haxell_holds(
     violator; it is capped at 12 families. Sampled mode checks ``samples``
     random nonempty subsets and is evidence, not proof.
     """
+    if samples < 0:
+        raise SizeError(f"samples must be nonnegative, got {samples}")
     t = len(links)
     if t == 0:
         return AHResult(True, None, mode, 0)

@@ -36,7 +36,6 @@ from .matchpower import (
 )
 from .templates import (
     AbsorbingStructure,
-    FinderConfig,
     build_absorbing_structure,
     build_resilient_template,
     compact_template,
@@ -228,12 +227,14 @@ def build_absorbing_set(
     except (NotFound, SizeError) as exc:
         raise StageFailure("template", str(exc)) from exc
 
-    finder = FinderConfig(
-        Q=params.finder_Q if params.finder_Q is not None else 2 * k,
-        budget=params.finder_budget,
-    )
     try:
-        S = build_absorbing_structure(G, T, embed_Z=rich.Z, finder=finder)
+        S = build_absorbing_structure(
+            G,
+            T,
+            rich.Z,
+            Q=params.finder_Q if params.finder_Q is not None else 2 * k,
+            budget=params.finder_budget,
+        )
     except (PlacementFailed, SizeError) as exc:
         raise StageFailure("structure", str(exc)) from exc
 
@@ -295,25 +296,7 @@ class PipelineReport:
     matching: tuple[tuple[int, ...], ...] | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "status": self.status,
-            "failure_stage": self.failure_stage,
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "params": self.params,
-            "degree_measured": self.degree_measured,
-            "degree_target": self.degree_target,
-            "degree_ok": self.degree_ok,
-            "stages": self.stages,
-            "counters": self.counters,
-            "matching": (
-                [list(e) for e in self.matching] if self.matching is not None else None
-            ),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def dirac_perfect_matching(

@@ -38,7 +38,6 @@ __all__ = [
     "LiftResult",
     "ResilientTemplate",
     "TemplateReport",
-    "FinderConfig",
     "AbsorbingStructure",
     "search_montgomery",
     "verify_montgomery",
@@ -137,6 +136,8 @@ def verify_montgomery(
     removal starts from the previous removal's matching; saturation does
     not depend on the starting matching, so neither does the report.
     """
+    if samples < 0:
+        raise SizeError(f"samples must be nonnegative, got {samples}")
     s = R.s
     adj = _adjacency(R)
     total = comb(2 * s, s)
@@ -452,6 +453,8 @@ def verify_resilient_template(
     """
     if any(not 0 <= z < T.T.n for z in T.Z):
         raise SizeError("flexible set reaches outside the template's vertices")
+    if samples < 0:
+        raise SizeError(f"samples must be nonnegative, got {samples}")
     sizes = feasible_removals(T)
     total = sum(comb(T.r, j) for j in sizes)
     if mode == "auto":
@@ -492,15 +495,6 @@ def verify_resilient_template(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FinderConfig:
-    """Knobs passed through to the per-edge rooted-absorber search."""
-
-    Q: int = 6
-    budget: int | None = None
-    min_order: int = 0
-
-
-@dataclass(frozen=True)
 class AbsorbingStructure:
     """One absorber per template edge, planted inside a host graph.
 
@@ -525,14 +519,17 @@ def build_absorbing_structure(
     host: Hypergraph,
     T: ResilientTemplate,
     embed_Z: Sequence[int],
-    finder: FinderConfig = FinderConfig(),
+    Q: int = 6,
+    budget: int | None = None,
+    min_order: int = 0,
 ) -> AbsorbingStructure:
     """Embed the template into the host and put an absorber on every edge.
 
     Z lands on the caller's rich set (sorted template Z to sorted embed_Z);
     the other template vertices take the lowest unused host ids. Template
     edges are processed in lexicographic order, each absorber forbidden
-    from touching anything already used except its own roots.
+    from touching anything already used except its own roots. Q, budget
+    and min_order go to every :func:`find_rooted_absorber` call.
     """
     embed_Z = tuple(sorted(embed_Z))
     if len(embed_Z) != T.r:
@@ -557,12 +554,7 @@ def build_absorbing_structure(
         roots = tuple(sorted(vmap[v] for v in edge))
         try:
             A = find_rooted_absorber(
-                host,
-                roots,
-                Q=finder.Q,
-                forbidden=used - set(roots),
-                budget=finder.budget,
-                min_order=finder.min_order,
+                host, roots, Q, used - set(roots), budget=budget, min_order=min_order
             )
         except NotFound as exc:
             raise PlacementFailed(

@@ -37,8 +37,11 @@ _SWEEP_CAP = 24
 
 def _frac(x) -> Fraction:
     """Floats come in through configs and CLIs; going through their decimal
-    literal keeps 0.2 meaning 1/5. Everything else converts directly."""
+    literal keeps 0.2 meaning 1/5. Everything else converts directly.
+    inf and nan have no fraction, so they are a SizeError."""
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise SizeError(f"need a finite number, got {x}")
         return Fraction(str(x))
     return Fraction(x)
 

@@ -482,6 +482,29 @@ def test_rooted_search_budget_outcomes_pinned():
         assert got == want, h
 
 
+# The least budget at which each search settles; one node less is a budget
+# stop. An off-by-one in the node charge moves these, where the coarse
+# 10/100/1000 grid above would not notice.
+@pytest.mark.parametrize(
+    "H, roots, kwargs, result, least",
+    [
+        (Hypergraph.complete(12, 3), (0, 1, 2), {"min_order": 3}, 3, 88),
+        (Hypergraph.complete(9, 3), (0, 1, 2), {"require_sparse": 4}, 6, 1149),
+        (seeded_subgraph(9, 3, 0.2, seed=4), (0, 4, 8), {}, "exhausted", 42),
+    ],
+)
+def test_rooted_search_least_budget_pinned(H, roots, kwargs, result, least):
+    def outcome(budget):
+        try:
+            return find_rooted_absorber(H, roots, Q=6, budget=budget, **kwargs).order
+        except NotFound as exc:
+            return exc.reason
+
+    assert outcome(None) == result
+    assert outcome(least) == result
+    assert outcome(least - 1) == "budget"
+
+
 def test_rooted_search_raises_on_failed_verification(monkeypatch):
     # the re-verification is an explicit raise, so it also runs under python -O
     monkeypatch.setattr(absorbing, "verify_absorber", lambda A, host=None: (False, "forged"))

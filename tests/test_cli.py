@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from diraclab.absorbing import parse_absorber, verify_absorber
 from diraclab.cli import main
 from diraclab.hypercore import Hypergraph, read_khg
 from diraclab.lab import parse_table
@@ -190,6 +191,14 @@ class TestTemplateAndAbsorber:
         assert code == 1
         assert "failed" in err
 
+    def test_negative_samples_are_usage_errors(self, tmp_path, capsys):
+        base = tmp_path / "t6"
+        assert run(capsys, "--out", str(base), "template", "build", "--r", "6", "--k", "3")[0] == 0
+        for argv in (["template", "verify", "--in", str(base)], ["verify", "--template", str(base)]):
+            code, out, err = run(capsys, *argv, "--mode", "sampled", "--samples", "-5")
+            assert (code, out) == (2, "")
+            assert "--samples: must be nonnegative" in err
+
     def test_absorber_contract_reports_shape(self, capsys):
         code, out, _ = run(capsys, "absorber", "contract", "--K", "4")
         assert code == 0
@@ -258,6 +267,19 @@ class TestPipeline:
         assert out == ""
         assert err.startswith(f"error: {why}")
 
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_non_finite_gamma_is_usage_error(self, k12, capsys, gamma):
+        code, out, err = run(capsys, "pipeline", "run", "--in", k12, "--d", "1", "--gamma", gamma)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: need a finite number")
+
+    def test_non_finite_lam_is_usage_error(self, k12, tmp_path, capsys):
+        params = tmp_path / "p.cfg"
+        params.write_text("lam = inf\n")
+        code, out, err = run(capsys, "pipeline", "run", "--in", k12, "--d", "1", "--gamma", "0.1", "--params", str(params))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: need a finite number")
+
     def test_zero_block_size_is_usage_error(self, k12, tmp_path, capsys):
         params = tmp_path / "p.cfg"
         params.write_text("Q = 0\n")
@@ -310,6 +332,13 @@ class TestExperimentCommand:
         assert code == 0
         assert parse_table(out).columns[2] == "vertex"
 
+    def test_non_finite_gamma_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "r.cfg"
+        write_config(cfg, name="res", n=12, k=3, d=2, p=0.8, gamma="inf", trials=2)
+        code, out, err = run(capsys, "experiment", "resilience", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: need a finite number")
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         write_config(cfg, name="x", n=9, k=3, wobble=1)
@@ -322,6 +351,16 @@ class TestTopLevel:
 
     def test_no_arguments(self, capsys):
         assert run(capsys)[0] == 2
+
+    def test_negative_budget_is_usage_error(self, k12, capsys):
+        for argv in (["pm", "--in", k12], ["absorber", "find", "--in", k12, "--roots", "0 1 2"]):
+            code, out, err = run(capsys, "--budget", "-4", *argv)
+            assert (code, out) == (2, "")
+            assert "--budget: must be nonnegative" in err
+        # budget 0 parses; the search then stops at its first node
+        code, _, err = run(capsys, "--budget", "0", "pm", "--in", k12)
+        assert code == 1
+        assert "error" not in err
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "g.khg"
@@ -336,11 +375,16 @@ class TestTopLevel:
     def test_rechecks_hold_under_optimize_flag(self, tmp_path, capsys):
         # python -O strips asserts; the re-verifications are explicit raises,
         # so exit codes and output match a plain run
-        barrier, base = tmp_path / "s12.khg", tmp_path / "t6"
+        barrier, base, k7 = tmp_path / "s12.khg", tmp_path / "t6", tmp_path / "k7.khg"
         assert run(capsys, "--out", str(barrier), "gen", "space", "--n", "12", "--k", "3")[0] == 0
         assert run(capsys, "--out", str(base), "template", "build", "--r", "6", "--k", "3")[0] == 0
+        assert run(capsys, "--out", str(k7), "gen", "complete", "--n", "7", "--k", "3")[0] == 0
         outcomes = []
-        for argv in (["pm", "--in", str(barrier)], ["template", "verify", "--in", str(base)]):
+        for argv in (
+            ["pm", "--in", str(barrier)],
+            ["template", "verify", "--in", str(base)],
+            ["absorber", "find", "--in", str(k7), "--roots", "0 1 2", "--min-order", "3"],
+        ):
             plain, optimized = (
                 subprocess.run(
                     [sys.executable, *flag, "-m", "diraclab.cli", *argv],
@@ -352,9 +396,12 @@ class TestTopLevel:
             outcome = (plain.returncode, plain.stdout, plain.stderr)
             assert (optimized.returncode, optimized.stdout, optimized.stderr) == outcome
             outcomes.append(outcome)
-        (pm_code, _, pm_err), (tv_code, tv_out, _) = outcomes
+        (pm_code, _, pm_err), (tv_code, tv_out, _), (ab_code, ab_out, _) = outcomes
         assert pm_code == 1 and "no perfect matching" in pm_err
         assert tv_code == 0 and tv_out.startswith("ok")
+        assert ab_code == 0
+        absorber = parse_absorber(ab_out)
+        assert absorber.order == 3 and verify_absorber(absorber, Hypergraph.complete(7, 3))[0]
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -576,6 +576,12 @@ def test_ah_exact_cap():
     assert not res.holds  # duplicates violate even a sampled sweep quickly
 
 
+def test_ah_negative_samples_rejected():
+    L = Hypergraph.from_edges(4, 2, [(0, 1)])
+    with pytest.raises(SizeError, match="samples"):
+        aharoni_haxell_holds([L, L], kprime=2, mode="sampled", samples=-3)
+
+
 def test_representatives_disjoint_supports():
     links = [
         Hypergraph.from_edges(9, 3, [(3 * i, 3 * i + 1, 3 * i + 2)]) for i in range(3)

@@ -27,7 +27,6 @@ from diraclab.matchpower import Matching, bipartite_matching, find_perfect_match
 from diraclab.templates import (
     AbsorbingStructure,
     BipartiteTemplate,
-    FinderConfig,
     ResilientTemplate,
     build_absorbing_structure,
     build_resilient_template,
@@ -201,6 +200,11 @@ class TestMontgomery:
         assert rep.ok
         assert rep.mode == "sampled"
         assert rep.checked == 50
+
+    def test_negative_samples_rejected(self):
+        R = search_montgomery(2, 4, seed=0)
+        with pytest.raises(SizeError, match="samples"):
+            verify_montgomery(R, mode="sampled", samples=-3)
 
     def test_determinism(self):
         a = search_montgomery(3, 4, seed=5)
@@ -456,6 +460,11 @@ class TestResilientTemplate:
         assert not rep.ok
         assert rep.violating is not None
 
+    def test_negative_samples_rejected(self):
+        T = build_resilient_template(6, 3, seed=0)
+        with pytest.raises(SizeError, match="samples"):
+            verify_resilient_template(T, mode="sampled", samples=-2)
+
     def test_in_place_search_matches_induced_copies(self):
         outcomes = []
         for r in (9, 10, 11, 12):
@@ -668,9 +677,7 @@ class TestAbsorbingStructure:
         host = Hypergraph.complete(12, 3)
         plain = build_absorbing_structure(host, stub, embed_Z=(0, 1, 2))
         assert plain.placements[0][1].order == 0
-        S = build_absorbing_structure(
-            host, stub, embed_Z=(0, 1, 2), finder=FinderConfig(Q=6, min_order=3)
-        )
+        S = build_absorbing_structure(host, stub, embed_Z=(0, 1, 2), Q=6, min_order=3)
         assert S.placements[0][1].order >= 3
 
 

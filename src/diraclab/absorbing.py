@@ -16,20 +16,11 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import (
-    CapacityError,
-    DiracLabError,
-    FormatError,
-    NotFound,
-    ShapeError,
-    SizeError,
-    _BudgetHit,
-)
+from .errors import DiracLabError, FormatError, NotFound, ShapeError, SizeError
 from .hypercore import Hypergraph, berge_girth_of
-from .matchpower import Matching, _pm_within, bipartite_matching
+from .matchpower import Matching, _pm_searcher, _pm_within, bipartite_matching
 
 __all__ = [
     "BipartitePattern",
@@ -407,8 +398,9 @@ def find_rooted_absorber(
 
     The budget counts edges tried, in the covering enumeration and in the
     non-root searches alike (plus the one node of the order-0 lookup).
-    Raises NotFound("exhausted") when the whole space is empty and
-    NotFound("budget") when the budget runs out first.
+    Raises NotFound("exhausted") when the whole space is empty,
+    NotFound("budget") when the budget runs out first, and SizeError for a
+    negative Q.
     """
     k = G.k
     roots = tuple(roots)
@@ -419,6 +411,8 @@ def find_rooted_absorber(
     forb = frozenset(forbidden)
     if forb.intersection(roots):
         raise SizeError("roots overlap the forbidden set")
+    if Q < 0:
+        raise SizeError(f"order cap must be nonnegative, got {Q}")
     root_set = frozenset(roots)
     nodes = 0
 
@@ -426,7 +420,9 @@ def find_rooted_absorber(
         nonlocal nodes
         nodes += count
         if budget is not None and nodes > budget:
-            raise _BudgetHit
+            raise NotFound(
+                f"budget of {budget} nodes exhausted searching order <= {Q}", "budget"
+            )
 
     def accept(A: Absorber) -> Absorber | None:
         ok, reason = verify_absorber(A, G)
@@ -494,10 +490,6 @@ def find_rooted_absorber(
                 found = rec(order // k + 1, [], set(), 0)
             if found is not None:
                 return found
-    except _BudgetHit:
-        raise NotFound(
-            f"budget of {budget} nodes exhausted searching order <= {Q}", "budget"
-        ) from None
     finally:
         # rec reaches itself through its closure; dropping the name breaks
         # that cycle, so the walk is freed without waiting for a collection
@@ -650,9 +642,6 @@ def contract_absorber(CA: ContractibleAbsorber) -> ContractedAbsorber:
     )
 
 
-_PARTITION_CAP = 20
-
-
 def admits_absorber_partition(H: Hypergraph, roots: Sequence[int]) -> bool:
     """Whether the whole edge set of H splits into a matching covering every
     supported vertex and a matching covering everything except `roots`.
@@ -660,33 +649,30 @@ def admits_absorber_partition(H: Hypergraph, roots: Sequence[int]) -> bool:
     This is the empirical probe applied to contracted absorbers. Edge
     counting settles most cases: a split needs exactly (2v - |roots|)/k
     edges, and a contracted absorber carries k-2 more than that, so the
-    probe reports True for k=2 and False for k >= 3.
+    probe reports True for k=2 and False for k >= 3. Past the counts the
+    split is one exact cover on the :func:`~diraclab.matchpower._pm_searcher`
+    kernel: each edge is a column covered once, by its row into a copy of
+    the supported vertices (the covering side) or, when it avoids the
+    roots, by its row into a copy of the non-roots.
     """
     roots = tuple(roots)
-    V = H.support()
-    if not set(roots) <= V:
+    rs, V = set(roots), H.support()
+    if not rs <= V:
         return False
-    v = len(V)
+    v, m = len(V), H.edge_count()
     rk = len(roots)
     if v % H.k or (v - rk) % H.k:
         return False
-    if H.edge_count() != (2 * v - rk) // H.k:
+    if m != (2 * v - rk) // H.k:
         return False
-    if H.edge_count() > _PARTITION_CAP:
-        raise CapacityError(
-            f"partition probe limited to {_PARTITION_CAP} edges, got {H.edge_count()}"
-        )
-    need_cov = v // H.k
-    nonroots = V - set(roots)
-    for cov in combinations(H.edges, need_cov):
-        cv = [u for e in cov for u in e]
-        if len(set(cv)) != len(cv) or set(cv) != V:
-            continue
-        rest = [e for e in H.edges if e not in set(cov)]
-        rv = [u for e in rest for u in e]
-        if len(set(rv)) == len(rv) and set(rv) == nonroots:
-            return True
-    return False
+    col = {u: m + j for j, u in enumerate(sorted(V))}
+    non = {u: m + v + j for j, u in enumerate(sorted(V - rs))}
+    rows = []
+    for i, e in enumerate(H.edges):
+        rows.append((i,) + tuple(col[u] for u in e))
+        if rs.isdisjoint(e):
+            rows.append((i,) + tuple(non[u] for u in e))
+    return _pm_searcher(rows, m + v + len(non))(0, set())[0] == "perfect"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Exception types shared across the toolkit.
 
 Everything raised on purpose derives from :class:`DiracLabError` so callers can
-catch toolkit failures without swallowing genuine bugs.
+catch toolkit failures without swallowing genuine bugs. A search that spends
+its node budget reports that itself: the exact-cover kernel returns a
+"partial" result, and the rooted-absorber walk raises ``NotFound("budget")``
+from its node charge. No private exception carries a budget stop.
 """
 
 from __future__ import annotations
@@ -82,10 +85,3 @@ class StageFailure(DiracLabError):
 
 class TargetInfeasible(DiracLabError):
     """The degradation target is below the graph's current minimum degree."""
-
-
-class _BudgetHit(Exception):
-    """A search spent its node budget. Raised from inside a backtracking
-    search and caught by the function that owns it, which reports the stop
-    as a partial result or as NotFound("budget"); it never leaves the
-    package."""

@@ -22,10 +22,10 @@ from itertools import combinations
 from math import ceil, comb, sqrt
 from pathlib import Path
 from random import Random
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, get_args, get_type_hints
+from typing import Iterable, Mapping, Sequence, TypeVar, get_args, get_type_hints
 
 from .errors import DiracLabError, FormatError, SizeError, TargetInfeasible
-from .hypercore import Hypergraph, induced, min_d_degree
+from .hypercore import Hypergraph, induced, mask_of, min_d_degree
 from .matchpower import find_perfect_matching
 from .thresholds import _frac, conjectured_density, parity_barrier, space_barrier
 
@@ -702,28 +702,38 @@ class LoadReport:
     worst_set: tuple[int, ...]
 
 
-def _sampled_load_pairs(
-    G: Hypergraph, x_size: int, samples: int, seed: int
-) -> Iterator[tuple[int, int, int, tuple[int, ...], int]]:
+def _load_pairs(
+    G: Hypergraph, lam: float, samples: int, seed: int
+) -> tuple[LoadReport, list[tuple[int, int, tuple[int, ...], int]]]:
+    """The report of :func:`neighborhood_load_check` and the sampled pairs
+    behind it, each as ``(seed, vertex, set, load)`` in sample order."""
+    if G.k < 2:
+        raise SizeError(f"needs uniformity at least 2, got k={G.k}")
+    if not 0.0 <= lam <= 1.0:
+        raise SizeError(f"lam must be in [0, 1], got {lam}")
+    if samples < 1:
+        raise SizeError(f"need at least one sample, got {samples}")
+    x_size = min(int(_frac(lam) * G.n), G.n - 1)
+    total = comb(G.n, G.k)
+    p_hat = Fraction(len(G.edges), total) if total else Fraction(0)
+    bound = 2 * x_size * p_hat * comb(G.n - 2, G.k - 2)
     masks = G.edge_masks
+    pairs = []
     for i in range(samples):
         s = derived_seed(seed, i)
         rng = Random(s)
         w = rng.randrange(G.n)
-        pool = [v for v in range(G.n) if v != w]
-        X = tuple(sorted(rng.sample(pool, x_size)))
-        wbit = 1 << w
-        xmask = 0
-        for v in X:
-            xmask |= 1 << v
-        count = sum(1 for m in masks if m & wbit and m & xmask)
-        yield i, s, w, X, count
+        X = tuple(sorted(rng.sample([v for v in range(G.n) if v != w], x_size)))
+        wbit, xmask = 1 << w, mask_of(X)
+        pairs.append((s, w, X, sum(1 for m in masks if m & wbit and m & xmask)))
+    # max keeps the first of equal loads, the earliest worst pair
+    _, w, X, top = max(pairs, key=lambda pair: pair[3])
+    report = LoadReport(_load_ratio(top, bound), top, bound, x_size, samples, w, X)
+    return report, pairs
 
 
-def _load_bound(G: Hypergraph, x_size: int) -> Fraction:
-    total = comb(G.n, G.k)
-    p_hat = Fraction(len(G.edges), total) if total else Fraction(0)
-    return 2 * x_size * p_hat * comb(G.n - 2, G.k - 2)
+def _load_ratio(count: int, bound: Fraction) -> float:
+    return float(Fraction(count) / bound) if bound > 0 else 0.0
 
 
 def neighborhood_load_check(
@@ -736,55 +746,30 @@ def neighborhood_load_check(
     is 2 |X| p-hat C(n-2, k-2) with the empirical density p-hat; the report
     carries the worst ratio seen.  An edgeless host scores 0.
     """
-    if G.k < 2:
-        raise SizeError(f"needs uniformity at least 2, got k={G.k}")
-    if not 0.0 <= lam <= 1.0:
-        raise SizeError(f"lam must be in [0, 1], got {lam}")
-    if samples < 1:
-        raise SizeError(f"need at least one sample, got {samples}")
-    x_size = min(int(_frac(lam) * G.n), G.n - 1)
-    bound = _load_bound(G, x_size)
-    max_count = -1
-    worst_vertex = 0
-    worst_set: tuple[int, ...] = ()
-    for _, _, w, X, count in _sampled_load_pairs(G, x_size, samples, seed):
-        if count > max_count:
-            max_count = count
-            worst_vertex = w
-            worst_set = X
-    ratio = float(Fraction(max_count) / bound) if bound > 0 else 0.0
-    return LoadReport(ratio, max_count, bound, x_size, samples, worst_vertex, worst_set)
+    return _load_pairs(G, lam, samples, seed)[0]
 
 
 def load_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-pair report for the neighbourhood load check on the config's host."""
-    host = _host_from_config(cfg)
-    if host.k < 2:
-        raise SizeError(f"needs uniformity at least 2, got k={host.k}")
-    x_size = min(int(_frac(cfg.lam) * host.n), host.n - 1)
-    bound = _load_bound(host, x_size)
-    records: list[TrialRecord] = []
-    max_count = -1
-    for i, s, w, X, count in _sampled_load_pairs(host, x_size, cfg.trials, cfg.master_seed):
-        ratio = float(Fraction(count) / bound) if bound > 0 else 0.0
-        max_count = max(max_count, count)
-        records.append(
-            TrialRecord(
-                i,
-                s,
-                {"vertex": w, "set": X, "count": count, "bound": bound, "ratio": ratio},
-            )
+    rep, pairs = _load_pairs(_host_from_config(cfg), cfg.lam, cfg.trials, cfg.master_seed)
+    bound = rep.bound
+    records = tuple(
+        TrialRecord(
+            i,
+            s,
+            {"vertex": w, "set": X, "count": count, "bound": bound, "ratio": _load_ratio(count, bound)},
         )
-    max_ratio = float(Fraction(max_count) / bound) if bound > 0 else 0.0
+        for i, (s, w, X, count) in enumerate(pairs)
+    )
     summary = {
         "pairs": cfg.trials,
-        "set_size": x_size,
+        "set_size": rep.set_size,
         "bound": str(bound),
-        "max_count": max_count,
-        "max_ratio": max_ratio,
+        "max_count": rep.max_count,
+        "max_ratio": rep.max_ratio,
     }
-    summary_row = ("summary", cfg.master_seed, None, None, max_count, bound, max_ratio)
-    return ExperimentResult(cfg, LOAD_COLUMNS, tuple(records), summary, summary_row)
+    summary_row = ("summary", cfg.master_seed, None, None, rep.max_count, bound, rep.max_ratio)
+    return ExperimentResult(cfg, LOAD_COLUMNS, records, summary, summary_row)
 
 
 EXPERIMENTS = ("resilience", "inheritance", "load")

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapacityError, NotFound, ShapeError, SizeError, SpecError, _BudgetHit
+from .errors import CapacityError, NotFound, ShapeError, SizeError, SpecError
 from .hypercore import Hypergraph, mask_of
 
 __all__ = [
@@ -172,9 +172,15 @@ def _pm_searcher(
     secondary column.
 
     ``search`` returns ``(status, edge indices, nodes)``: the indices form
-    the exact cover, or the longest partial one seen. ``dead`` is the memo
-    of covered masks shown to fail; a mask enters it only when its branch
-    loop ran out, never when the budget cut the search. The mask holds the
+    the exact cover, or the longest partial one seen. The search is one
+    loop over an explicit stack with one frame ``(covered, avail, untried
+    candidates)`` per open node of the current path; a node with a zero
+    count or a memoised mask opens no frame, and a budget stop returns
+    ``("partial", best, nodes)`` from inside the loop.
+
+    ``dead`` is the memo of covered masks shown to fail. A mask enters it
+    only when its frame runs out of candidates and is popped: never on a
+    zero count, on a memo hit or on a budget stop. The mask holds the
     covered secondary columns too, so a dead mask means the primary columns
     outside it have no cover by edges avoiding it, whatever the start mask
     was, and a caller may share the memo between searches on the same
@@ -217,52 +223,47 @@ def _pm_searcher(
         chosen: list[int] = []
         best: list[int] = []
         cur = base[:]
-        avail = every
+        covered, avail = start, every
         for v in range(cols):
             if start >> v & 1:
                 cur[v] = SENT
                 avail &= ninc[v]
-
-        def rec(covered: int, avail: int) -> bool:
-            nonlocal nodes
+        stack: list[tuple[int, int, int]] = []
+        while True:
             nodes += 1
             if budget is not None and nodes > budget:
-                raise _BudgetHit
+                return "partial", best, nodes
             if covered & full == full:
-                return True
-            if covered in dead:
-                return False
-            cnts = list(map(popcount, map(avail.__and__, cur)))
-            c = min(cnts)
-            if c == 0:
-                return False
-            cand = avail & inc[cnts.index(c)]
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                i = low.bit_length() - 1
-                chosen.append(i)
-                if len(chosen) > len(best):
-                    best[:] = chosen
-                child, cov = avail, covered
-                for u in edges[i]:
-                    child &= ninc[u]
-                    cov |= 1 << u
-                    cur[u] = SENT
-                found = rec(cov, child)
-                for u in edges[i]:
-                    cur[u] = base[u]
-                if found:
-                    return True
-                chosen.pop()
-            dead.add(covered)
-            return False
-
-        try:
-            found = rec(start, avail)
-        except _BudgetHit:
-            return "partial", best, nodes
-        return ("perfect", chosen, nodes) if found else ("none", best, nodes)
+                return "perfect", chosen, nodes
+            if covered not in dead:
+                cnts = list(map(popcount, map(avail.__and__, cur)))
+                c = min(cnts)
+                if c:
+                    stack.append((covered, avail, avail & inc[cnts.index(c)]))
+            # back up to the deepest frame with an untried candidate; the
+            # top frame's last edge is still on the path while len(chosen)
+            # equals len(stack)
+            while stack:
+                covered, avail, cand = stack[-1]
+                if len(chosen) == len(stack):
+                    for u in edges[chosen.pop()]:
+                        cur[u] = base[u]
+                if cand:
+                    break
+                stack.pop()
+                dead.add(covered)
+            else:
+                return "none", best, nodes
+            low = cand & -cand
+            stack[-1] = covered, avail, cand ^ low
+            i = low.bit_length() - 1
+            chosen.append(i)
+            if len(chosen) > len(best):
+                best[:] = chosen
+            for u in edges[i]:
+                avail &= ninc[u]
+                covered |= 1 << u
+                cur[u] = SENT
 
     return search
 

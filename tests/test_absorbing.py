@@ -5,6 +5,8 @@ The ground truth for absorber validity is re-derived here from plain sets
 the stock patterns are pinned to their known cage values.
 """
 
+import gc
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -37,7 +39,7 @@ from diraclab.absorbing import (
 from diraclab import absorbing
 from diraclab.errors import DiracLabError, FormatError, NotFound, ShapeError, SizeError
 from diraclab.hypercore import Hypergraph, berge_girth_of, k_density
-from diraclab.matchpower import Matching
+from diraclab.matchpower import Matching, _pm_within, find_perfect_matching
 
 
 def oracle_absorber_ok(roots, covering, noncovering, host_edges=None):
@@ -326,6 +328,8 @@ def test_find_rooted_absorber_validation():
         find_rooted_absorber(K6, (0, 1, 1), Q=3)
     with pytest.raises(SizeError):
         find_rooted_absorber(K6, (0, 1, 9), Q=3)
+    with pytest.raises(SizeError, match="order cap must be nonnegative, got -3"):
+        find_rooted_absorber(K6, (0, 1, 2), Q=-3)
 
 
 def test_found_absorbers_verify_on_random_hosts():
@@ -341,6 +345,24 @@ def test_found_absorbers_verify_on_random_hosts():
         assert ok, reason
         assert A.order % 3 == 0 and A.order <= 6
     assert hits >= 10
+
+
+def test_searches_leave_no_cycles_for_the_collector():
+    # with the collector off, every kernel search, rooted walk and budget
+    # stop must be freed by reference counting alone
+    H = Hypergraph.complete(12, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            assert _pm_within(H, range(3, 9))[0] == "perfect"
+        for _ in range(1000):
+            assert find_rooted_absorber(H, (0, 1, 2), 3, min_order=3).order == 3
+        for _ in range(100):
+            assert find_perfect_matching(H, budget=2).status == "partial"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 ROOTED_HOSTS = [Hypergraph.complete(6, 3), Hypergraph.complete(8, 3)] + [
@@ -594,6 +616,49 @@ def test_contracted_partition_probe_is_honest():
     assert admits_absorber_partition(C2.graph, C2.roots) is True
     for img in C2.sub_images:
         assert verify_absorber(img, C2.graph) == (True, None)
+
+
+def _split_exists(H, roots):
+    # every edge goes to one side, and the two sides form an absorber on
+    # the roots
+    for size in range(H.edge_count() + 1):
+        for cov in combinations(H.edges, size):
+            if oracle_absorber_ok(roots, cov, [e for e in H.edges if e not in cov]):
+                return True
+    return False
+
+
+def test_partition_probe_matches_split_oracle():
+    rng = random.Random(77)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        k = rng.randint(2, 3)
+        V = list(range(k * rng.randint(2, 3)))
+        roots = tuple(sorted(rng.sample(V, k)))
+        rest = [v for v in V if v not in roots]
+        edges = set()
+        for side in (V, rest):
+            side = rng.sample(side, len(side))
+            edges.update(tuple(sorted(side[i : i + k])) for i in range(0, len(side), k))
+        edges = sorted(edges)
+        if rng.random() < 0.5:
+            edges[rng.randrange(len(edges))] = tuple(sorted(rng.sample(V, k)))
+        H = Hypergraph.from_edges(len(V), k, set(edges))
+        want = _split_exists(H, roots)
+        assert admits_absorber_partition(H, roots) is want
+        seen[want] += 1
+    assert min(seen.values()) >= 50
+
+
+def test_partition_probe_answers_past_twenty_edges():
+    # a planted split of 21 edges at k=2: 11 covering 22 vertices, 10 on
+    # the 20 non-roots
+    cov = [(2 * i, 2 * i + 1) for i in range(11)]
+    non = [(2, 21)] + [(2 * i + 1, 2 * i + 2) for i in range(1, 10)]
+    H = Hypergraph.from_edges(22, 2, cov + non)
+    assert H.edge_count() == 21
+    assert admits_absorber_partition(H, (0, 1)) is True
+    assert admits_absorber_partition(H, (0, 21)) is False
 
 
 def test_assemble_shape_errors():

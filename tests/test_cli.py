@@ -191,6 +191,15 @@ class TestTemplateAndAbsorber:
         assert code == 1
         assert "failed" in err
 
+    def test_absorber_find_negative_order_cap_is_usage_error(self, tmp_path, capsys):
+        k7 = tmp_path / "k7.khg"
+        run(capsys, "--out", str(k7), "gen", "complete", "--n", "7", "--k", "3")
+        code, out, err = run(
+            capsys, "absorber", "find", "--in", str(k7), "--roots", "0 1 2", "--order-cap", "-3"
+        )
+        assert (code, out) == (2, "")
+        assert "order cap must be nonnegative, got -3" in err
+
     def test_negative_samples_are_usage_errors(self, tmp_path, capsys):
         base = tmp_path / "t6"
         assert run(capsys, "--out", str(base), "template", "build", "--r", "6", "--k", "3")[0] == 0

@@ -634,6 +634,18 @@ class TestLoad:
         assert table.rows[-1][0] == "summary"
         assert experiment_csv(load_experiment(cfg)) == experiment_csv(res)
 
+    def test_experiment_csv_bytes_pinned(self):
+        # a random host, an edgeless one (bound 0) and a complete 2-graph
+        # with lam = 1; the digest predates the shared load walk
+        h = sha256()
+        for cfg in (
+            ExperimentConfig(name="load", n=16, k=3, p=0.5, lam=0.25, trials=40, master_seed=7),
+            ExperimentConfig(name="load", n=10, k=3, p=0.0, lam=0.3, trials=5, master_seed=1),
+            ExperimentConfig(name="load", n=9, k=2, lam=1.0, host="complete", trials=12, master_seed=3),
+        ):
+            h.update(experiment_csv(load_experiment(cfg)).encode())
+        assert h.hexdigest() == "937864d5a15360cba18d90c61cf906da0265af7f7fa943be8c7600de95a13745"
+
     def test_validation(self):
         with pytest.raises(SizeError):
             neighborhood_load_check(Hypergraph.complete(6, 1), 0.2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraclab.errors import CapacityError, NotFound, ShapeError, SizeError, _BudgetHit
+from diraclab.errors import CapacityError, NotFound, ShapeError, SizeError
 from diraclab.hypercore import Hypergraph, induced, mask_of
 from diraclab.lab import sample_hk
 from diraclab.matchpower import (
@@ -312,6 +312,11 @@ def test_pm_within_matches_induced_search():
             settled += status != "partial"
             partial += status == "partial"
     assert settled >= 100 and partial >= 100
+
+
+class _BudgetHit(Exception):
+    """Unwinds the two reference searches below when they spend their
+    budget; the package's own searches stop without an exception."""
 
 
 # The kernel as it stood when it scanned every vertex at every node, kept

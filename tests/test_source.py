@@ -64,19 +64,31 @@ def test_host_stages_do_not_import_induced():
     assert found == []
 
 
-def test_budgeted_searches_are_the_two_kernels():
-    # every budgeted backtracking search runs on the exact-cover kernel or
-    # is the rooted-absorber enumeration; a new hand-rolled one must not
-    # appear beside them
+def test_budgeted_loops_are_the_known_four():
+    # a loop bounded by a budget compares a running count with the name
+    # `budget`; these are the exact-cover kernel, the rooted-absorber walk,
+    # the branch-and-bound maximum matching and the degree degradation, and
+    # a new hand-rolled one must not appear beside them
     pkg = Path(diraclab.__file__).parent
-    raisers = set()
+    found = set()
     for path in sorted(pkg.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
+            if not isinstance(top, ast.FunctionDef):
+                continue
             for node in ast.walk(top):
-                if not isinstance(node, ast.Raise) or node.exc is None:
+                if not isinstance(node, ast.Compare):
                     continue
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name) and exc.id == "_BudgetHit":
-                    raisers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert raisers == {"matchpower._pm_searcher", "absorbing.find_rooted_absorber"}
+                sides = [node.left, *node.comparators]
+                for op, a, b in zip(node.ops, sides, sides[1:]):
+                    if isinstance(op, (ast.Gt, ast.Lt)) and any(
+                        isinstance(x, ast.Name) and x.id == "budget" and not isinstance(y, ast.Constant)
+                        for x, y in ((a, b), (b, a))
+                    ):
+                        found.add(f"{path.stem}.{top.name}")
+    assert found == {
+        "absorbing.find_rooted_absorber",
+        "lab.degrade_to_degree",
+        "matchpower._max_matching",
+        "matchpower._pm_searcher",
+    }

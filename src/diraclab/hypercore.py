@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, DiracLabError, FormatError, SizeError, SpecError
@@ -56,6 +57,27 @@ def _canonical_edges(edges: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], .
     return tuple(sorted(tuple(sorted(e)) for e in edges))
 
 
+def _edges_canonical(edges: tuple, n: int, k: int) -> bool:
+    """True when every edge is a strictly ascending k-tuple within 0..n-1
+    and the list is strictly increasing, checked column by column in
+    C-level passes that build no copy of the columns. False sends the
+    caller to its per-edge loop, which finds the first bad edge."""
+    if not edges:
+        return True
+    try:
+        if not all(map(k.__eq__, map(len, edges))):
+            return False
+        col = [itemgetter(j) for j in range(k)]
+        return (
+            all(all(map(lt, map(a, edges), map(b, edges))) for a, b in zip(col, col[1:]))
+            and min(map(col[0], edges)) >= 0
+            and max(map(col[-1], edges)) < n
+            and all(map(lt, edges, islice(edges, 1, None)))
+        )
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A k-uniform hypergraph on vertices ``0..n-1``.
@@ -79,6 +101,9 @@ class Hypergraph:
             raise SizeError(f"vertex count must be nonnegative, got {self.n}")
         if self.k < 1:
             raise SizeError(f"uniformity must be at least 1, got {self.k}")
+        if _edges_canonical(self.edges, self.n, self.k):
+            return
+        # some edge is malformed: find the first one and name it
         prev = None
         for e in self.edges:
             if len(e) != self.k:

@@ -18,6 +18,7 @@ from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from hashlib import sha256
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import ceil, comb, sqrt
 from pathlib import Path
@@ -134,8 +135,10 @@ def degrade_to_degree(
     a d-subset whose degree has fallen to the target, found through an index
     from each d-subset to its edges.  Over a whole "random" run on m edges
     that is O(m C(k,d)) Python steps for the bookkeeping, plus one list shift
-    per removal from the deletable list; "greedy" also scans the deletable
-    list for its minimum each step.
+    per removal from the deletable list.  "greedy" keeps a heap of (key,
+    edge index) instead, where an edge's key is its least d-degree: a
+    deletion pushes a fresh entry for each listed holder whose key it
+    lowers, and a pop skips entries that are stale or no longer listed.
 
     Raises TargetInfeasible when the host already sits below the target.
     The returned minimum degree is recomputed from scratch on the survivor.
@@ -171,29 +174,45 @@ def degrade_to_degree(
     for i in deletable:
         listed[i] = 1
     alive = bytearray(b"\x01") * len(edges)
+    greedy = policy == "greedy"
+    if greedy:
+        # an edge's key is the least degree among its d-subsets; ties go to
+        # the lower index, the lexicographically first edge
+        key = [0] * len(edges)
+        for i in deletable:
+            key[i] = min(deg[S] for S in combinations(edges[i], d))
+        heap = [(key[i], i) for i in deletable]
+        heapify(heap)
 
     rng = Random(seed)
     deleted: list[tuple[int, ...]] = []
-    while deletable and (budget is None or len(deleted) < budget):
-        if policy == "random":
-            pos = rng.randrange(len(deletable))
+    while budget is None or len(deleted) < budget:
+        if greedy:
+            while heap and (not listed[heap[0][1]] or heap[0][0] != key[heap[0][1]]):
+                heappop(heap)
+            if not heap:
+                break
+            i = heappop(heap)[1]
         else:
-            # positions follow edge order, so the first minimum is the
-            # lexicographically first edge among the tied ones
-            pos = min(
-                range(len(deletable)),
-                key=lambda j: min(deg[S] for S in combinations(edges[deletable[j]], d)),
-            )
-        i = deletable.pop(pos)
+            if not deletable:
+                break
+            i = deletable.pop(rng.randrange(len(deletable)))
         listed[i] = alive[i] = 0
         deleted.append(edges[i])
         for S in combinations(edges[i], d):
             deg[S] -= 1
-            if deg[S] == target:
+            low = deg[S]
+            if low == target:
                 for j in holders[S]:
                     if listed[j]:
                         listed[j] = 0
-                        del deletable[bisect_left(deletable, j)]
+                        if not greedy:
+                            del deletable[bisect_left(deletable, j)]
+            elif greedy:
+                for j in holders[S]:
+                    if listed[j] and low < key[j]:
+                        key[j] = low
+                        heappush(heap, (low, j))
 
     out = Hypergraph(G.n, G.k, tuple(e for e, a in zip(edges, alive) if a))
     final, _ = min_d_degree(out, d)

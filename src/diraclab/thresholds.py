@@ -63,6 +63,7 @@ class ThresholdRecord:
     extremal_witness: Hypergraph
     graphs_enumerated: int
     route: str
+    nodes_explored: int
 
 
 def _perfect_matching_masks(n: int, k: int, edge_index: dict) -> list[int]:
@@ -97,21 +98,54 @@ def _incidence_masks(all_edges: list, n: int, d: int) -> list[int]:
     return out
 
 
-def _sweep_pruned(total: int, pm_masks: list[int], inc: list[int]) -> tuple[int, int]:
-    """Scan all edge-subset masks, skip any containing a perfect matching,
-    track the maximum minimum-degree among the rest. Returns (best, witness)."""
-    best = -1
-    witness = 0
-    for mask in range(total):
-        for pm in pm_masks:
-            if mask & pm == pm:
-                break
-        else:
-            delta = min((mask & s).bit_count() for s in inc)
-            if delta > best:
-                best = delta
-                witness = mask
-    return best, witness
+def _sweep_pruned(total: int, pm_masks: list[int], inc: list[int]) -> tuple[int, int, int]:
+    """Depth-first branch and bound over the edge bits of the masks below
+    ``total``: the best minimum degree among perfect-matching-free graphs.
+    Returns (best, witness, nodes).
+
+    A node fixes the edge bits from the highest down to some ``free``; bits
+    below ``free`` are undecided. Children try the bit at 0 before 1, so the
+    leaves come in increasing mask order. Two cuts drop a branch:
+
+    - a perfect matching closes: setting bit i to 1 decides every matching
+      whose lowest edge is i, so only that group of ``pm_masks`` is checked
+      there, and every matching has been checked by the time a leaf is
+      reached;
+    - the degree bound: a graph below the node has minimum degree at most
+      ``min(((mask | undecided) & s).bit_count() for s in inc)``, so the node
+      is cut when that is <= best. Setting a bit to 1 leaves the bound as it
+      was, so it is recomputed for the 0-child only. At a leaf the bound is
+      the exact minimum degree.
+
+    ``best`` is replaced only on a strict ``>`` and leaves arrive in
+    increasing order, so the witness is the least mask attaining the
+    maximum: the same (best, witness) as a scan of every mask in order.
+    Every mask is either visited or excluded by a cut. ``nodes`` counts the
+    nodes that pass the degree bound, leaves included. ``pm_masks`` must be
+    nonzero.
+    """
+    e_total = total.bit_length() - 1
+    closing: list[list[int]] = [[] for _ in range(e_total)]
+    for pm in pm_masks:
+        closing[(pm & -pm).bit_length() - 1].append(pm)
+    best, witness, nodes = -1, 0, 0
+    # (undecided low bits, decided bits, degree bound of the node)
+    stack = [(e_total, 0, min((total - 1 & s).bit_count() for s in inc))]
+    while stack:
+        free, mask, bound = stack.pop()
+        if bound <= best:
+            continue
+        nodes += 1
+        if not free:
+            best, witness = bound, mask
+            continue
+        free -= 1
+        one = mask | 1 << free
+        if not any(one & pm == pm for pm in closing[free]):
+            stack.append((free, one, bound))
+        upper = mask | (1 << free) - 1
+        stack.append((free, mask, min((upper & s).bit_count() for s in inc)))
+    return best, witness, nodes
 
 
 _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
@@ -148,15 +182,34 @@ def _sweep_unpruned(total: int, pm_masks: list[int], inc: list[int]) -> tuple[in
 def exact_dirac_threshold(n: int, k: int, d: int, route: str = "pruned") -> ThresholdRecord:
     """Exhaustive labeled-graph sweep for the exact threshold.
 
-    ``route`` selects one of two independently written scans ("pruned" skips
-    graphs as soon as a perfect matching is spotted; "unpruned" is a
-    vectorized full evaluation); both must produce identical records, which
-    the acceptance suite asserts.
+    ``route`` selects one of two independently written sweeps over the
+    2^C(n,k) edge masks of the complete k-graph, both returning the least
+    mask that attains the largest minimum d-degree among graphs with no
+    perfect matching:
+
+    - "pruned" walks the masks depth first, highest edge bit first and 0
+      before 1, so the leaves come in increasing mask order. It cuts a
+      branch once a perfect matching closes (checking, when bit i is set,
+      only the matchings whose lowest edge is i) and once the degree bound
+      of every graph below it is no better than the best so far. The best
+      is replaced only on a strict improvement, so the witness is the
+      first maximal mask, as in a full scan;
+    - "unpruned" evaluates every mask, vectorized, and masks out the graphs
+      holding a perfect matching afterwards.
+
+    Both produce identical values and witnesses, which the acceptance suite
+    asserts. ``graphs_enumerated`` is 2^C(n,k) on both routes: every graph
+    is either visited or excluded by a cut. ``nodes_explored`` is the
+    pruned walk's node count, and the number of graphs evaluated on the
+    unpruned route. The witness is re-verified afterwards by a d-degree
+    recount and an exact perfect-matching search.
     """
     if not 1 <= d < k:
         raise SizeError(f"need 1 <= d < k, got d={d}, k={k}")
     if n % k != 0:
         raise SizeError(f"k={k} must divide n={n}")
+    if n < k:
+        raise SizeError(f"need n >= k, got n={n}, k={k}")
     if route not in ("pruned", "unpruned"):
         raise SizeError(f"unknown route {route!r}")
     e_total = math.comb(n, k)
@@ -171,9 +224,10 @@ def exact_dirac_threshold(n: int, k: int, d: int, route: str = "pruned") -> Thre
     total = 1 << e_total
 
     if route == "pruned":
-        best, witness_mask = _sweep_pruned(total, pm_masks, inc)
+        best, witness_mask, nodes = _sweep_pruned(total, pm_masks, inc)
     else:
         best, witness_mask = _sweep_unpruned(total, pm_masks, inc)
+        nodes = total
 
     witness = Hypergraph(
         n, k, tuple(all_edges[i] for i in range(e_total) if witness_mask >> i & 1)
@@ -192,6 +246,7 @@ def exact_dirac_threshold(n: int, k: int, d: int, route: str = "pruned") -> Thre
         extremal_witness=witness,
         graphs_enumerated=total,
         route=route,
+        nodes_explored=nodes,
     )
 
 

@@ -155,6 +155,13 @@ class TestMdk:
         assert payload["rows"][0]["m"] == 2
         assert payload["rows"][0]["ratio"] == "2/3"
 
+    @pytest.mark.parametrize("n", ["-2", "0"])
+    def test_fewer_vertices_than_k_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "mdk", "--n", n, "--k", "2", "--d", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: need n >= k, got n={n}, k=2\n"
+
 
 class TestTemplateAndAbsorber:
     def test_template_build_verify_cycle(self, tmp_path, capsys):

@@ -106,6 +106,44 @@ def test_raw_constructor_rejects_disorder():
         Hypergraph(5, 0, ())
 
 
+# Each malformed edge list, with the exception and message naming its first
+# bad edge. Checks within an edge run size, range, ascent; across edges the
+# first offending edge wins, whatever fails later.
+_MALFORMED = [
+    (5, 3, ((0, 1, 2), (0, 1)), SizeError, "edge (0, 1) has size 2, expected 3"),
+    (5, 3, ((0, 1, 2, 3),), SizeError, "edge (0, 1, 2, 3) has size 4, expected 3"),
+    (5, 3, ((0, 1, 9, 7),), SizeError, "edge (0, 1, 9, 7) has size 4, expected 3"),
+    (5, 3, ((0, 1, 5),), SizeError, "edge (0, 1, 5) out of range for n=5"),
+    (5, 3, ((-1, 0, 1),), SizeError, "edge (-1, 0, 1) out of range for n=5"),
+    (5, 3, ((3, 9, 1),), SizeError, "edge (3, 9, 1) out of range for n=5"),
+    (5, 1, ((0,), (5,)), SizeError, "edge (5,) out of range for n=5"),
+    (0, 2, ((0, 1),), SizeError, "edge (0, 1) out of range for n=0"),
+    (5, 3, ((0, 2, 1),), SpecError, "edge (0, 2, 1) is not strictly ascending"),
+    (5, 3, ((0, 1, 1),), SpecError, "edge (0, 1, 1) is not strictly ascending"),
+    (5, 3, ((0, 1, 2), (1, 1, 3)), SpecError, "edge (1, 1, 3) is not strictly ascending"),
+    (5, 3, ((0, 1, 2), (0, 1, 2)), SpecError, "duplicate edge (0, 1, 2)"),
+    (5, 1, ((2,), (2,)), SpecError, "duplicate edge (2,)"),
+    (5, 3, ((0, 1, 3), (0, 1, 2)), SpecError, "edge list is not in lexicographic order"),
+    (5, 3, ((0, 1, 3), (0, 1, 2), (0, 1)), SpecError, "edge list is not in lexicographic order"),
+    (5, 3, ((0, 1, 2), (2, 3, 4), (0, 1, 9)), SizeError, "edge (0, 1, 9) out of range for n=5"),
+    (5, 3, ((0, 1, 2), (0, 2, 1), (0, 1)), SpecError, "edge (0, 2, 1) is not strictly ascending"),
+]
+
+
+@pytest.mark.parametrize("n,k,edges,exc,message", _MALFORMED)
+def test_raw_constructor_names_first_bad_edge(n, k, edges, exc, message):
+    with pytest.raises(exc) as info:
+        Hypergraph(n, k, edges)
+    assert str(info.value) == message
+
+
+def test_raw_constructor_accepts_canonical_lists():
+    assert Hypergraph(5, 1, ((0,), (4,))).edge_count() == 2
+    assert Hypergraph(0, 3, ()).edges == ()
+    assert Hypergraph.complete(9, 4).edge_count() == 126
+    assert Hypergraph(5, 3, ((0, 1, 2), (0, 1, 3), (2, 3, 4))).edge_count() == 3
+
+
 def test_complete_graph_sizes():
     assert Hypergraph.complete(6, 3).edge_count() == 20
     assert Hypergraph.complete(2, 3).edges == ()

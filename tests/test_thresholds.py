@@ -6,6 +6,7 @@ count). Larger sweep values were computed once by the two independent
 routes in agreement and are frozen below.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +19,9 @@ from diraclab.matchpower import find_perfect_matching, max_matching
 from diraclab.thresholds import (
     SandwichReport,
     ThresholdRecord,
+    _incidence_masks,
     _perfect_matching_masks,
+    _sweep_pruned,
     conjectured_density,
     exact_dirac_threshold,
     parity_barrier,
@@ -119,6 +122,89 @@ def test_threshold_6_3_both_degree_levels_frozen():
     for e, f in combinations(W.edges, 2):
         assert set(e).intersection(f)
     assert naive_pm_exists(6, 3, W.edges) is False
+
+
+# the pruned route walks a tree of partial masks; these counts are the
+# nodes that pass its degree bound, leaves included
+_WALK_NODES = {(4, 2, 1): 21, (6, 2, 1): 972, (6, 3, 1): 5197, (6, 3, 2): 264}
+
+
+@pytest.mark.parametrize("n,k,d", sorted(_WALK_NODES))
+def test_threshold_nodes_explored_pinned(n, k, d):
+    pruned = exact_dirac_threshold(n, k, d, route="pruned")
+    assert pruned.nodes_explored == _WALK_NODES[(n, k, d)]
+    assert pruned.graphs_enumerated == 2 ** len(list(combinations(range(n), k)))
+    if (n, k) == (6, 3):
+        return  # the 2^20 unpruned scan runs in the frozen test above
+    unpruned = exact_dirac_threshold(n, k, d, route="unpruned")
+    assert unpruned.nodes_explored == unpruned.graphs_enumerated
+
+
+def scan_every_mask(total, pm_masks, inc):
+    """The pruned route as it was before the branch-and-bound walk, kept
+    verbatim as the reference: scan every mask in increasing order."""
+    best = -1
+    witness = 0
+    for mask in range(total):
+        for pm in pm_masks:
+            if mask & pm == pm:
+                break
+        else:
+            delta = min((mask & s).bit_count() for s in inc)
+            if delta > best:
+                best = delta
+                witness = mask
+    return best, witness
+
+
+_FEASIBLE = [(4, 2, 1), (6, 2, 1), (6, 3, 1), (6, 3, 2), (3, 3, 1), (3, 3, 2)]
+
+
+@pytest.mark.parametrize("n,k,d", _FEASIBLE)
+def test_walk_matches_full_scan_on_every_feasible_sweep(n, k, d):
+    all_edges = list(combinations(range(n), k))
+    idx = {e: i for i, e in enumerate(all_edges)}
+    pm_masks = _perfect_matching_masks(n, k, idx)
+    inc = _incidence_masks(all_edges, n, d)
+    total = 1 << len(all_edges)
+    assert _sweep_pruned(total, pm_masks, inc)[:2] == scan_every_mask(total, pm_masks, inc)
+
+
+def _synthetic_sweep(seed):
+    """Random walk input: up to 12 edge bits, up to five nonzero matching
+    masks (every tenth list empty) and degree masks drawn from a few
+    shapes, often repeated, so minimum degrees tie a lot."""
+    rng = random.Random(seed)
+    e_total = rng.randint(0, 12)
+    total = 1 << e_total
+    if e_total == 0 or seed % 10 == 0:
+        pm_masks = []
+    else:
+        pm_masks = [
+            sum(1 << b for b in rng.sample(range(e_total), rng.randint(1, min(4, e_total))))
+            for _ in range(rng.randint(1, 5))
+        ]
+    shapes = [rng.randrange(total) for _ in range(rng.randint(1, 3))]
+    inc = [rng.choice(shapes) for _ in range(rng.randint(1, 6))]
+    return total, pm_masks, inc
+
+
+def test_walk_matches_full_scan_on_synthetic_inputs():
+    kinds = set()
+    for seed in range(300):
+        total, pm_masks, inc = _synthetic_sweep(seed)
+        kinds.add((total == 1, not pm_masks))
+        assert _sweep_pruned(total, pm_masks, inc)[:2] == scan_every_mask(total, pm_masks, inc), seed
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_threshold_rejects_fewer_vertices_than_k():
+    # comb(-2, 2) would raise a bare ValueError, and n = 0 would reach the
+    # witness recount with an empty degree table
+    for n in (0, -2):
+        for route in ("pruned", "unpruned"):
+            with pytest.raises(SizeError, match=f"need n >= k, got n={n}, k=2"):
+                exact_dirac_threshold(n, 2, 1, route=route)
 
 
 def test_threshold_capacity_guard():

@@ -16,6 +16,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import DiracLabError, FormatError, NotFound, ShapeError, SizeError
@@ -114,19 +115,11 @@ def _inv_mod(a: int, p: int) -> int:
 def _proj_points(dim: int, p: int) -> list[tuple[int, ...]]:
     """Canonical representatives of projective points over GF(p): first
     nonzero coordinate scaled to 1, enumerated in lexicographic order."""
-    pts = []
-    for lead in range(dim):
-        head = (0,) * lead + (1,)
-        for tail in _tuples(dim - lead - 1, p):
-            pts.append(head + tail)
-    return sorted(pts)
-
-
-def _tuples(length: int, p: int) -> list[tuple[int, ...]]:
-    if length == 0:
-        return [()]
-    shorter = _tuples(length - 1, p)
-    return [(x,) + t for x in range(p) for t in shorter]
+    return sorted(
+        (0,) * lead + (1,) + tail
+        for lead in range(dim)
+        for tail in product(range(p), repeat=dim - lead - 1)
+    )
 
 
 _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -388,13 +381,16 @@ def find_rooted_absorber(
     Orders are tried from small to large (so the first hit has minimum
     order; pass min_order to skip the degenerate low orders). Order 0 is a
     lookup of the root tuple among the host edges, charged one node. Within an
-    order, covering matchings extending the roots are enumerated first,
-    since the roots are the tight constraint, and each complete covering
-    candidate is finished by a perfect-matching search on its non-root
-    vertices, avoiding the covering edges. That search is the fail-first
-    kernel that :func:`~diraclab.matchpower.find_perfect_matching` runs, so
-    the noncovering matching is the first one it finds. All candidate edges
-    avoid `forbidden`.
+    order, covering matchings are built first, since the roots are the tight
+    constraint: by the edges at the lowest uncovered root, then by the free
+    edges after the last one taken, so each set of non-root edges is tried
+    once. One loop walks a stack of lazy candidate frames in the depth-first
+    preorder of that branching, so charges and budget stops follow it. Each
+    complete covering is finished by a perfect-matching search on its
+    non-root vertices, avoiding the covering edges. That search is the
+    fail-first kernel that :func:`~diraclab.matchpower.find_perfect_matching`
+    runs, so the noncovering matching is the first one it finds. All
+    candidate edges avoid `forbidden`.
 
     The budget counts edges tried, in the covering enumeration and in the
     non-root searches alike (plus the one node of the order-0 lookup).
@@ -424,76 +420,68 @@ def find_rooted_absorber(
                 f"budget of {budget} nodes exhausted searching order <= {Q}", "budget"
             )
 
-    def accept(A: Absorber) -> Absorber | None:
+    def accept(A: Absorber) -> bool:
         ok, reason = verify_absorber(A, G)
         if not ok:
             raise DiracLabError(f"rooted search built a broken absorber: {reason}")
-        if require_sparse is not None and not is_k_sparse(A, require_sparse):
-            return None
-        return A
+        return require_sparse is None or is_k_sparse(A, require_sparse)
 
     # host edges avoiding `forbidden`, listed on first need: coverings that
     # stay on the roots' incidence lists never use them
     free: list[tuple[int, ...]] = []
-
-    def rec(
-        a: int, chosen: list[tuple[int, ...]], covered: set[int], start: int
-    ) -> Absorber | None:
-        """Extend a partial covering of `a` edges. Edges at the lowest
-        uncovered root come first; once every root is covered, the covering
-        goes on with free edges from position `start` up, so each set of
-        non-root edges is tried once."""
-        if len(chosen) == a:
-            if not root_set <= covered:
-                return None
-            left = None if budget is None else budget - nodes + 1
-            status, pm, used = _pm_within(G, covered - root_set, left, frozenset(chosen))
-            # the kernel counts its root call as a node and stops at left + 1,
-            # so this charge raises exactly when the kernel hit the budget
-            charge(used - 1)
-            if status != "perfect":
-                return None
-            return accept(Absorber(roots, Matching.from_edges(chosen), Matching.from_edges(pm)))
-        if root_set <= covered:
-            if not free:
-                free.extend(e for e in G.edges if forb.isdisjoint(e))
-            pool, positions, blocked = free, range(start, len(free)), covered
-        else:
-            pivot = min(x for x in roots if x not in covered)
-            pool, positions, blocked = G.edges, G.incident[pivot], covered | forb
-        for p in positions:
-            e = pool[p]
-            if not blocked.isdisjoint(e):
-                continue
+    for order in range(max(0, min_order), Q + 1):
+        if order % k:
+            continue
+        if order == 0:
+            # the only order-0 absorber is the root tuple itself as an edge
             charge(1)
-            chosen.append(e)
-            covered.update(e)
-            got = rec(a, chosen, covered, p + 1 if pool is free else 0)
-            if got is not None:
-                return got
-            chosen.pop()
-            covered.difference_update(e)
-        return None
-
-    try:
-        for order in range(max(0, min_order), Q + 1):
-            if order % k:
-                continue
-            if order == 0:
-                # the only order-0 absorber is the root tuple itself as an edge
-                charge(1)
-                edge = tuple(sorted(roots))
-                if edge not in G.edge_set:
+            edge = tuple(sorted(roots))
+            if edge in G.edge_set:
+                A = Absorber(roots, Matching((edge,)), Matching(()))
+                if accept(A):
+                    return A
+            continue
+        a = order // k + 1
+        # one frame (pool, untried positions, blocked vertices) per open node
+        chosen, covered, start, stack = [], set(), 0, []
+        while True:
+            if len(chosen) < a:
+                if root_set <= covered:
+                    if not free:
+                        free.extend(e for e in G.edges if forb.isdisjoint(e))
+                    stack.append((free, iter(range(start, len(free))), covered))
+                else:
+                    pivot = min(x for x in roots if x not in covered)
+                    stack.append((G.edges, iter(G.incident[pivot]), covered | forb))
+            elif root_set <= covered:
+                left = None if budget is None else budget - nodes + 1
+                status, pm, used = _pm_within(G, covered - root_set, left, frozenset(chosen))
+                # the kernel counts its root call as a node and stops at left + 1,
+                # so this charge raises exactly when the kernel hit the budget
+                charge(used - 1)
+                if status == "perfect":
+                    A = Absorber(roots, Matching.from_edges(chosen), Matching.from_edges(pm))
+                    if accept(A):
+                        return A
+            # back up to the deepest frame with an untried candidate; the top
+            # frame's edge is on the path while len(chosen) equals len(stack)
+            while stack:
+                pool, untried, blocked = stack[-1]
+                if len(chosen) == len(stack):
+                    covered.difference_update(chosen.pop())
+                for p in untried:
+                    if blocked.isdisjoint(pool[p]):
+                        break
+                else:
+                    stack.pop()
                     continue
-                found = accept(Absorber(roots, Matching((edge,)), Matching(())))
+                charge(1)
+                chosen.append(pool[p])
+                covered.update(pool[p])
+                start = p + 1 if pool is free else 0
+                break
             else:
-                found = rec(order // k + 1, [], set(), 0)
-            if found is not None:
-                return found
-    finally:
-        # rec reaches itself through its closure; dropping the name breaks
-        # that cycle, so the walk is freed without waiting for a collection
-        del rec
+                break
     raise NotFound(
         f"no absorber of order <= {Q} rooted at {roots}", "exhausted"
     )

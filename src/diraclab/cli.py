@@ -41,7 +41,16 @@ from .errors import (
     TemplateMatchingFailed,
 )
 from .hypercore import Hypergraph, dumps_khg, girth, k_density, read_khg, write_khg
-from .lab import experiment_csv, parse_key_values, read_config, run_experiment, sample_hk, summary_lines
+from .lab import (
+    EXPERIMENTS,
+    dumps_table,
+    experiment_csv,
+    parse_key_values,
+    read_config,
+    run_experiment,
+    sample_hk,
+    summary_lines,
+)
 from .matchpower import (
     Matching,
     dumps_matching,
@@ -109,8 +118,6 @@ def _emit_table(args, name: str, columns, rows) -> None:
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        from .lab import dumps_table
-
         _emit(dumps_table(name, columns, rows), args.out)
 
 
@@ -436,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(func=_cmd_pipeline)
 
     ex = sub.add_parser("experiment", help="seeded experiment batches from a config file")
-    ex.add_argument("kind", choices=("resilience", "inheritance", "load"))
+    ex.add_argument("kind", choices=EXPERIMENTS)
     ex.add_argument("--config", required=True)
     ex.set_defaults(func=_cmd_experiment)
 

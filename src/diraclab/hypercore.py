@@ -427,6 +427,11 @@ class _Dinic:
 
 
 def _density_enumerate(H: Hypergraph) -> DensityResult:
+    """The k-density over every edge subset of at least two edges, walked
+    in the depth-first preorder of include/exclude branching on the edges
+    in order, include first. An exclude step repeats its parent's subset,
+    so only include steps are scored; the best moves on a strict gain only,
+    so the witness is the first best subset in that preorder."""
     masks = H.edge_masks
     m = len(masks)
     if m > _ENUM_BUDGET:
@@ -436,24 +441,21 @@ def _density_enumerate(H: Hypergraph) -> DensityResult:
     k = H.k
     best = Fraction(0)
     best_edges: tuple[int, ...] = ()
-
     chosen: list[int] = []
-
-    def rec(i: int, cnt: int, um: int) -> None:
-        nonlocal best, best_edges
-        if cnt >= 2:
-            val = Fraction(cnt - 1, um.bit_count() - k)
-            if val > best:
-                best = val
-                best_edges = tuple(chosen)
-        if i == m:
-            return
-        chosen.append(i)
-        rec(i + 1, cnt + 1, um | masks[i])
-        chosen.pop()
-        rec(i + 1, cnt, um)
-
-    rec(0, 0, 0)
+    unions, i = [0], 0
+    while i < m or chosen:
+        if i < m:
+            chosen.append(i)
+            unions.append(unions[-1] | masks[i])
+            i += 1
+            if len(chosen) >= 2:
+                val = Fraction(len(chosen) - 1, unions[-1].bit_count() - k)
+                if val > best:
+                    best = val
+                    best_edges = tuple(chosen)
+        else:
+            i = chosen.pop() + 1
+            unions.pop()
     witness = tuple(H.edges[i] for i in best_edges) if best_edges else None
     return DensityResult(best, witness, "enumerate")
 

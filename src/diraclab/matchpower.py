@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapacityError, NotFound, ShapeError, SizeError, SpecError
 from .hypercore import Hypergraph, mask_of
@@ -304,6 +304,11 @@ def _max_matching(
     (best edge-index list, optimal flag, nodes). With ``target`` set, stops as
     soon as a matching of that size appears (the flag then only means the
     search was not cut short by ``budget``).
+
+    One loop walks a stack of frames ``(covered, banned, v, untried edges
+    at v)``; the ban child comes last, so its parent's frame is popped first.
+    Nodes are visited and counted in that branching's depth-first preorder,
+    so node counts, budget stops and matchings follow it.
     """
     if not edges:
         return [], True, 0
@@ -313,42 +318,41 @@ def _max_matching(
     for i, e in enumerate(edges):
         for v in e:
             incident[v].append(i)
-    idle = mask_of(v for v in range(nv) if not incident[v])
 
     best: list[int] = []
     chosen: list[int] = []
     nodes = 0
-    hit = False
-
-    def rec(covered: int, banned: int) -> bool:
-        nonlocal nodes, hit
+    stack: list[tuple[int, int, int, Iterator[int]]] = []
+    covered, banned = 0, mask_of(v for v in range(nv) if not incident[v])
+    while True:
         nodes += 1
         if budget is not None and nodes > budget:
-            hit = True
-            return True
+            return best, False, nodes
         if len(chosen) > len(best):
             best[:] = chosen
             if target is not None and len(best) >= target:
-                return True
+                return best, True, nodes
         blocked = covered | banned
-        active = nv - blocked.bit_count()
         want = len(best) + 1 if target is None else min(target, len(best) + 1)
-        if len(chosen) + active // k < want:
-            return False
         free = ~blocked & ((1 << nv) - 1)
-        if not free:
-            return False
-        v = (free & -free).bit_length() - 1
-        for i in incident[v]:
+        if free and len(chosen) + (nv - blocked.bit_count()) // k >= want:
+            v = (free & -free).bit_length() - 1
+            stack.append((covered, banned, v, iter(incident[v])))
+        if not stack:
+            return best, True, nodes
+        # the top frame's edge is on the path while len(chosen) equals len(stack)
+        covered, banned, v, untried = stack[-1]
+        if len(chosen) == len(stack):
+            chosen.pop()
+        blocked = covered | banned
+        for i in untried:
             if not masks[i] & blocked:
                 chosen.append(i)
-                if rec(covered | masks[i], banned):
-                    return True
-                chosen.pop()
-        return rec(covered, banned | (1 << v))
-
-    rec(0, idle)
-    return best, not hit, nodes
+                covered |= masks[i]
+                break
+        else:
+            stack.pop()
+            banned |= 1 << v
 
 
 def max_matching(H: Hypergraph, mode: str = "exact", budget: int | None = None) -> MaxMatchingResult:
@@ -485,22 +489,22 @@ def _augment_all(
     ``banned``) by one augmenting path per left vertex in ``order``, which
     must be the unmatched ones. False as soon as one has no augmenting path:
     then no matching avoiding ``banned`` saturates the left vertices, from
-    whichever matching the search started."""
+    whichever matching the search started. Each path search counts the
+    ``banned`` vertices as seen."""
+    return all(_augment(adj, partner, a, set(banned)) for a in order)
 
-    def augment(a: int, seen: set[int]) -> bool:
-        for b in adj[a]:
-            if b in banned or b in seen:
-                continue
-            seen.add(b)
-            if b not in partner or augment(partner[b], seen):
-                partner[b] = a
-                return True
-        return False
 
-    for a in order:
-        if not augment(a, set()):
-            return False
-    return True
+def _augment(adj: Sequence[Sequence[int]], partner: dict[int, int], a: int, seen: set[int]) -> bool:
+    """Flip an augmenting path from left vertex ``a`` into ``partner``, found
+    depth first in ``adj`` order past the right vertices in ``seen``."""
+    for b in adj[a]:
+        if b in seen:
+            continue
+        seen.add(b)
+        if b not in partner or _augment(adj, partner, partner[b], seen):
+            partner[b] = a
+            return True
+    return False
 
 
 def match_into_flexible(

@@ -264,26 +264,26 @@ def lift_k_partite(R: BipartiteTemplate, k: int) -> LiftResult:
 
 def find_independent_set(H: Hypergraph, t: int) -> tuple[int, ...] | None:
     """Exact search for t vertices spanning no edge of H; None if there is
-    no such set. Straight include/exclude branching with a count prune."""
+    no such set. Include/exclude branching with a count prune, walked in
+    depth-first preorder, include first: a dead node (too few vertices left)
+    backs up to the last vertex taken and excludes it, so the set found is
+    the first in that order."""
     masks = H.edge_masks
-
-    def rec(v: int, chosen: list[int], cmask: int) -> tuple[int, ...] | None:
-        if len(chosen) == t:
-            return tuple(chosen)
-        if len(chosen) + (H.n - v) < t:
+    chosen: list[int] = []
+    cmask = v = 0
+    while len(chosen) != t:
+        if v < H.n and len(chosen) + (H.n - v) >= t:
+            take = cmask | (1 << v)
+            if all(m & take != m for m in masks):
+                chosen.append(v)
+                cmask = take
+            v += 1
+        elif chosen:
+            cmask ^= 1 << chosen[-1]
+            v = chosen.pop() + 1
+        else:
             return None
-        if v == H.n:
-            return None
-        take = cmask | (1 << v)
-        if all(m & take != m for m in masks):
-            chosen.append(v)
-            got = rec(v + 1, chosen, take)
-            if got is not None:
-                return got
-            chosen.pop()
-        return rec(v + 1, chosen, cmask)
-
-    return rec(0, [], 0)
+    return tuple(chosen)
 
 
 _OVERLAY_EXACT_CAP = 24

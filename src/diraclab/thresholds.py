@@ -67,22 +67,18 @@ class ThresholdRecord:
 
 
 def _perfect_matching_masks(n: int, k: int, edge_index: dict) -> list[int]:
-    """Edge-index bitmasks of every perfect matching of the complete k-graph."""
-    out: list[int] = []
-
-    def rec(remaining: tuple[int, ...], acc: int) -> None:
-        if not remaining:
-            out.append(acc)
-            return
-        v = remaining[0]
-        rest = remaining[1:]
-        for tail in combinations(rest, k - 1):
-            e = (v,) + tail
-            left = tuple(u for u in rest if u not in tail)
-            rec(left, acc | (1 << edge_index[e]))
-
-    rec(tuple(range(n)), 0)
-    return out
+    """Edge-index bitmasks of every perfect matching of the complete k-graph,
+    grown one edge per round by every edge at each matching's lowest uncovered
+    vertex. Every leaf sits at depth n/k, so the list comes out in the
+    depth-first order of a search that branches the same way."""
+    partial = [(tuple(range(n)), 0)]
+    for _ in range(n // k):
+        partial = [
+            (tuple(u for u in left[1:] if u not in tail), acc | 1 << edge_index[left[:1] + tail])
+            for left, acc in partial
+            for tail in combinations(left[1:], k - 1)
+        ]
+    return [acc for left, acc in partial if not left]
 
 
 def _incidence_masks(all_edges: list, n: int, d: int) -> list[int]:
@@ -293,6 +289,8 @@ def parity_barrier_set(n: int, k: int, d: int) -> tuple[int, ...]:
         raise SizeError(f"k={k} must divide n={n}")
     if not 1 <= d < k:
         raise SizeError(f"need 1 <= d < k, got d={d}, k={k}")
+    if n < k:
+        raise SizeError(f"need n >= k, got n={n}, k={k}")
     half = n // 2
     if half % 2 == 1:
         sizes = [half]

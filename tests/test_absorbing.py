@@ -6,6 +6,7 @@ the stock patterns are pinned to their known cage values.
 """
 
 import gc
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -525,6 +526,33 @@ def test_rooted_search_least_budget_pinned(H, roots, kwargs, result, least):
     assert outcome(None) == result
     assert outcome(least) == result
     assert outcome(least - 1) == "budget"
+
+
+# Every outcome of a grid of rooted searches, hashed: the absorber's two
+# matchings, or the NotFound reason and message. The walk's branching order,
+# node charges and budget stops all show in it.
+PIN_HOSTS = [
+    seeded_subgraph(n, 3, p, seed=s)
+    for n, p in ((9, 0.2), (9, 0.4), (9, 0.7), (12, 0.1), (12, 0.25))
+    for s in range(4)
+]
+
+
+def test_rooted_search_outcomes_pinned():
+    outcomes = []
+    for H in PIN_HOSTS:
+        for roots in ROOT_TUPLES:
+            for Q in (0, 3, 6):
+                for budget in (None, 3, 20, 150, 1000):
+                    for kwargs in ({}, {"forbidden": (6, 7)}, {"require_sparse": 4}):
+                        try:
+                            A = find_rooted_absorber(H, roots, Q, budget=budget, **kwargs)
+                            outcomes.append(f"{A.covering.edges}|{A.noncovering.edges}")
+                        except NotFound as exc:
+                            outcomes.append(f"{exc.reason}|{exc}")
+    assert len(outcomes) == 2700
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "4abd969d579ad6a6837cba8cf054ef055660c98f440950bb71d7d768f46de586"
 
 
 def test_rooted_search_raises_on_failed_verification(monkeypatch):

@@ -53,6 +53,13 @@ class TestGen:
         run(capsys, "--out", str(out), "gen", "parity", "--n", "12", "--k", "3", "--d", "1")
         assert find_perfect_matching(read_khg(out)).status == "none"
 
+    def test_empty_parity_barrier_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "p.khg"
+        code, _, err = run(capsys, "--out", str(out), "gen", "parity", "--n", "0", "--k", "2", "--d", "1")
+        assert code == 2
+        assert err.startswith("error:") and "need n >= k" in err
+        assert not out.exists()
+
     def test_stdout_default(self, capsys):
         code, out, _ = run(capsys, "gen", "complete", "--n", "6", "--k", "3")
         assert code == 0

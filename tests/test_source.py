@@ -92,3 +92,25 @@ def test_budgeted_loops_are_the_known_four():
         "matchpower._max_matching",
         "matchpower._pm_searcher",
     }
+
+
+def test_no_nested_function_calls_itself():
+    # a nested function that names itself holds a cell pointing back at
+    # itself, so every call leaves a reference cycle for the collector;
+    # searches are loops over explicit stacks, or module-level functions
+    found = set()
+    for path in sorted(Path(diraclab.__file__).parent.glob("*.py")):
+        todo = [(path.stem, ast.parse(path.read_text(encoding="utf-8")), False)]
+        while todo:
+            prefix, node, in_function = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    todo.append((prefix, child, in_function))
+                    continue
+                name = f"{prefix}.{child.name}"
+                if in_function and any(
+                    isinstance(n, ast.Name) and n.id == child.name for n in ast.walk(child)
+                ):
+                    found.add(name)
+                todo.append((name, child, isinstance(child, ast.FunctionDef)))
+    assert found == set()

@@ -336,6 +336,14 @@ def test_parity_barrier_small_case_edges():
     assert sorted(inside) == [0] + [2] * 9
 
 
+def test_parity_barrier_needs_n_at_least_k():
+    # n = 0 passes the divisibility check but leaves no odd set size
+    with pytest.raises(SizeError, match="need n >= k, got n=0, k=2"):
+        parity_barrier_set(0, 2, 1)
+    with pytest.raises(SizeError, match="need n >= k, got n=0, k=3"):
+        verify_threshold_sandwich(0, 3, 1)
+
+
 def test_parity_barrier_set_is_deterministic():
     assert parity_barrier_set(12, 3, 1) == parity_barrier_set(12, 3, 1)
     a = len(parity_barrier_set(12, 3, 1))

@@ -22,7 +22,7 @@ __all__ = [
     "Matching",
     "MatchResult",
     "MaxMatchingResult",
-    "AHResult",
+    "SweepReport",
     "BlockReport",
     "find_perfect_matching",
     "max_matching",
@@ -97,18 +97,19 @@ class MaxMatchingResult:
 
 
 @dataclass(frozen=True)
-class AHResult:
-    """Outcome of the set-family matching condition check.
+class SweepReport:
+    """Outcome of a first-violation sweep over candidate sets.
 
-    ``holds`` is the verdict; ``violating`` names the first index set whose
-    union lacks the required matching (None when the condition holds).
-    ``mode`` records whether every subset was checked or only a sample.
+    ``ok`` says whether every candidate checked passed; ``violating`` is the
+    first that did not (None when ok). ``checked`` counts the candidates
+    tried and ``mode`` says whether they were all of them ("exhaustive") or
+    a seeded sample ("sampled").
     """
 
-    holds: bool
+    ok: bool
     violating: tuple[int, ...] | None
+    checked: int
     mode: str
-    subsets_checked: int
 
 
 @dataclass(frozen=True)
@@ -379,30 +380,60 @@ def max_matching(H: Hypergraph, mode: str = "exact", budget: int | None = None) 
     )
 
 
+def _sweep(
+    holds: Callable[[tuple[int, ...]], bool],
+    mode: str,
+    every: Iterable[tuple[int, ...]],
+    draw: Callable[[], tuple[int, ...]] | None,
+    samples: int,
+) -> SweepReport:
+    """The first-violation sweep behind :func:`aharoni_haxell_holds` and
+    the two template removal checks.
+
+    Mode "exhaustive" walks the candidates of ``every``; mode "sampled"
+    makes ``samples`` calls of ``draw``, one per candidate, and none when
+    ``draw`` is None. A caller with nothing to check passes no candidates
+    and no ``draw``, so its arguments are still checked and the report is
+    ok after 0 candidates. The sweep stops at the first candidate that
+    fails ``holds``. Both sources are consumed lazily, so the candidates,
+    their order and every random draw are the caller's own.
+    """
+    if samples < 0:
+        raise SizeError(f"samples must be nonnegative, got {samples}")
+    if mode not in ("exhaustive", "sampled"):
+        raise SizeError(f"unknown mode {mode!r}")
+    if mode == "sampled":
+        every = (draw() for _ in range(samples if draw else 0))
+    checked = 0
+    for C in every:
+        checked += 1
+        if not holds(C):
+            return SweepReport(False, C, checked, mode)
+    return SweepReport(True, None, checked, mode)
+
+
 _AH_EXACT_CAP = 12
 
 
 def aharoni_haxell_holds(
     links: Sequence[Hypergraph],
     kprime: int | None = None,
-    mode: str = "exact",
+    mode: str = "exhaustive",
     samples: int = 200,
     seed: int = 0,
     budget: int | None = None,
-) -> AHResult:
+) -> SweepReport:
     """Check the matching condition that guarantees disjoint representatives.
 
     The condition: for every nonempty index set I, the union of the chosen
-    link graphs must contain a matching larger than k' * (|I| - 1). Exact mode
-    sweeps all nonempty subsets in (size, lex) order and reports the first
-    violator; it is capped at 12 families. Sampled mode checks ``samples``
-    random nonempty subsets and is evidence, not proof.
+    link graphs must contain a matching larger than k' * (|I| - 1).
+    Exhaustive mode sweeps all nonempty subsets in (size, lex) order and
+    reports the first violator; it is capped at 12 families. Sampled mode
+    checks ``samples`` random nonempty subsets and is evidence, not proof.
     """
-    if samples < 0:
-        raise SizeError(f"samples must be nonnegative, got {samples}")
     t = len(links)
     if t == 0:
-        return AHResult(True, None, mode, 0)
+        return _sweep(bool, mode, (), None, samples)
     k = links[0].k if kprime is None else kprime
     n = max(L.n for L in links)
     for L in links:
@@ -417,26 +448,23 @@ def aharoni_haxell_holds(
         sel, _, _ = _max_matching(edges, n, target=need, budget=budget)
         return len(sel) >= need
 
-    if mode == "exact":
+    def subsets() -> Iterator[tuple[int, ...]]:
+        # the cap raises once the sweep starts walking, after its own checks
         if t > _AH_EXACT_CAP:
             raise CapacityError(
-                f"exact subset sweep limited to {_AH_EXACT_CAP} families, got {t}"
+                f"exhaustive subset sweep limited to {_AH_EXACT_CAP} families, got {t}"
             )
-        checked = 0
         for size in range(1, t + 1):
-            for I in combinations(range(t), size):
-                checked += 1
-                if not satisfied(I):
-                    return AHResult(False, I, "exact", checked)
-        return AHResult(True, None, "exact", checked)
-    if mode == "sampled":
-        rng = random.Random(seed)
-        for j in range(samples):
-            I = tuple(sorted(rng.sample(range(t), rng.randint(1, t))))
-            if not satisfied(I):
-                return AHResult(False, I, "sampled", j + 1)
-        return AHResult(True, None, "sampled", samples)
-    raise SpecError(f"unknown mode {mode!r}")
+            yield from combinations(range(t), size)
+
+    rng = random.Random(seed)
+    return _sweep(
+        satisfied,
+        mode,
+        subsets(),
+        lambda: tuple(sorted(rng.sample(range(t), rng.randint(1, t)))),
+        samples,
+    )
 
 
 def find_disjoint_representatives(
@@ -517,6 +545,8 @@ def match_into_flexible(
     resulting matching has exactly |W| edges, each with one vertex in W.
     """
     ws = sorted(set(W))
+    if ws and not (0 <= ws[0] and ws[-1] < G.n):
+        raise SizeError("vertices of W out of range")
     zs = frozenset(Z)
     if zs.intersection(ws):
         raise SizeError("W and Z must be disjoint")
@@ -546,6 +576,8 @@ def blockwise_almost_perfect(
     order = sorted(set(verts)) if verts is not None else list(range(H.n))
     if order and not (0 <= order[0] and order[-1] < H.n):
         raise SizeError("block vertices out of range")
+    if Q < 1:
+        raise SizeError(f"block size must be positive, got {Q}")
     if Q % H.k != 0:
         raise SizeError(f"block size {Q} must be divisible by k={H.k}")
     if Q > len(order):

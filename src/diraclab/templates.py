@@ -31,13 +31,12 @@ from .errors import (
     TemplateMatchingFailed,
 )
 from .hypercore import Hypergraph, mask_of, read_khg, write_khg
-from .matchpower import Matching, _augment_all, _pm_searcher
+from .matchpower import Matching, SweepReport, _augment_all, _pm_searcher, _sweep
 
 __all__ = [
     "BipartiteTemplate",
     "LiftResult",
     "ResilientTemplate",
-    "TemplateReport",
     "AbsorbingStructure",
     "search_montgomery",
     "verify_montgomery",
@@ -99,22 +98,6 @@ class BipartiteTemplate:
         return tuple(range(5 * self.s, 7 * self.s))
 
 
-@dataclass(frozen=True)
-class TemplateReport:
-    """Outcome of a removal sweep over a template's flexible set.
-
-    ``ok`` says whether every removal checked kept the required matching;
-    ``violating`` is the first removal that did not (None when ok).
-    ``checked`` counts the removals tried and ``mode`` says whether they
-    were all of them ("exhaustive") or a seeded sample ("sampled").
-    """
-
-    ok: bool
-    violating: tuple[int, ...] | None
-    checked: int
-    mode: str
-
-
 def _adjacency(R: BipartiteTemplate) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(3 * R.s)]
     for x, w in R.edges:
@@ -127,7 +110,7 @@ _MONTGOMERY_EXHAUSTIVE_CAP = 10 ** 6
 
 def verify_montgomery(
     R: BipartiteTemplate, mode: str = "auto", samples: int = 2000, seed: int = 0
-) -> TemplateReport:
+) -> SweepReport:
     """Check that every s-removal from Z leaves an X-saturating matching.
 
     Exhaustive over all C(2s, s) removals while that count stays under a
@@ -136,15 +119,11 @@ def verify_montgomery(
     removal starts from the previous removal's matching; saturation does
     not depend on the starting matching, so neither does the report.
     """
-    if samples < 0:
-        raise SizeError(f"samples must be nonnegative, got {samples}")
     s = R.s
     adj = _adjacency(R)
     total = comb(2 * s, s)
     if mode == "auto":
         mode = "exhaustive" if total <= _MONTGOMERY_EXHAUSTIVE_CAP else "sampled"
-    if mode not in ("exhaustive", "sampled"):
-        raise SizeError(f"unknown mode {mode!r}")
     # each removal unmatches only the partners of its own vertices, and only
     # those are augmented again
     partner: dict[int, int] = {}
@@ -156,20 +135,15 @@ def verify_montgomery(
         unmatched.clear()
         return ok
 
-    if mode == "exhaustive":
-        checked = 0
-        for D in combinations(R.Z, s):
-            checked += 1
-            if not saturated(D):
-                return TemplateReport(False, D, checked, "exhaustive")
-        return TemplateReport(True, None, checked, "exhaustive")
     rng = random.Random(seed)
     Z = list(R.Z)
-    for i in range(samples):
-        D = tuple(sorted(rng.sample(Z, s)))
-        if not saturated(D):
-            return TemplateReport(False, D, i + 1, "sampled")
-    return TemplateReport(True, None, samples, "sampled")
+    return _sweep(
+        saturated,
+        mode,
+        combinations(R.Z, s),
+        lambda: tuple(sorted(rng.sample(Z, s))),
+        samples,
+    )
 
 
 def search_montgomery(
@@ -268,6 +242,8 @@ def find_independent_set(H: Hypergraph, t: int) -> tuple[int, ...] | None:
     depth-first preorder, include first: a dead node (too few vertices left)
     backs up to the last vertex taken and excludes it, so the set found is
     the first in that order."""
+    if t < 0:
+        raise SizeError(f"set size must be nonnegative, got {t}")
     masks = H.edge_masks
     chosen: list[int] = []
     cmask = v = 0
@@ -444,7 +420,7 @@ def feasible_removals(T: ResilientTemplate) -> list[int]:
 
 def verify_resilient_template(
     T: ResilientTemplate, mode: str = "auto", samples: int = 500, seed: int = 0
-) -> TemplateReport:
+) -> SweepReport:
     """Sweep removals W from Z and demand a perfect matching every time.
 
     mode "exhaustive" forces the full sweep, "sampled" forces sampling,
@@ -453,41 +429,27 @@ def verify_resilient_template(
     """
     if any(not 0 <= z < T.T.n for z in T.Z):
         raise SizeError("flexible set reaches outside the template's vertices")
-    if samples < 0:
-        raise SizeError(f"samples must be nonnegative, got {samples}")
     sizes = feasible_removals(T)
     total = sum(comb(T.r, j) for j in sizes)
     if mode == "auto":
         mode = "exhaustive" if total <= _TEMPLATE_EXHAUSTIVE_CAP else "sampled"
-    if mode not in ("exhaustive", "sampled"):
-        raise SizeError(f"unknown mode {mode!r}")
     if not sizes:
-        return TemplateReport(True, None, 0, mode)
+        return _sweep(bool, mode, (), None, samples)
     # Search T itself with W already covered: the same branching as on the
     # induced copy, whose relabelling keeps the vertex and edge order. One
     # searcher, set up once, and one dead-state memo serve every removal,
     # since a dead mask says nothing about which part of it was W.
     search = _pm_searcher(T.T.edges, T.T.n)
     dead: set[int] = set()
-
-    def survives(W: tuple[int, ...]) -> bool:
-        return search(mask_of(W), dead)[0] == "perfect"
-
-    if mode == "exhaustive":
-        checked = 0
-        for j in sizes:
-            for W in combinations(T.Z, j):
-                checked += 1
-                if not survives(W):
-                    return TemplateReport(False, W, checked, "exhaustive")
-        return TemplateReport(True, None, checked, "exhaustive")
     rng = random.Random(seed)
-    for i in range(samples):
-        j = rng.choice(sizes)
-        W = tuple(sorted(rng.sample(list(T.Z), j)))
-        if not survives(W):
-            return TemplateReport(False, W, i + 1, "sampled")
-    return TemplateReport(True, None, samples, "sampled")
+    Z = list(T.Z)
+    return _sweep(
+        lambda W: search(mask_of(W), dead)[0] == "perfect",
+        mode,
+        (W for j in sizes for W in combinations(T.Z, j)),
+        lambda: tuple(sorted(rng.sample(Z, rng.choice(sizes)))),
+        samples,
+    )
 
 
 # ---------------------------------------------------------------------------

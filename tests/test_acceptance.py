@@ -366,7 +366,7 @@ def test_criterion_08_condition_always_yields_representatives():
             )
             for _ in range(t)
         ]
-        if not aharoni_haxell_holds(links).holds:
+        if not aharoni_haxell_holds(links).ok:
             continue
         holders += 1
         reps = find_disjoint_representatives(links)

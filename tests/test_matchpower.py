@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 from itertools import combinations
@@ -26,7 +27,16 @@ from diraclab.matchpower import (
     parse_matching,
     verify_matching,
 )
-from diraclab.templates import build_resilient_template, feasible_removals
+from diraclab.templates import (
+    BipartiteTemplate,
+    ResilientTemplate,
+    build_resilient_template,
+    compact_template,
+    feasible_removals,
+    search_montgomery,
+    verify_montgomery,
+    verify_resilient_template,
+)
 from diraclab.thresholds import parity_barrier, space_barrier
 
 from conftest import seeded_subgraph, small_hypergraph
@@ -552,13 +562,13 @@ def test_max_matching_size_relabeling_invariant(H, rng):
 def test_ah_single_family_holds():
     L = Hypergraph.from_edges(4, 2, [(0, 1)])
     res = aharoni_haxell_holds([L], kprime=2)
-    assert res.holds and res.violating is None and res.mode == "exact"
+    assert res.ok and res.violating is None and res.mode == "exhaustive"
 
 
 def test_ah_duplicate_family_fails():
     L = Hypergraph.from_edges(4, 2, [(0, 1)])
     res = aharoni_haxell_holds([L, L], kprime=2)
-    assert not res.holds
+    assert not res.ok
     assert res.violating == (0, 1)
 
 
@@ -568,8 +578,8 @@ def test_ah_disjoint_supports_hold():
         for i in range(3)
     ]
     res = aharoni_haxell_holds(links, kprime=2)
-    assert res.holds
-    assert res.subsets_checked == 7
+    assert res.ok
+    assert res.checked == 7
 
 
 def test_ah_exact_cap():
@@ -578,13 +588,71 @@ def test_ah_exact_cap():
         aharoni_haxell_holds([L] * 13, kprime=2)
     res = aharoni_haxell_holds([L] * 13, kprime=2, mode="sampled", samples=50, seed=3)
     assert res.mode == "sampled"
-    assert not res.holds  # duplicates violate even a sampled sweep quickly
+    assert not res.ok  # duplicates violate even a sampled sweep quickly
 
 
 def test_ah_negative_samples_rejected():
     L = Hypergraph.from_edges(4, 2, [(0, 1)])
     with pytest.raises(SizeError, match="samples"):
         aharoni_haxell_holds([L, L], kprime=2, mode="sampled", samples=-3)
+
+
+def _pinned_link_families(t, seed):
+    rng = random.Random(100 * t + seed)
+    n = 2 * t + rng.randint(0, 2 * t)
+    p = rng.uniform(0.1, 0.6)
+    return [
+        Hypergraph.from_edges(n, 2, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for _ in range(t)
+    ]
+
+
+def _thinned(R):
+    edges = R.edges[::2]
+    deg: dict[int, int] = {}
+    for x, w in edges:
+        deg[x] = deg.get(x, 0) + 1
+        deg[w] = deg.get(w, 0) + 1
+    return BipartiteTemplate(R.s, edges, max(deg.values()))
+
+
+def test_sweep_outcomes_are_pinned():
+    # (ok, violating, checked, mode) of the subset condition and both
+    # template removal checks, in both modes, with passing and failing
+    # candidates at many points of the sweep; a change to the candidate
+    # order or to the random draws changes the digest
+    reports = []
+    for t in range(1, 7):
+        for fs in range(5):
+            links = _pinned_link_families(t, fs)
+            reports.append(aharoni_haxell_holds(links))
+            for samples in (0, 1, 7, 50):
+                for seed in range(5):
+                    reports.append(
+                        aharoni_haxell_holds(links, mode="sampled", samples=samples, seed=seed)
+                    )
+    L = Hypergraph.from_edges(4, 2, [(0, 1)])
+    reports.append(aharoni_haxell_holds([L] * 13, kprime=2, mode="sampled", samples=50, seed=3))
+    for s in (2, 3, 4):
+        for seed in (0, 1, 2):
+            R = search_montgomery(s, 4, seed=seed)
+            for B in (R, _thinned(R)):
+                reports.append(verify_montgomery(B, mode="exhaustive"))
+                reports.append(verify_montgomery(B, mode="sampled", samples=100, seed=seed))
+    Ts = [build_resilient_template(r, 3, seed=0) for r in range(6, 10)]
+    Ts += [compact_template(6, 3), ResilientTemplate(3, Hypergraph.empty(6, 3), tuple(range(6)), {})]
+    Ts += [ResilientTemplate(3, Hypergraph(T.T.n, 3, T.T.edges[::2]), T.Z, {}) for T in Ts[:4]]
+    for T in Ts:
+        reports.append(verify_resilient_template(T, mode="exhaustive"))
+        for seed in (0, 1):
+            reports.append(verify_resilient_template(T, mode="sampled", samples=40, seed=seed))
+    outcomes = [(r.ok, r.violating, r.checked, r.mode) for r in reports]
+    assert len(outcomes) == 697
+    assert {o[::3] for o in outcomes} == {
+        (ok, mode) for ok in (True, False) for mode in ("exhaustive", "sampled")
+    }
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "346c76cee9fbf30d747fa0f52eb21acb54b070f10fcb5fab772447daa494404b"
 
 
 def test_representatives_disjoint_supports():
@@ -619,7 +687,7 @@ def test_ah_true_implies_representatives(t, seed):
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.35]
         links.append(Hypergraph.from_edges(n, 2, edges))
     res = aharoni_haxell_holds(links, kprime=2)
-    if res.holds:
+    if res.ok:
         reps = find_disjoint_representatives(links)
         assert len(reps) == t
         seen = set()
@@ -728,6 +796,15 @@ def test_match_into_flexible_rejects_overlap():
         match_into_flexible(G, W=[0], Z=[0, 1, 2])
 
 
+@pytest.mark.parametrize("w", [9, -1])
+def test_match_into_flexible_rejects_vertices_outside_the_host(w):
+    # 9 used to raise IndexError and -1 to read vertex 8's link, failing
+    # the representative search instead of the call
+    G = Hypergraph.complete(9, 3)
+    with pytest.raises(SizeError, match="out of range"):
+        match_into_flexible(G, W=[0, w], Z=range(1, 7))
+
+
 def test_match_into_flexible_edge_shape():
     G = Hypergraph.complete(12, 3)
     W, Z = [0, 1, 2], [5, 6, 7, 8, 9, 10, 11]
@@ -802,6 +879,14 @@ def test_blockwise_validates_block_size():
         blockwise_almost_perfect(H, Q=5, seed=0)
     with pytest.raises(SizeError):
         blockwise_almost_perfect(H, Q=12, seed=0)
+
+
+@pytest.mark.parametrize("Q", [0, -3])
+def test_blockwise_rejects_nonpositive_block_size(Q):
+    # 0 used to divide by zero and -3 to report every vertex covered by an
+    # empty matching
+    with pytest.raises(SizeError, match="positive"):
+        blockwise_almost_perfect(Hypergraph.complete(9, 3), Q=Q, seed=0)
 
 
 def test_blockwise_deterministic():

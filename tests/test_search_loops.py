@@ -14,6 +14,7 @@ import pytest
 import recursive_searches as old
 from conftest import seeded_subgraph
 
+from diraclab.errors import SizeError
 from diraclab.hypercore import Hypergraph, _density_enumerate, k_density
 from diraclab.matchpower import _max_matching, aharoni_haxell_holds, bipartite_matching, max_matching
 from diraclab.templates import find_independent_set, search_montgomery, verify_montgomery
@@ -47,8 +48,15 @@ def test_max_matching_matches_the_recursion():
 
 def test_independent_set_matches_the_recursion():
     for H in HOSTS:
-        for t in range(-1, H.n + 2):
+        for t in range(0, H.n + 2):
             assert find_independent_set(H, t) == old.find_independent_set(H, t), (H, t)
+
+
+def test_independent_set_rejects_negative_size():
+    # no chosen set reaches a negative size, so the search used to walk every
+    # include/exclude branch and return None
+    with pytest.raises(SizeError, match="nonnegative"):
+        find_independent_set(HOSTS[0], -1)
 
 
 def test_enumerated_density_matches_the_recursion():

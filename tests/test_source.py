@@ -114,3 +114,17 @@ def test_no_nested_function_calls_itself():
                     found.add(name)
                 todo.append((name, child, isinstance(child, ast.FunctionDef)))
     assert found == set()
+
+
+def test_one_report_type_names_a_violating_candidate():
+    # the subset condition and both template removal checks report through
+    # one sweep; a second report type for the same facts must not return
+    found = []
+    for path in sorted(Path(diraclab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name) and f.target.id == "violating"
+                for f in node.body
+            ):
+                found.append(f"{path.stem}.{node.name}")
+    assert found == ["matchpower.SweepReport"]

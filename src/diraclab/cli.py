@@ -158,14 +158,14 @@ def _cmd_mdk(args) -> int:
     routes = ("pruned", "unpruned") if args.route == "both" else (args.route,)
     witness_file = f"{args.out}.witness.khg" if args.out else ""
     rows = []
-    values = set()
+    outcomes = set()
     witness = None
     for route in routes:
         tick = time.perf_counter()
         rec = exact_dirac_threshold(args.n, args.k, args.d, route=route)
         seconds = time.perf_counter() - tick
-        values.add(rec.m_value)
         witness = rec.extremal_witness
+        outcomes.add((rec.m_value, witness.edges))
         ratio = Fraction(rec.m_value, comb(args.n - args.d, args.k - args.d))
         rows.append(
             (
@@ -179,8 +179,10 @@ def _cmd_mdk(args) -> int:
                 f"{seconds:.3f}",
             )
         )
-    if len(values) != 1:
-        print(f"route disagreement: m values {sorted(values)}", file=sys.stderr)
+    if len(outcomes) != 1:
+        values = sorted({m for m, _ in outcomes})
+        why = f"m values {values}" if len(values) > 1 else "witnesses differ"
+        print(f"route disagreement: {why}", file=sys.stderr)
         return 1
     if args.out and witness is not None:
         write_khg(witness, witness_file, comment=f"extremal witness for n={args.n} k={args.k} d={args.d}")

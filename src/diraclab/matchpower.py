@@ -192,14 +192,15 @@ def _pm_searcher(
     Links, read off with one popcount each). ``avail`` holds the edges that
     avoid every covered column, and ``cur[v]`` is ``inc[v]``, the edges at
     v, while primary column v is uncovered. A covered or secondary column's
-    slot holds ``SENT``, a block of E + 1 bits above the edge bits that
-    ``avail`` always keeps, so its count exceeds any uncovered primary
-    column's and it is never picked. The counts ``popcount(avail & cur[v])``
-    are the lengths of the available-edge lists of a scan over all
-    vertices, and the set bits of ``avail & inc[v]``, low to high, are v's
-    available edges in incidence order; so the column picked (fewest
-    available edges, lowest id on ties), the edge order and every node
-    count are those of that scan.
+    slot holds ``SENT``, a block of bits above the edge bits that ``avail``
+    always keeps. The block is one bit wider than the widest column, so its
+    count exceeds any uncovered primary column's and it is never picked,
+    while the ints ANDed and counted at each node stay close to E bits. The
+    counts ``popcount(avail & cur[v])`` are the lengths of the
+    available-edge lists of a scan over all vertices, and the set bits of
+    ``avail & inc[v]``, low to high, are v's available edges in incidence
+    order; so the column picked (fewest available edges, lowest id on
+    ties), the edge order and every node count are those of that scan.
     """
     E = len(edges)
     cols = max(n, max((e[-1] + 1 for e in edges), default=0))
@@ -211,7 +212,8 @@ def _pm_searcher(
             rows[v][byte] |= bit
     inc = [int.from_bytes(row, "little") for row in rows]
     ninc = [~b for b in inc]
-    SENT = ((1 << (E + 1)) - 1) << E
+    width = max(map(int.bit_count, inc), default=0) + 1
+    SENT = ((1 << width) - 1) << E
     base = inc[:n] + [SENT] * (cols - n)
     full = (1 << n) - 1
     every = (1 << E) - 1 | SENT

@@ -8,9 +8,11 @@ verification, 2 usage errors and unreadable inputs.
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from diraclab import cli
 from diraclab.absorbing import parse_absorber, verify_absorber
 from diraclab.cli import main
 from diraclab.hypercore import Hypergraph, read_khg
@@ -168,6 +170,29 @@ class TestMdk:
         assert code == 2
         assert out == ""
         assert err == f"error: need n >= k, got n={n}, k=2\n"
+
+
+    @pytest.mark.parametrize(
+        "changed,why",
+        [({"m_value": 3}, "m values [2, 3]"), ({"extremal_witness": Hypergraph.empty(4, 2)}, "witnesses differ")],
+        ids=["value", "witness"],
+    )
+    def test_route_disagreement_fails(self, tmp_path, capsys, monkeypatch, changed, why):
+        # the unpruned route is made to return a different value or witness
+        real = cli.exact_dirac_threshold
+
+        def skewed(n, k, d, route="pruned"):
+            rec = real(n, k, d, route=route)
+            return replace(rec, **changed) if route == "unpruned" else rec
+
+        monkeypatch.setattr(cli, "exact_dirac_threshold", skewed)
+        out = tmp_path / "mdk.csv"
+        code, stdout, err = run(capsys, "--out", str(out), "mdk", "--n", "4", "--k", "2", "--d", "1")
+        assert code == 1
+        assert stdout == ""
+        assert err == f"route disagreement: {why}\n"
+        assert not out.exists()
+        assert not (tmp_path / "mdk.csv.witness.khg").exists()
 
 
 class TestTemplateAndAbsorber:

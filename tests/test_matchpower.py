@@ -448,6 +448,17 @@ def test_bitset_kernel_matches_scanning_kernel_on_template_removals(r, seed):
     assert removals > 0
 
 
+def test_bitset_kernel_matches_scanning_kernel_on_two_disjoint_complete_graphs():
+    # once one K_6^(3) is covered, every uncovered column of the other is as
+    # wide as the widest column, so a covered column's slot must count more
+    H = Hypergraph.from_edges(
+        12, 3, [e for e in combinations(range(12), 3) if max(e) < 6 or min(e) >= 6]
+    )
+    for start in (0, mask_of(range(6)), mask_of(range(6, 12))):
+        assert_kernels_agree(H, start)
+    assert find_perfect_matching(H).status == "perfect"
+
+
 def exact_cover_exists(rows: Sequence[tuple[int, ...]], n: int) -> bool:
     """Some set of rows covers each column below n once and every other
     column at most once, by trying every subset of rows."""
@@ -760,6 +771,22 @@ def test_representatives_agree_with_family_order_search():
             used.update(e)
         outcomes["found"] += 1
     assert min(outcomes.values()) >= 100
+
+
+def test_representatives_with_a_secondary_column_widest():
+    # vertex 0 lies in 8 of the 11 rows, twice the widest family's count
+    links = [
+        Hypergraph.from_edges(6, 2, [(0, 1), (0, 2), (0, 3), (4, 5)]),
+        Hypergraph.from_edges(6, 2, [(0, 4), (0, 5), (1, 2)]),
+        Hypergraph.from_edges(6, 2, [(0, 1), (0, 3), (0, 5), (2, 3)]),
+    ]
+    rows = [(f,) + tuple(3 + v for v in e) for f, L in enumerate(links) for e in L.edges]
+    widths = [sum(c in row for row in rows) for c in range(9)]
+    assert widths.index(max(widths)) == 3 and max(widths) == 8
+    assert _pm_searcher(rows, 3)(0, set()) == ("perfect", [6, 3, 8], 7)
+    want = ((4, 5), (1, 2), (0, 3))
+    assert find_disjoint_representatives(links) == want
+    assert _representatives_in_family_order(links) == want
 
 
 def test_one_family_takes_its_first_edge():

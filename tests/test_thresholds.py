@@ -22,6 +22,7 @@ from diraclab.thresholds import (
     _incidence_masks,
     _perfect_matching_masks,
     _sweep_pruned,
+    _sweep_unpruned,
     conjectured_density,
     exact_dirac_threshold,
     parity_barrier,
@@ -196,6 +197,53 @@ def test_walk_matches_full_scan_on_synthetic_inputs():
         kinds.add((total == 1, not pm_masks))
         assert _sweep_pruned(total, pm_masks, inc)[:2] == scan_every_mask(total, pm_masks, inc), seed
     assert kinds == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("n,k,d", [c for c in _FEASIBLE if c[:2] != (6, 3)])
+def test_unpruned_scan_matches_full_scan_on_every_feasible_sweep(n, k, d):
+    # (6, 3) is left to the slow frozen test, which runs both routes there
+    all_edges = list(combinations(range(n), k))
+    idx = {e: i for i, e in enumerate(all_edges)}
+    pm_masks = _perfect_matching_masks(n, k, idx)
+    inc = _incidence_masks(all_edges, n, d)
+    total = 1 << len(all_edges)
+    assert _sweep_unpruned(total, pm_masks, inc) == scan_every_mask(total, pm_masks, inc)
+
+
+def test_unpruned_scan_matches_full_scan_on_synthetic_inputs():
+    for seed in range(300):
+        total, pm_masks, inc = _synthetic_sweep(seed)
+        assert _sweep_unpruned(total, pm_masks, inc) == scan_every_mask(total, pm_masks, inc), seed
+
+
+def _wide_sweep(seed):
+    """17 or 18 edge bits, four matching masks of one or two bits and four
+    degree masks of three to nine bits: past the scan's 2^16-mask chunks."""
+    rng = random.Random(seed)
+    e_total = rng.randint(17, 18)
+    pm_masks = [sum(1 << b for b in rng.sample(range(e_total), rng.randint(1, 2))) for _ in range(4)]
+    inc = [sum(1 << b for b in rng.sample(range(e_total), rng.randint(3, 9))) for _ in range(4)]
+    return 1 << e_total, pm_masks, inc
+
+
+def _last_maximal_mask(total, pm_masks, inc, best):
+    for mask in range(total - 1, -1, -1):
+        if all(mask & pm != pm for pm in pm_masks) and min((mask & s).bit_count() for s in inc) == best:
+            return mask
+
+
+def test_unpruned_scan_matches_full_scan_across_chunks():
+    # the witness must come from the right chunk, and a later chunk that
+    # reaches the maximum again must not replace it
+    late = again = 0
+    for seed in range(6):
+        total, pm_masks, inc = _wide_sweep(seed)
+        best, witness = scan_every_mask(total, pm_masks, inc)
+        assert _sweep_unpruned(total, pm_masks, inc) == (best, witness), seed
+        last = _last_maximal_mask(total, pm_masks, inc, best)
+        late += witness >> 16 > 0
+        again += last >> 16 > witness >> 16
+    assert late >= 4 and again >= 2
 
 
 def test_threshold_rejects_fewer_vertices_than_k():

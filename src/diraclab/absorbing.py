@@ -55,19 +55,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BipartitePattern:
-    """A q-regular bipartite graph with its exact girth attached.
+    """A regular bipartite graph whose degree and girth are read off its
+    edges.
 
     The two sides are indexed independently: left ids run 0..left-1, right
     ids 0..right-1, and edges are (left, right) pairs in lexicographic
-    order. The girth is recomputed at construction, so a pattern object can
-    never carry a stale girth claim.
+    order. The constructor checks the ranges, the order and regularity; the
+    girth is computed on first use and kept.
     """
 
     left: int
     right: int
     edges: tuple[tuple[int, int], ...]
-    degree: int
-    girth: int | float
     provenance: str
 
     def __post_init__(self):
@@ -84,20 +83,23 @@ class BipartitePattern:
             prev = (a, b)
             ldeg[a] += 1
             rdeg[b] += 1
-        if any(d != self.degree for d in ldeg) or any(d != self.degree for d in rdeg):
-            raise ShapeError(f"pattern is not {self.degree}-regular")
-        actual = berge_girth_of([(a, self.left + b) for a, b in self.edges])
-        if actual != self.girth:
-            raise ShapeError(f"declared girth {self.girth} but actual is {actual}")
+        if len(set(ldeg) | set(rdeg)) != 1:
+            raise ShapeError("pattern is not regular")
+
+    @property
+    def degree(self) -> int:
+        return len(self.edges) // self.left
+
+    @cached_property
+    def girth(self) -> int | float:
+        return berge_girth_of([(a, self.left + b) for a, b in self.edges])
 
     @classmethod
     def build(cls, left: int, right: int, edges: Iterable[tuple[int, int]], provenance: str) -> "BipartitePattern":
         es = tuple(sorted(set((a, b) for a, b in edges)))
         if not es:
             raise ShapeError("pattern needs at least one edge")
-        deg = sum(1 for a, _ in es if a == es[0][0])
-        girth = berge_girth_of([(a, left + b) for a, b in es])
-        return cls(left, right, es, deg, girth, provenance)
+        return cls(left, right, es, provenance)
 
 
 def complete_bipartite_pattern(q: int) -> BipartitePattern:

@@ -25,6 +25,7 @@ from .absorbing import (
     find_sparse_r_absorber,
     is_k_sparse,
     parse_absorber,
+    pattern_for,
     verify_absorber,
     verify_r_absorber,
 )
@@ -43,12 +44,12 @@ from .errors import (
 from .hypercore import Hypergraph, dumps_khg, girth, k_density, read_khg, write_khg
 from .lab import (
     EXPERIMENTS,
+    build_host,
     dumps_table,
     experiment_csv,
     parse_key_values,
     read_config,
     run_experiment,
-    sample_hk,
     summary_lines,
 )
 from .matchpower import (
@@ -67,7 +68,7 @@ from .templates import (
     verify_resilient_template,
     write_template,
 )
-from .thresholds import exact_dirac_threshold, parity_barrier, space_barrier
+from .thresholds import exact_dirac_threshold
 
 _USAGE_ERRORS = (FormatError, SizeError, SpecError, ShapeError, CapacityError)
 _SEARCH_FAILURES = (
@@ -79,10 +80,6 @@ _SEARCH_FAILURES = (
 )
 
 MDK_COLUMNS = ("n", "k", "d", "m", "ratio", "witness_file", "graphs_enumerated", "seconds")
-
-# Smallest complete 3-graph hosts known to fit the two-interior contractible
-# shape at these sparsity levels (interior absorber orders 6, 18, 42).
-_CONTRACT_HOST_N = {4: 21, 6: 45, 8: 93}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -126,14 +123,7 @@ def _emit_table(args, name: str, columns, rows) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "random":
-        H = sample_hk(args.n, args.k, args.p, args.seed)
-    elif args.kind == "complete":
-        H = Hypergraph.complete(args.n, args.k)
-    elif args.kind == "space":
-        H = space_barrier(args.n, args.k, args.d)
-    else:
-        H = parity_barrier(args.n, args.k, args.d)
+    H = build_host(args.kind, args.n, args.k, args.d, args.p, args.seed)
     _emit(dumps_khg(H), args.out)
     return 0
 
@@ -262,11 +252,12 @@ def _cmd_absorber(args) -> int:
         return _check_absorber(args.input, args.host, args.sparsity)
 
     # contract: build the standard two-interior contractible shape on a
-    # complete 3-graph and collapse its rooted triples.
-    if args.n is None and args.K not in _CONTRACT_HOST_N:
-        print(f"no default host size for K={args.K}; pass --n", file=sys.stderr)
-        return 2
-    n = args.n if args.n is not None else _CONTRACT_HOST_N[args.K]
+    # complete 3-graph and collapse its rooted triples. Each interior places
+    # every pattern edge but its 3 root edges on a fresh vertex, beside the 9
+    # rooted vertices, so this default host fits both exactly.
+    n = args.n
+    if n is None:
+        n = 9 + 2 * (len(pattern_for(args.K, args.q).edges) - 3)
     host = Hypergraph.complete(n, 3)
     rooted = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
     col1, col2 = (1, 4, 7), (2, 5, 8)

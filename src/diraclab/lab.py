@@ -46,6 +46,7 @@ __all__ = [
     "LoadReport",
     "derived_seed",
     "sample_hk",
+    "build_host",
     "degrade_to_degree",
     "wilson_interval",
     "resilience_threshold",
@@ -100,6 +101,18 @@ def sample_hk(n: int, k: int, p: float, seed: int = 0) -> Hypergraph:
     rng = Random(seed)
     edges = tuple(c for c in combinations(range(n), k) if rng.random() < p)
     return Hypergraph(n, k, edges)
+
+
+def build_host(kind: str, n: int, k: int, d: int, p: float, seed: int) -> Hypergraph:
+    """The host of one kind: "complete", the "space" or "parity" barrier
+    at degree d, or else "random", :func:`sample_hk` with p and seed."""
+    if kind == "complete":
+        return Hypergraph.complete(n, k)
+    if kind == "space":
+        return space_barrier(n, k, d)
+    if kind == "parity":
+        return parity_barrier(n, k, d)
+    return sample_hk(n, k, p, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +234,13 @@ def degrade_to_degree(
     return DegradeResult(out, tuple(deleted), final)
 
 
-def wilson_interval(
-    successes: int, total: int, z: float = WILSON_Z
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """95% Wilson score interval (z = WILSON_Z) for a binomial proportion."""
     if total <= 0:
         raise SizeError("interval needs at least one observation")
     if not 0 <= successes <= total:
         raise SizeError(f"successes {successes} out of range for total {total}")
-    phat = successes / total
+    phat, z = successes / total, WILSON_Z
     denom = 1.0 + z * z / total
     centre = phat + z * z / (2 * total)
     half = z * sqrt(phat * (1.0 - phat) / total + z * z / (4 * total * total))
@@ -636,16 +647,6 @@ INHERITANCE_BOUND_FORM = "C(Q,d) * (delta + exp(-c * eta^2 * Q))"
 _INHERIT_EXHAUSTIVE_CAP = 2000
 
 
-def _host_from_config(cfg: ExperimentConfig) -> Hypergraph:
-    if cfg.host == "complete":
-        return Hypergraph.complete(cfg.n, cfg.k)
-    if cfg.host == "space":
-        return space_barrier(cfg.n, cfg.k, cfg.d)
-    if cfg.host == "parity":
-        return parity_barrier(cfg.n, cfg.k, cfg.d)
-    return sample_hk(cfg.n, cfg.k, cfg.p, cfg.master_seed)
-
-
 def inheritance_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Measure how often a Q-subset inherits the host's relative min degree.
 
@@ -660,7 +661,7 @@ def inheritance_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Q = cfg.Q
     if not cfg.k <= Q <= cfg.n:
         raise SizeError(f"need k <= Q <= n, got Q={Q}, k={cfg.k}, n={cfg.n}")
-    host = _host_from_config(cfg)
+    host = build_host(cfg.host, cfg.n, cfg.k, cfg.d, cfg.p, cfg.master_seed)
     mu = Fraction(min_d_degree(host, cfg.d)[0], comb(cfg.n - cfg.d, cfg.k - cfg.d))
     target = (mu - _frac(cfg.eta) / 2) * comb(Q - cfg.d, cfg.k - cfg.d)
     total = comb(cfg.n, Q)
@@ -770,7 +771,8 @@ def neighborhood_load_check(
 
 def load_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-pair report for the neighbourhood load check on the config's host."""
-    rep, pairs = _load_pairs(_host_from_config(cfg), cfg.lam, cfg.trials, cfg.master_seed)
+    host = build_host(cfg.host, cfg.n, cfg.k, cfg.d, cfg.p, cfg.master_seed)
+    rep, pairs = _load_pairs(host, cfg.lam, cfg.trials, cfg.master_seed)
     bound = rep.bound
     records = tuple(
         TrialRecord(

@@ -419,7 +419,6 @@ _AH_EXACT_CAP = 12
 
 def aharoni_haxell_holds(
     links: Sequence[Hypergraph],
-    kprime: int | None = None,
     mode: str = "exhaustive",
     samples: int = 200,
     seed: int = 0,
@@ -428,15 +427,16 @@ def aharoni_haxell_holds(
     """Check the matching condition that guarantees disjoint representatives.
 
     The condition: for every nonempty index set I, the union of the chosen
-    link graphs must contain a matching larger than k' * (|I| - 1).
-    Exhaustive mode sweeps all nonempty subsets in (size, lex) order and
-    reports the first violator; it is capped at 12 families. Sampled mode
-    checks ``samples`` random nonempty subsets and is evidence, not proof.
+    link graphs must contain a matching larger than k' * (|I| - 1), where
+    k' is the links' common uniformity. Exhaustive mode sweeps all nonempty
+    subsets in (size, lex) order and reports the first violator; it is
+    capped at 12 families. Sampled mode checks ``samples`` random nonempty
+    subsets and is evidence, not proof.
     """
     t = len(links)
     if t == 0:
         return _sweep(bool, mode, (), None, samples)
-    k = links[0].k if kprime is None else kprime
+    k = links[0].k
     n = max(L.n for L in links)
     for L in links:
         if L.k != k:

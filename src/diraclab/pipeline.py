@@ -115,10 +115,16 @@ class AbsorbingSet:
     lose, (k-1)|W| < r/2 flexible vertices.
     """
 
-    X: frozenset[int]
     structure: AbsorbingStructure
-    Z: tuple[int, ...]
     lambda_cap: int
+
+    @property
+    def X(self) -> frozenset[int]:
+        return self.structure.X
+
+    @property
+    def Z(self) -> tuple[int, ...]:
+        return self.structure.Z_host
 
 
 def choose_rich_set(
@@ -239,7 +245,7 @@ def build_absorbing_set(
         raise StageFailure("structure", str(exc)) from exc
 
     cap = min(int(_frac(params.lam) * n), _removal_cap(r, k))
-    return AbsorbingSet(X=S.X, structure=S, Z=S.Z_host, lambda_cap=cap)
+    return AbsorbingSet(structure=S, lambda_cap=cap)
 
 
 def absorb_and_complete(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, comb
@@ -66,13 +67,11 @@ class BipartiteTemplate:
 
     s: int
     edges: tuple[tuple[int, int], ...]
-    max_degree: int
 
     def __post_init__(self):
         s = self.s
         if s < 1:
             raise ShapeError("scale must be positive")
-        deg: dict[int, int] = {}
         prev = None
         for x, w in self.edges:
             if not (0 <= x < 3 * s and 3 * s <= w < 7 * s):
@@ -80,10 +79,11 @@ class BipartiteTemplate:
             if prev is not None and (x, w) <= prev:
                 raise ShapeError("edges must be strictly increasing")
             prev = (x, w)
-            deg[x] = deg.get(x, 0) + 1
-            deg[w] = deg.get(w, 0) + 1
-        if deg and max(deg.values()) != self.max_degree:
-            raise ShapeError("max_degree does not match the edge list")
+
+    @property
+    def max_degree(self) -> int:
+        deg = Counter(v for e in self.edges for v in e)
+        return max(deg.values(), default=0)
 
     @property
     def X(self) -> tuple[int, ...]:
@@ -164,22 +164,12 @@ def search_montgomery(
         for _ in range(max_degree):
             targets = rng.sample(right, 3 * s)
             edges.update((x, targets[x]) for x in range(3 * s))
-        cand = BipartiteTemplate(
-            s, tuple(sorted(edges)), max(_degree_profile(s, edges))
-        )
+        cand = BipartiteTemplate(s, tuple(sorted(edges)))
         if verify_montgomery(cand).ok:
             return cand
     raise NotFound(
         f"no degree-{max_degree} template at scale {s} in {trials} trials", "trials"
     )
-
-
-def _degree_profile(s: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    deg = [0] * (7 * s)
-    for x, w in edges:
-        deg[x] += 1
-        deg[w] += 1
-    return deg
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +256,15 @@ _OVERLAY_EXACT_CAP = 24
 
 
 def independent_free_overlay(
-    r: int,
-    k: int,
-    edge_budget: int | None = None,
-    trials: int = 200,
-    seed: int = 0,
+    r: int, k: int, trials: int = 200, seed: int = 0
 ) -> tuple[Hypergraph, str]:
     """A k-graph on r vertices in which every ceil(r/2) vertices span an
     edge. Returns (graph, mode) where mode says how that was verified.
 
     When ceil(r/2) == k the only such graph is the complete one, which is
-    returned outright. Otherwise sparse random graphs are sampled until one
-    passes; exact verification for r <= 24, sampled above.
+    returned outright. Otherwise each trial draws min(8r, C(r,k)) of the
+    k-sets at random, until one passes; exact verification for r <= 24,
+    sampled above.
     """
     if k < 2:
         raise SizeError("uniformity must be at least 2")
@@ -287,7 +274,7 @@ def independent_free_overlay(
     if t == k:
         return Hypergraph.complete(r, k), "forced-complete"
     all_sets = list(combinations(range(r), k))
-    budget = min(edge_budget if edge_budget is not None else 8 * r, len(all_sets))
+    budget = min(8 * r, len(all_sets))
     exact = r <= _OVERLAY_EXACT_CAP
     for trial in range(trials):
         rng = random.Random(_trial_seed(seed, trial))
@@ -331,47 +318,39 @@ class ResilientTemplate:
 
 
 def build_resilient_template(
-    r: int,
-    k: int,
-    seed: int = 0,
-    max_degree: int | None = None,
-    trials: int = 200,
-    overlay_budget: int | None = None,
+    r: int, k: int, seed: int = 0, trials: int = 200
 ) -> ResilientTemplate:
     """Compose the three layers into a resilient template.
 
     The bipartite scale is s = ceil(r/2); when r is odd the highest Z id of
     the lift is dropped (it sits at the top of the id range, so no other id
-    moves). The overlay lands on the surviving Z ids. max_degree=None
-    escalates the cap from 4 to 10 until the bipartite search succeeds.
+    moves). The bipartite search climbs the degree caps 4, 5, ..., 10 and
+    keeps the first that succeeds. The overlay, min(8r, C(r,k)) random
+    k-sets (see :func:`independent_free_overlay`), lands on the surviving
+    Z ids.
     """
     if r < 6:
         raise SizeError("template needs r >= 6")
     if k < 2:
         raise SizeError("uniformity must be at least 2")
     s = ceil(r / 2)
-    caps = [max_degree] if max_degree is not None else list(range(4, 11))
-    R = None
-    used_cap = None
-    for cap in caps:
+    caps = range(4, 11)
+    for used_cap in caps:
         try:
-            R = search_montgomery(s, cap, trials=trials, seed=seed)
-            used_cap = cap
+            R = search_montgomery(s, used_cap, trials=trials, seed=seed)
             break
         except NotFound:
             continue
-    if R is None:
+    else:
         raise NotFound(
-            f"no bipartite template at scale {s} for caps {caps}", "trials"
+            f"no bipartite template at scale {s} for caps {list(caps)}", "trials"
         )
     lift = lift_k_partite(R, k)
     trim = 2 * s - r
     n_T = lift.graph.n - trim
     kept = [e for e in lift.graph.edges if all(v < n_T for v in e)]
     Z_ids = tuple(lift.Z[:r])
-    overlay, overlay_mode = independent_free_overlay(
-        r, k, edge_budget=overlay_budget, trials=trials, seed=seed
-    )
+    overlay, overlay_mode = independent_free_overlay(r, k, trials=trials, seed=seed)
     overlay_edges = [
         tuple(sorted(Z_ids[v] for v in e)) for e in overlay.edges
     ]

@@ -283,10 +283,16 @@ def space_barrier(n: int, k: int, d: int) -> Hypergraph:
     return H
 
 
-def parity_barrier_set(n: int, k: int, d: int) -> tuple[int, ...]:
-    """The odd set A of the parity construction, sized to maximize the
-    minimum d-degree: nearest odd count to n/2, lowest ids; when n/2 is even
-    the two neighbors are compared exactly and ties go to the smaller."""
+def _parity_graph(n: int, k: int, a: int) -> Hypergraph:
+    """Every k-set meeting {0, ..., a-1} in an even number of vertices."""
+    A = set(range(a))
+    return Hypergraph(
+        n, k, tuple(e for e in combinations(range(n), k) if len(A.intersection(e)) % 2 == 0)
+    )
+
+
+def _parity_choice(n: int, k: int, d: int) -> tuple[int, Hypergraph]:
+    """The size of parity_barrier_set's A, with the graph it gives."""
     if n % k != 0:
         raise SizeError(f"k={k} must divide n={n}")
     if not 1 <= d < k:
@@ -295,18 +301,18 @@ def parity_barrier_set(n: int, k: int, d: int) -> tuple[int, ...]:
         raise SizeError(f"need n >= k, got n={n}, k={k}")
     half = n // 2
     if half % 2 == 1:
-        sizes = [half]
-    else:
-        sizes = [x for x in (half - 1, half + 1) if 1 <= x <= n]
+        return half, _parity_graph(n, k, half)
+    # half >= 2 here, so both neighbours lie in 1..n
+    graphs = {a: _parity_graph(n, k, a) for a in (half - 1, half + 1)}
+    best = max(graphs, key=lambda a: (min_d_degree(graphs[a], d)[0], -a))
+    return best, graphs[best]
 
-    def delta_for(a: int) -> int:
-        A = set(range(a))
-        edges = [e for e in combinations(range(n), k) if len(A.intersection(e)) % 2 == 0]
-        H = Hypergraph(n, k, tuple(edges))
-        return min_d_degree(H, d)[0]
 
-    best = max(sizes, key=lambda a: (delta_for(a), -a))
-    return tuple(range(best))
+def parity_barrier_set(n: int, k: int, d: int) -> tuple[int, ...]:
+    """The odd set A of the parity construction, sized to maximize the
+    minimum d-degree: nearest odd count to n/2, lowest ids; when n/2 is even
+    the two neighbors are compared exactly and ties go to the smaller."""
+    return tuple(range(_parity_choice(n, k, d)[0]))
 
 
 def parity_barrier(n: int, k: int, d: int) -> Hypergraph:
@@ -316,11 +322,10 @@ def parity_barrier(n: int, k: int, d: int) -> Hypergraph:
     |A|; the evenness of every edge and the oddness of |A| are checked
     directly at construction.
     """
-    A = set(parity_barrier_set(n, k, d))
-    if len(A) % 2 != 1:
-        raise DiracLabError(f"parity barrier set has even size {len(A)}")
-    edges = [e for e in combinations(range(n), k) if len(A.intersection(e)) % 2 == 0]
-    H = Hypergraph(n, k, tuple(edges))
+    a, H = _parity_choice(n, k, d)
+    if a % 2 != 1:
+        raise DiracLabError(f"parity barrier set has even size {a}")
+    A = set(range(a))
     if not all(len(A.intersection(e)) % 2 == 0 for e in H.edges):
         raise DiracLabError("parity barrier has an edge meeting A oddly")
     return H

@@ -138,10 +138,27 @@ def test_pattern_for_dispatch():
         pattern_for(6, 15)
 
 
-def test_pattern_constructor_rejects_stale_girth():
+def test_pattern_constructor_rejects_irregular_edges():
     P = complete_bipartite_pattern(2)
-    with pytest.raises(ShapeError):
-        BipartitePattern(P.left, P.right, P.edges, P.degree, 6, "lie")
+    with pytest.raises(ShapeError, match="not regular"):
+        BipartitePattern(P.left, P.right, P.edges[1:], "irregular")
+
+
+@pytest.mark.parametrize("K, calls", [(4, 0), (6, 1), (8, 1)])
+def test_stock_patterns_compute_girth_at_most_once(monkeypatch, K, calls):
+    # the plane and quadrangle check their girth once; the complete
+    # pattern's is never read
+    seen = []
+
+    def counting(edges):
+        seen.append(len(edges))
+        return berge_girth_of(edges)
+
+    monkeypatch.setattr(absorbing, "berge_girth_of", counting)
+    P = pattern_for(K, 3)
+    assert len(seen) == calls
+    assert P.girth == K
+    assert len(seen) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,20 @@ class TestTemplateAndAbsorber:
         assert code == 0
         assert "girth=" in out and "k_density=" in out
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--K", "4"], "n=15 m=10 girth=4 k_density=3/4"),
+            (["--K", "4", "--q", "6"], "n=69 m=46 girth=4 k_density=7/10"),
+            (["--K", "5"], "n=39 m=26 girth=6 k_density=25/36"),
+        ],
+    )
+    def test_absorber_contract_default_host_fits_the_pattern(self, capsys, argv, line):
+        # the default host holds both interiors for any stock pattern,
+        # not only the q=3 ones
+        code, out, err = run(capsys, "absorber", "contract", *argv)
+        assert (code, out, err) == (0, f"contracted: {line}\n", "")
+
 
 class TestPipeline:
     def test_success_report_and_sidecar(self, k12, tmp_path, capsys):

@@ -572,13 +572,13 @@ def test_max_matching_size_relabeling_invariant(H, rng):
 
 def test_ah_single_family_holds():
     L = Hypergraph.from_edges(4, 2, [(0, 1)])
-    res = aharoni_haxell_holds([L], kprime=2)
+    res = aharoni_haxell_holds([L])
     assert res.ok and res.violating is None and res.mode == "exhaustive"
 
 
 def test_ah_duplicate_family_fails():
     L = Hypergraph.from_edges(4, 2, [(0, 1)])
-    res = aharoni_haxell_holds([L, L], kprime=2)
+    res = aharoni_haxell_holds([L, L])
     assert not res.ok
     assert res.violating == (0, 1)
 
@@ -588,7 +588,7 @@ def test_ah_disjoint_supports_hold():
         Hypergraph.from_edges(18, 2, [(6 * i, 6 * i + 1), (6 * i + 2, 6 * i + 3), (6 * i + 4, 6 * i + 5)])
         for i in range(3)
     ]
-    res = aharoni_haxell_holds(links, kprime=2)
+    res = aharoni_haxell_holds(links)
     assert res.ok
     assert res.checked == 7
 
@@ -596,8 +596,8 @@ def test_ah_disjoint_supports_hold():
 def test_ah_exact_cap():
     L = Hypergraph.from_edges(4, 2, [(0, 1)])
     with pytest.raises(CapacityError):
-        aharoni_haxell_holds([L] * 13, kprime=2)
-    res = aharoni_haxell_holds([L] * 13, kprime=2, mode="sampled", samples=50, seed=3)
+        aharoni_haxell_holds([L] * 13)
+    res = aharoni_haxell_holds([L] * 13, mode="sampled", samples=50, seed=3)
     assert res.mode == "sampled"
     assert not res.ok  # duplicates violate even a sampled sweep quickly
 
@@ -605,7 +605,7 @@ def test_ah_exact_cap():
 def test_ah_negative_samples_rejected():
     L = Hypergraph.from_edges(4, 2, [(0, 1)])
     with pytest.raises(SizeError, match="samples"):
-        aharoni_haxell_holds([L, L], kprime=2, mode="sampled", samples=-3)
+        aharoni_haxell_holds([L, L], mode="sampled", samples=-3)
 
 
 def _pinned_link_families(t, seed):
@@ -619,12 +619,7 @@ def _pinned_link_families(t, seed):
 
 
 def _thinned(R):
-    edges = R.edges[::2]
-    deg: dict[int, int] = {}
-    for x, w in edges:
-        deg[x] = deg.get(x, 0) + 1
-        deg[w] = deg.get(w, 0) + 1
-    return BipartiteTemplate(R.s, edges, max(deg.values()))
+    return BipartiteTemplate(R.s, R.edges[::2])
 
 
 def test_sweep_outcomes_are_pinned():
@@ -643,7 +638,7 @@ def test_sweep_outcomes_are_pinned():
                         aharoni_haxell_holds(links, mode="sampled", samples=samples, seed=seed)
                     )
     L = Hypergraph.from_edges(4, 2, [(0, 1)])
-    reports.append(aharoni_haxell_holds([L] * 13, kprime=2, mode="sampled", samples=50, seed=3))
+    reports.append(aharoni_haxell_holds([L] * 13, mode="sampled", samples=50, seed=3))
     for s in (2, 3, 4):
         for seed in (0, 1, 2):
             R = search_montgomery(s, 4, seed=seed)
@@ -697,7 +692,7 @@ def test_ah_true_implies_representatives(t, seed):
     for _ in range(t):
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.35]
         links.append(Hypergraph.from_edges(n, 2, edges))
-    res = aharoni_haxell_holds(links, kprime=2)
+    res = aharoni_haxell_holds(links)
     if res.ok:
         reps = find_disjoint_representatives(links)
         assert len(reps) == t

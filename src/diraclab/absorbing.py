@@ -20,7 +20,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import DiracLabError, FormatError, NotFound, ShapeError, SizeError
-from .hypercore import Hypergraph, berge_girth_of
+from .hypercore import Hypergraph, berge_girth_of, derived_seed
 from .matchpower import Matching, _pm_searcher, _pm_within, bipartite_matching
 
 __all__ = [
@@ -110,10 +110,6 @@ def complete_bipartite_pattern(q: int) -> BipartitePattern:
     return BipartitePattern.build(q, q, edges, f"complete({q})")
 
 
-def _inv_mod(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
-
-
 def _proj_points(dim: int, p: int) -> list[tuple[int, ...]]:
     """Canonical representatives of projective points over GF(p): first
     nonzero coordinate scaled to 1, enumerated in lexicographic order."""
@@ -125,11 +121,6 @@ def _proj_points(dim: int, p: int) -> list[tuple[int, ...]]:
 
 
 _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def _trial_seed(seed: int, trial: int) -> int:
-    """Stable per-trial RNG seed; plain arithmetic, no hashing involved."""
-    return seed * 1_000_003 + trial
 
 
 def projective_plane_pattern(p: int) -> BipartitePattern:
@@ -172,7 +163,7 @@ def generalized_quadrangle_pattern(p: int) -> BipartitePattern:
     def normalize(vec):
         for c in vec:
             if c % p:
-                inv = _inv_mod(c % p, p)
+                inv = pow(c % p, p - 2, p)
                 return tuple(x * inv % p for x in vec)
         return None
 
@@ -230,11 +221,12 @@ def peel_matchings(P: BipartitePattern, count: int, seed: int = 0) -> BipartiteP
 
 def random_regular_pattern(m: int, q: int, min_girth: int, trials: int = 200, seed: int = 0) -> BipartitePattern:
     """Random q-regular bipartite graph on m+m vertices as a union of q
-    random permutations, rejected until simple with girth >= min_girth."""
+    random permutations, rejected until simple with girth >= min_girth;
+    trial t draws from ``Random(derived_seed(seed, t))``."""
     if q < 2 or m < q:
         raise SizeError("need m >= q >= 2")
     for t in range(trials):
-        rng = random.Random(_trial_seed(seed, t))
+        rng = random.Random(derived_seed(seed, t))
         edges = set()
         for _ in range(q):
             perm = list(range(m))
@@ -691,9 +683,10 @@ def find_sparse_r_absorber(
     injection is injective; the result is re-verified and re-checked for
     sparsity anyway.
 
-    Trials are independent injections with per-trial derived seeds; the
-    first success (lowest trial index) wins. NotFound("trials") carries
-    per-trial diagnostics naming the star that failed.
+    The pattern is peeled with the plain seed, and trial t's injection is
+    drawn from ``Random(derived_seed(seed, t))``; the first success (lowest
+    trial index) wins. NotFound("trials") carries per-trial diagnostics
+    naming the star that failed.
     """
     k = G.k
     roots = tuple(roots)
@@ -729,7 +722,7 @@ def find_sparse_r_absorber(
 
     failures: list[dict] = []
     for t in range(trials):
-        rng = random.Random(_trial_seed(seed, t))
+        rng = random.Random(derived_seed(seed, t))
         placed = rng.sample(pool, len(kept))
         phi = dict(zip(kept, placed))
         for i, ei in enumerate(deleted):
@@ -817,8 +810,12 @@ def parse_absorber(line: str) -> Absorber:
         non = Matching.from_edges(rec["noncovering"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad absorber record: {exc!r}") from None
-    if "r" in rec and rec["r"] is not None:
-        A: Absorber = RAbsorber(roots, cov, non, r=int(rec["r"]))
+    r = rec.get("r")
+    if r is not None:
+        # bool is an int subclass, and int() would truncate 2.7 or parse "2"
+        if type(r) is not int:
+            raise FormatError(f"bad absorber record: r must be an integer, got {r!r}")
+        A: Absorber = RAbsorber(roots, cov, non, r=r)
     else:
         A = Absorber(roots, cov, non)
     if "order" in rec and rec["order"] != A.order:

@@ -41,7 +41,7 @@ from .errors import (
     TargetInfeasible,
     TemplateMatchingFailed,
 )
-from .hypercore import Hypergraph, dumps_khg, girth, k_density, read_khg, write_khg
+from .hypercore import Hypergraph, derived_seed, dumps_khg, girth, k_density, read_khg, write_khg
 from .lab import (
     EXPERIMENTS,
     build_host,
@@ -263,14 +263,14 @@ def _cmd_absorber(args) -> int:
     col1, col2 = (1, 4, 7), (2, 5, 8)
     base = set(range(9))
     sub1 = find_sparse_r_absorber(
-        host, col1, args.K, q=args.q, seed=2 * args.seed, forbidden=base - set(col1)
+        host, col1, args.K, q=args.q, seed=derived_seed(args.seed, 0), forbidden=base - set(col1)
     )
     sub2 = find_sparse_r_absorber(
         host,
         col2,
         args.K,
         q=args.q,
-        seed=2 * args.seed + 1,
+        seed=derived_seed(args.seed, 1),
         forbidden=(base - set(col2)) | (sub1.vertices - set(col1)),
     )
     CA = assemble_contractible((0, 3, 6), rooted, (sub1, sub2), host)

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from hashlib import sha256
 from itertools import combinations, islice
 from operator import itemgetter, lt
 from typing import Iterable, Sequence
@@ -38,6 +39,7 @@ __all__ = [
     "k_density",
     "contract",
     "mask_of",
+    "derived_seed",
     "parse_khg",
     "dumps_khg",
     "read_khg",
@@ -53,8 +55,13 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def _canonical_edges(edges: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(tuple(sorted(e)) for e in edges))
+def derived_seed(master_seed: int, index: int) -> int:
+    """The package's one seed derivation: the first 8 bytes of
+    sha256("<master>:<index>"), big-endian. Trial or stage i of a seeded
+    run draws from ``Random(derived_seed(seed, i))``, which does not
+    depend on whether streams 0..i-1 ran and replays none of them."""
+    digest = sha256(f"{master_seed}:{index}".encode("ascii")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def _edges_canonical(edges: tuple, n: int, k: int) -> bool:
@@ -121,7 +128,7 @@ class Hypergraph:
     @classmethod
     def from_edges(cls, n: int, k: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
         """Canonicalize arbitrary edge input (dedup, sort) and validate."""
-        canon = tuple(sorted(set(_canonical_edges(edges))))
+        canon = tuple(sorted({tuple(sorted(e)) for e in edges}))
         return cls(n, k, canon)
 
     @classmethod

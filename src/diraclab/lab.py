@@ -3,9 +3,9 @@
 This module covers the measurement side of the package: sampling binomial
 random hypergraphs, grinding a host down to a degree floor edge by edge,
 and three batch experiments (threshold resilience, degree inheritance under
-subset sampling, neighbourhood load).  Every trial draws its randomness from
-a seed derived by hashing ``master_seed`` with the trial index, so reports
-are byte-identical regardless of how the trial loop is scheduled.
+subset sampling, neighbourhood load).  Trial t draws from the seed
+``derived_seed(master_seed, t)`` and a second stage of it from a seed derived
+from that one, so reports are byte-identical however the loop is scheduled.
 
 Reports are written as a small versioned CSV dialect whose first line is
 ``#diraclab-csv <name> v1``; readers refuse versions they do not know.
@@ -17,7 +17,6 @@ import time
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from hashlib import sha256
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import ceil, comb, sqrt
@@ -26,7 +25,7 @@ from random import Random
 from typing import Iterable, Mapping, Sequence, TypeVar, get_args, get_type_hints
 
 from .errors import DiracLabError, FormatError, SizeError, TargetInfeasible
-from .hypercore import Hypergraph, induced, mask_of, min_d_degree
+from .hypercore import Hypergraph, derived_seed, induced, mask_of, min_d_degree
 from .matchpower import find_perfect_matching
 from .thresholds import _frac, conjectured_density, parity_barrier, space_barrier
 
@@ -74,17 +73,6 @@ __all__ = [
 WILSON_Z = 1.959963984540054
 
 _T = TypeVar("_T")
-
-
-def derived_seed(master_seed: int, index: int) -> int:
-    """Per-trial seed: first 8 bytes of sha256("<master>:<index>"), big-endian.
-
-    Deriving seeds this way makes trial i's randomness independent of
-    whether trials 0..i-1 ran at all, which is what keeps reports stable
-    under any scheduling of the trial loop.
-    """
-    digest = sha256(f"{master_seed}:{index}".encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def sample_hk(n: int, k: int, p: float, seed: int = 0) -> Hypergraph:
@@ -540,13 +528,15 @@ def resilience_threshold(d: int, k: int, gamma: float, p_hat, n: int) -> int:
 def resilience_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Sample hosts, degrade them to the degree threshold, test for matchings.
 
-    Each trial samples the binomial k-graph under its own derived seed,
-    computes the threshold from the configured gamma and p-hat convention,
-    deletes edges by the configured policy while every d-degree stays at or
-    above the threshold, then runs the exact matching search on the
-    survivor.  Hosts that start below the threshold are recorded as
-    infeasible rows (blank pm_found) and excluded from the frequency; a
-    failed search is recorded, never raised.
+    Each trial samples the binomial k-graph under its own derived seed (the
+    row's seed column), computes the threshold from the configured gamma
+    and p-hat convention, deletes edges by the configured policy while
+    every d-degree stays at or above the threshold, drawing from
+    ``derived_seed(seed, 1)`` so as not to replay the sampling draws, then
+    runs the exact matching search on the survivor.  Hosts that start
+    below the threshold are recorded as infeasible rows (blank pm_found)
+    and excluded from the frequency; a failed search is recorded, never
+    raised.
     """
     if not 1 <= cfg.d < cfg.k <= cfg.n:
         raise SizeError(f"need 1 <= d < k <= n, got d={cfg.d}, k={cfg.k}, n={cfg.n}")
@@ -580,7 +570,7 @@ def resilience_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if host_min < threshold:
             data.update({"min_deg": host_min, "pm_found": None, "nodes": None})
         else:
-            worn = degrade_to_degree(G, cfg.d, threshold, policy=cfg.policy, seed=seed)
+            worn = degrade_to_degree(G, cfg.d, threshold, policy=cfg.policy, seed=derived_seed(seed, 1))
             res = find_perfect_matching(worn.graph, budget=cfg.search_budget())
             found = res.status == "perfect"
             feasible += 1

@@ -359,7 +359,7 @@ def dirac_perfect_matching(
         A = build_absorbing_set(G, params, seed)
     except StageFailure as exc:
         for name in ("rich_set", "template", "structure"):
-            stages[name] = "ok" if _stage_index(name) < _stage_index(exc.stage) else stages[name]
+            stages[name] = "ok" if STAGES.index(name) < STAGES.index(exc.stage) else stages[name]
         stages[exc.stage] = f"failed: {exc}"
         return report("failure", exc.stage)
     stages["rich_set"] = stages["template"] = stages["structure"] = "ok"
@@ -421,7 +421,3 @@ def dirac_perfect_matching(
         return report("failure", "verify")
     stages["verify"] = "ok"
     return report("success", None, matching=total.edges)
-
-
-def _stage_index(name: str) -> int:
-    return STAGES.index(name)

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import ceil, comb
 from typing import Iterable, Mapping, Sequence
 
-from .absorbing import Absorber, _trial_seed, find_rooted_absorber
+from .absorbing import Absorber, find_rooted_absorber
 from .errors import (
     DiracLabError,
     FormatError,
@@ -31,7 +31,7 @@ from .errors import (
     SizeError,
     TemplateMatchingFailed,
 )
-from .hypercore import Hypergraph, mask_of, read_khg, write_khg
+from .hypercore import Hypergraph, derived_seed, mask_of, read_khg, write_khg
 from .matchpower import Matching, SweepReport, _augment_all, _pm_searcher, _sweep
 
 __all__ = [
@@ -152,14 +152,15 @@ def search_montgomery(
     """Randomized search for a bipartite template with the half-removal
     property: each candidate is a union of max_degree random injections of
     X into Y+Z (so both sides respect the degree cap), kept only if it
-    passes the exhaustive verifier."""
+    passes the exhaustive verifier. Trial t draws from
+    ``Random(derived_seed(seed, t))``."""
     if s < 2:
         raise SizeError("scale must be at least 2")
     if max_degree < 1:
         raise SizeError("degree cap must be positive")
     right = list(range(3 * s, 7 * s))
     for t in range(trials):
-        rng = random.Random(_trial_seed(seed, t))
+        rng = random.Random(derived_seed(seed, t))
         edges: set[tuple[int, int]] = set()
         for _ in range(max_degree):
             targets = rng.sample(right, 3 * s)
@@ -262,9 +263,9 @@ def independent_free_overlay(
     edge. Returns (graph, mode) where mode says how that was verified.
 
     When ceil(r/2) == k the only such graph is the complete one, which is
-    returned outright. Otherwise each trial draws min(8r, C(r,k)) of the
-    k-sets at random, until one passes; exact verification for r <= 24,
-    sampled above.
+    returned outright. Otherwise trial t draws min(8r, C(r,k)) of the
+    k-sets from ``Random(derived_seed(seed, t))``, until one passes; exact
+    verification for r <= 24, sampled above.
     """
     if k < 2:
         raise SizeError("uniformity must be at least 2")
@@ -277,20 +278,16 @@ def independent_free_overlay(
     budget = min(8 * r, len(all_sets))
     exact = r <= _OVERLAY_EXACT_CAP
     for trial in range(trials):
-        rng = random.Random(_trial_seed(seed, trial))
+        rng = random.Random(derived_seed(seed, trial))
         H = Hypergraph(r, k, tuple(sorted(rng.sample(all_sets, budget))))
         if exact:
             if find_independent_set(H, t) is None:
                 return H, "exact"
-        else:
-            ok = True
-            for _ in range(20000):
-                sub_mask = sum(1 << v for v in rng.sample(range(r), t))
-                if not any(em & sub_mask == em for em in H.edge_masks):
-                    ok = False
-                    break
-            if ok:
-                return H, "sampled"
+        elif all(
+            any(em & m == em for em in H.edge_masks)
+            for m in (mask_of(rng.sample(range(r), t)) for _ in range(20000))
+        ):
+            return H, "sampled"
     raise NotFound(
         f"no independent-set-free overlay on {r} vertices in {trials} trials",
         "trials",

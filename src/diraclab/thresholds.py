@@ -261,6 +261,12 @@ def space_barrier_set(n: int, k: int) -> tuple[int, ...]:
     return tuple(range(n // k - 1))
 
 
+def _space_degree(n: int, k: int, d: int) -> int:
+    """The space barrier's minimum d-degree by formula: every k-set through
+    a d-set outside S except those that miss S."""
+    return math.comb(n - d, k - d) - math.comb(n - d - (n // k - 1), k - d)
+
+
 def space_barrier(n: int, k: int, d: int) -> Hypergraph:
     """All k-sets meeting a set S of size n/k - 1.
 
@@ -276,7 +282,7 @@ def space_barrier(n: int, k: int, d: int) -> Hypergraph:
     H = Hypergraph(n, k, tuple(edges))
     if not all(S.intersection(e) for e in H.edges):
         raise DiracLabError("space barrier has an edge missing S")
-    expected = math.comb(n - d, k - d) - math.comb(n - d - len(S), k - d)
+    expected = _space_degree(n, k, d)
     val, _ = min_d_degree(H, d)
     if val != expected:
         raise DiracLabError(f"space barrier degree {val} != formula {expected}")
@@ -291,8 +297,10 @@ def _parity_graph(n: int, k: int, a: int) -> Hypergraph:
     )
 
 
-def _parity_choice(n: int, k: int, d: int) -> tuple[int, Hypergraph]:
-    """The size of parity_barrier_set's A, with the graph it gives."""
+def _parity_choice(n: int, k: int, d: int) -> tuple[int, Hypergraph, int | None]:
+    """The size of parity_barrier_set's A, the graph it gives, and that
+    graph's minimum d-degree when comparing two sizes computed it. The
+    oddness of |A| and the evenness of every edge are checked here."""
     if n % k != 0:
         raise SizeError(f"k={k} must divide n={n}")
     if not 1 <= d < k:
@@ -301,11 +309,19 @@ def _parity_choice(n: int, k: int, d: int) -> tuple[int, Hypergraph]:
         raise SizeError(f"need n >= k, got n={n}, k={k}")
     half = n // 2
     if half % 2 == 1:
-        return half, _parity_graph(n, k, half)
-    # half >= 2 here, so both neighbours lie in 1..n
-    graphs = {a: _parity_graph(n, k, a) for a in (half - 1, half + 1)}
-    best = max(graphs, key=lambda a: (min_d_degree(graphs[a], d)[0], -a))
-    return best, graphs[best]
+        a, H, deg = half, _parity_graph(n, k, half), None
+    else:
+        # half >= 2 here, so both neighbours lie in 1..n
+        graphs = {a: _parity_graph(n, k, a) for a in (half - 1, half + 1)}
+        degs = {a: min_d_degree(H, d)[0] for a, H in graphs.items()}
+        a = max(degs, key=lambda a: (degs[a], -a))
+        H, deg = graphs[a], degs[a]
+    if a % 2 != 1:
+        raise DiracLabError(f"parity barrier set has even size {a}")
+    A = set(range(a))
+    if not all(len(A.intersection(e)) % 2 == 0 for e in H.edges):
+        raise DiracLabError("parity barrier has an edge meeting A oddly")
+    return a, H, deg
 
 
 def parity_barrier_set(n: int, k: int, d: int) -> tuple[int, ...]:
@@ -322,13 +338,7 @@ def parity_barrier(n: int, k: int, d: int) -> Hypergraph:
     |A|; the evenness of every edge and the oddness of |A| are checked
     directly at construction.
     """
-    a, H = _parity_choice(n, k, d)
-    if a % 2 != 1:
-        raise DiracLabError(f"parity barrier set has even size {a}")
-    A = set(range(a))
-    if not all(len(A.intersection(e)) % 2 == 0 for e in H.edges):
-        raise DiracLabError("parity barrier has an edge meeting A oddly")
-    return H
+    return _parity_choice(n, k, d)[1]
 
 
 @dataclass(frozen=True)
@@ -349,14 +359,17 @@ def verify_threshold_sandwich(n: int, k: int, d: int) -> SandwichReport:
     The lower bound is 1 + the best barrier's minimum d-degree (a PM-free
     graph with degree m-1 shows the threshold exceeds m-1). The upper bound
     is the exact sweep when it fits the enumeration cap, otherwise absent.
+    Each barrier's degree is counted once, by its constructor if it can.
     """
-    candidates = []
+    degrees = []
     try:
-        candidates.append(space_barrier(n, k, d))
+        space_barrier(n, k, d)  # raises if its own checks fail
+        degrees.append(_space_degree(n, k, d))
     except SizeError:
         pass
-    candidates.append(parity_barrier(n, k, d))
-    lower = 1 + max(min_d_degree(H, d)[0] for H in candidates)
+    _, H, deg = _parity_choice(n, k, d)
+    degrees.append(min_d_degree(H, d)[0] if deg is None else deg)
+    lower = 1 + max(degrees)
     denom = math.comb(n - d, k - d)
     try:
         rec = exact_dirac_threshold(n, k, d)

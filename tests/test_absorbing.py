@@ -7,6 +7,7 @@ the stock patterns are pinned to their known cage values.
 
 import gc
 import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -872,7 +873,14 @@ def test_absorber_record_errors():
         parse_absorber('{"roots": [0]}')
     rec = absorber_record(mk((0, 1, 2), [(0, 1, 2)], []))
     rec["order"] = 5
-    import json
-
     with pytest.raises(FormatError):
+        parse_absorber(json.dumps(rec))
+
+
+@pytest.mark.parametrize("r", ["x", 2.7, True])
+def test_absorber_record_rejects_malformed_r(r):
+    # int() would raise a ValueError on "x" and truncate 2.7 and True
+    rec = absorber_record(mk((0, 1, 2), [(0, 1, 2)], []))
+    rec["r"] = r
+    with pytest.raises(FormatError, match="r must be an integer"):
         parse_absorber(json.dumps(rec))

@@ -135,6 +135,16 @@ class TestVerify:
         garbled.write_text(record.read_text().replace("[", "{", 1))
         assert run(capsys, "verify", "--absorber", str(garbled))[0] == 1
 
+    @pytest.mark.parametrize("r", ['"x"', "2.7", "true"])
+    def test_malformed_r_is_rejected(self, k12, tmp_path, capsys, r):
+        record = tmp_path / "a.json"
+        run(capsys, "--out", str(record), "absorber", "find", "--in", k12, "--roots", "0 1 2")
+        record.write_text(record.read_text().replace("{", f'{{"r": {r}, ', 1))
+        for argv in (("verify", "--absorber"), ("absorber", "verify", "--in")):
+            code, _, err = run(capsys, *argv, str(record))
+            assert code == 1
+            assert err.startswith("rejected: bad absorber record: r must be an integer"), err
+
     def test_exactly_one_artifact_flag(self, k12, capsys):
         assert run(capsys, "verify", "--in", k12)[0] == 2
 
@@ -256,7 +266,7 @@ class TestTemplateAndAbsorber:
         "argv, line",
         [
             (["--K", "4"], "n=15 m=10 girth=4 k_density=3/4"),
-            (["--K", "4", "--q", "6"], "n=69 m=46 girth=4 k_density=7/10"),
+            (["--K", "4", "--q", "6"], "n=69 m=46 girth=4 k_density=11/16"),
             (["--K", "5"], "n=39 m=26 girth=6 k_density=25/36"),
         ],
     )

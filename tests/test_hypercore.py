@@ -483,8 +483,8 @@ def test_k_density_contracted_absorbers_pinned():
             res = k_density(C.graph)
             assert res == DensityResult(value, C.graph.edges, "parametric")
     assert k_density(make_contracted(4, 0).graph).witness == (
-        (0, 4, 13), (0, 6, 7), (1, 2, 9), (1, 8, 14), (2, 10, 13),
-        (3, 4, 11), (3, 7, 14), (5, 8, 10), (5, 9, 12), (6, 11, 12),
+        (0, 1, 11), (0, 9, 14), (1, 6, 13), (2, 4, 8), (2, 7, 13),
+        (3, 4, 14), (3, 5, 7), (5, 8, 12), (6, 9, 10), (10, 11, 12),
     )
 
 

@@ -50,6 +50,7 @@ from diraclab.lab import (
     write_config,
     write_experiment,
 )
+from diraclab.matchpower import find_perfect_matching
 from diraclab.thresholds import space_barrier
 
 
@@ -495,6 +496,24 @@ class TestResilience:
         assert len(table.rows) == 6
         assert table.rows[-1][0] == "summary"
         assert all(row[len(RESILIENCE_COLUMNS) - 1] == "" for row in table.rows)
+
+    def test_rows_rebuild_from_the_seed_column(self):
+        # the seed column rebuilds the host, and the deletions draw from
+        # the stream derived from it, never from the host's own stream; at
+        # d=1 every host is feasible and the node counts depend on the
+        # deletions
+        res = resilience_experiment(resilience_config(d=1, gamma=0.0, trials=8))
+        rows = [rec for rec in res.records if rec.data["pm_found"] is not None]
+        assert len(rows) == 8
+        for rec in rows:
+            G = sample_hk(12, 3, 0.8, rec.seed)
+            worn = degrade_to_degree(
+                G, 1, rec.data["threshold"], policy="random", seed=derived_seed(rec.seed, 1)
+            )
+            pm = find_perfect_matching(worn.graph)
+            assert (worn.min_degree, pm.status == "perfect", pm.nodes_explored) == (
+                rec.data["min_deg"], rec.data["pm_found"], rec.data["nodes"]
+            )
 
     def test_byte_identical_reruns(self):
         a = experiment_csv(resilience_experiment(resilience_config()))

@@ -658,7 +658,7 @@ def test_sweep_outcomes_are_pinned():
         (ok, mode) for ok in (True, False) for mode in ("exhaustive", "sampled")
     }
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
-    assert digest == "346c76cee9fbf30d747fa0f52eb21acb54b070f10fcb5fab772447daa494404b"
+    assert digest == "17236bb3e52c7a1f0f0594485273f44115ad5c39715a3d8305b0af0dae35b2d1"
 
 
 def test_representatives_disjoint_supports():

@@ -128,3 +128,27 @@ def test_one_report_type_names_a_violating_candidate():
             ):
                 found.append(f"{path.stem}.{node.name}")
     assert found == ["matchpower.SweepReport"]
+
+
+def _names_a_seed(node: ast.AST) -> bool:
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return "seed" in name
+
+
+def test_seeds_are_derived_not_computed():
+    # every trial or stage stream is Random(derived_seed(seed, i)); integer
+    # arithmetic on a seed (seed * c + t, 2 * seed + 1) lets two streams
+    # collide. The pipeline's seed + attempt is the one deferred exception
+    found = set()
+    for path in sorted(Path(diraclab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            name = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.BinOp) and any(map(_names_a_seed, (node.left, node.right))):
+                    found.add(name)
+                elif isinstance(node, ast.AugAssign) and _names_a_seed(node.target):
+                    found.add(name)
+                elif "_trial_seed" in (getattr(node, "name", None), getattr(node, "id", None)):
+                    found.add(f"{name}:_trial_seed")
+    assert found == {"pipeline.dirac_perfect_matching"}

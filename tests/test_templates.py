@@ -209,13 +209,13 @@ class TestMontgomery:
 
     def test_search_pinned_edges(self):
         # pinned edges: guards the shared augmenting-path matcher and the
-        # seed * 1_000_003 + trial stream
+        # derived_seed(seed, trial) stream
         R = search_montgomery(3, 4, seed=5)
         assert R.edges == (
-            (0, 9), (0, 17), (0, 20), (1, 11), (1, 13), (1, 15), (1, 16), (2, 10),
-            (2, 12), (2, 16), (2, 19), (3, 10), (3, 11), (3, 12), (3, 19), (4, 11),
-            (4, 15), (4, 18), (4, 19), (5, 9), (5, 15), (5, 16), (5, 20), (6, 11),
-            (6, 14), (7, 12), (7, 13), (7, 17), (7, 19), (8, 9), (8, 13), (8, 17),
+            (0, 10), (0, 14), (0, 20), (1, 10), (1, 18), (1, 19), (2, 9), (2, 11),
+            (2, 12), (2, 17), (3, 12), (3, 14), (3, 19), (4, 13), (4, 15), (4, 17),
+            (4, 20), (5, 9), (5, 14), (5, 16), (5, 17), (6, 12), (6, 15), (6, 16),
+            (6, 20), (7, 9), (7, 10), (7, 16), (7, 20), (8, 11), (8, 12), (8, 16),
             (8, 18),
         )
 
@@ -233,12 +233,12 @@ class TestMontgomery:
     @pytest.mark.parametrize(
         "s, cap, seed, size, digest",
         [
-            (5, 4, 0, 58, "d2c530b84dae6ea8"),
-            (5, 4, 1, 56, "7a53d97250350736"),
-            (5, 5, 0, 67, "7ec6459734588482"),
-            (6, 4, 1, 70, "e5e209f3a5b02963"),
-            (6, 5, 0, 83, "7afcf525e0277c68"),
-            (6, 5, 1, 85, "5daf760d23235390"),
+            (5, 4, 0, 58, "8970429a87bff876"),
+            (5, 4, 1, 57, "07c98e72f97ee919"),
+            (5, 5, 0, 67, "573e08f6f3908d8c"),
+            (6, 4, 1, 71, "2c39f4b0d4acd659"),
+            (6, 5, 0, 88, "6758d8f30bfe68a9"),
+            (6, 5, 1, 86, "7ae8af10ce5ef9e0"),
         ],
     )
     def test_search_pinned_at_template_scales(self, s, cap, seed, size, digest):
@@ -249,8 +249,10 @@ class TestMontgomery:
         assert hashlib.sha256(repr(R.edges).encode()).hexdigest()[:16] == digest
 
     def test_search_pinned_failure_at_scale_6(self):
+        # seeds 0-16 find a degree-4 template at scale 6; 17 is the first
+        # whose 200 trials all fail
         with pytest.raises(NotFound):
-            search_montgomery(6, 4, seed=0)
+            search_montgomery(6, 4, seed=17)
 
     def test_side_ranges_validated(self):
         with pytest.raises(ShapeError):
@@ -365,13 +367,13 @@ class TestOverlay:
                 assert got is None
 
     def test_pinned_graphs(self):
-        # pinned graphs guard the seed * 1_000_003 + trial stream; at r=8
+        # pinned graphs guard the derived_seed(seed, trial) stream; at r=8
         # all 56 triples are drawn, so the second case, 80 of the 120
         # triples at r=10, is the one that samples
         assert independent_free_overlay(8, 3, seed=0) == (Hypergraph.complete(8, 3), "exact")
         H, mode = independent_free_overlay(10, 3, seed=1)
         assert (mode, len(H.edges)) == ("exact", 80)
-        assert hashlib.sha256(repr(H.edges).encode()).hexdigest()[:16] == "8cede92867c5e618"
+        assert hashlib.sha256(repr(H.edges).encode()).hexdigest()[:16] == "f1bfee8eb2f0c73d"
 
     def test_budget_too_small_fails(self):
         # 80 of the 210 4-sets on 10 vertices leave some 5 vertices free

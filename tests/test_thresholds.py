@@ -408,6 +408,21 @@ def test_sandwich_exact_case():
     assert rep.lower_ratio <= rep.ratio
 
 
+@pytest.mark.parametrize("n, k, d", [(12, 3, 1), (6, 3, 1)])
+def test_sandwich_reuses_barrier_degrees(monkeypatch, n, k, d):
+    # the space barrier's degree comes from its formula and, when n/2 is
+    # even, the parity barrier's from comparing the two sizes of A: 3
+    # counts at (12,3,1); at (6,3,1) the space barrier's own check, the
+    # odd-half parity barrier and the sweep's witness recount
+    real = thresholds.min_d_degree
+    counted = []
+    monkeypatch.setattr(thresholds, "min_d_degree", lambda H, d: counted.append(H) or real(H, d))
+    rep = verify_threshold_sandwich(n, k, d)
+    assert len(counted) == 3
+    barriers = (space_barrier(n, k, d), parity_barrier(n, k, d))
+    assert rep.lower_bound == 1 + max(real(H, d)[0] for H in barriers)
+
+
 def test_sandwich_beyond_cap_reports_lower_only():
     rep = verify_threshold_sandwich(9, 3, 1)
     assert not rep.exact_available

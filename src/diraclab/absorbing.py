@@ -310,7 +310,7 @@ def _absorber_check(A: Absorber, host: Hypergraph | None, want_roots: int | None
     for e in A.edges:
         if len(e) != k:
             return False, f"edge {e} is not a {k}-set"
-        if host is not None and e not in host.edge_set:
+        if host is not None and not host.has_edge(e):
             return False, f"edge {e} is not a host edge"
     if len(set(A.roots)) != len(A.roots):
         return False, "repeated root"
@@ -799,15 +799,26 @@ def dumps_absorber(A: Absorber, sparsity_k: int | None = None) -> str:
     return json.dumps(absorber_record(A, sparsity_k), sort_keys=True)
 
 
+def _json_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple when each one is a JSON integer, else a
+    TypeError naming the first that is not: int() would truncate 0.9, read
+    "2" and take true as 1, so a corrupted record would read as another."""
+    ids = tuple(values)
+    for v in ids:
+        if type(v) is not int:
+            raise TypeError(f"{what} must be integers, got {v!r}")
+    return ids
+
+
 def parse_absorber(line: str) -> Absorber:
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad absorber record: {exc}") from None
     try:
-        roots = tuple(int(x) for x in rec["roots"])
-        cov = Matching.from_edges(rec["covering"])
-        non = Matching.from_edges(rec["noncovering"])
+        roots = _json_ints(rec["roots"], "roots")
+        cov = Matching.from_edges(_json_ints(e, "edge vertices") for e in rec["covering"])
+        non = Matching.from_edges(_json_ints(e, "edge vertices") for e in rec["noncovering"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad absorber record: {exc!r}") from None
     r = rec.get("r")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,7 +164,15 @@ class Hypergraph:
         return len(self.edges)
 
     def has_edge(self, vertices: Iterable[int]) -> bool:
-        return tuple(sorted(vertices)) in self.edge_set
+        """True when the vertices, in any order, form an edge. A set lookup
+        once ``edge_set`` is built, else a binary search of the sorted
+        ``edges`` tuple, so a few lookups on a large host build no set of
+        all its edges."""
+        e = tuple(sorted(vertices))
+        if "edge_set" in self.__dict__:
+            return e in self.edge_set
+        i = bisect_left(self.edges, e)
+        return i < len(self.edges) and self.edges[i] == e
 
     def support(self) -> frozenset[int]:
         """Vertices that appear in at least one edge."""
@@ -263,39 +272,35 @@ def berge_girth_of(edge_sets: Sequence[Iterable[int]]) -> int | float:
 
     Berge cycles of length l correspond exactly to simple cycles of length 2l
     in the vertex-edge incidence graph, so this runs the textbook BFS girth
-    computation on that bipartite graph and halves the result.
+    computation on that bipartite graph and halves the result. Edge nodes
+    are numbered first, so every cycle's lowest node is an edge node i, and
+    the BFS rooted at i, entering only nodes above i, still finds it.
     """
     edges = [tuple(sorted(set(e))) for e in edge_sets]
-    verts = sorted({v for e in edges for v in e})
-    vid = {v: i for i, v in enumerate(verts)}
-    nv, ne = len(verts), len(edges)
-    total = nv + ne
+    ne = len(edges)
+    vid = {v: ne + i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+    total = ne + len(vid)
     adj: list[list[int]] = [[] for _ in range(total)]
     for j, e in enumerate(edges):
         for v in e:
-            adj[vid[v]].append(nv + j)
-            adj[nv + j].append(vid[v])
+            adj[j].append(vid[v])
+            adj[vid[v]].append(j)
 
     best = math.inf
-    # Every cycle in the incidence graph passes through an edge-node, so
-    # rooting BFS at edge-nodes only is enough for exactness.
-    dist = [0] * total
+    dist = [-1] * total
     parent = [0] * total
-    for root in range(nv, total):
+    for root in range(ne):
         if best == 4:
             break
-        for i in range(total):
-            dist[i] = -1
         dist[root] = 0
         parent[root] = -1
         queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
+        for u in queue:
             if 2 * dist[u] >= best:
                 break
             for w in adj[u]:
+                if w < root:
+                    continue
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -304,6 +309,8 @@ def berge_girth_of(edge_sets: Sequence[Iterable[int]]) -> int | float:
                     cand = dist[u] + dist[w] + 1
                     if cand < best:
                         best = cand
+        for u in queue:
+            dist[u] = -1
     return math.inf if best == math.inf else best // 2
 
 
@@ -482,57 +489,52 @@ def _density_parametric(H: Hypergraph) -> DensityResult:
     full_union = mask_of(v for e in edges for v in e)
     lam = Fraction(m - 1, full_union.bit_count() - k)
     witness_idx = list(range(m))
+    first = 0
     while True:
-        # Project-selection network for lam = p/q: rejecting an edge cuts its
-        # q-arc, keeping an edge forces its vertices' p-arcs into the cut, and
-        # the anchor's infinite arc keeps it selected. The cut value is
-        # q*(m - e') + p*v', so max of q*e' - p*v' over edge sets containing
-        # the anchor is q*m - mincut. One network serves every anchor: only
-        # the source arcs of the old and the new anchor change in between.
+        # Project-selection network for lam = p/q on the unrefuted edges
+        # first..m-1: rejecting an edge cuts its q-arc, keeping an edge forces
+        # its vertices' p-arcs into the cut, and the anchor's infinite arc
+        # keeps it selected. Anchors below a have source arc 0, so the max of
+        # q*e' - p*v' over sets of edges a..m-1 holding a is q*(m - a) - mincut.
         p, q = lam.numerator, lam.denominator
         inf = q * m + p * nv + 1
         net = _Dinic(m + nv + 2)
         cap = net.cap
-        src_arc, out_arcs, sink_arc = [], [], []
-        for i in range(m):
-            src_arc.append(len(cap))
+        src_arc, out_arcs, sink_arc = {}, {}, []
+        for i in range(first, m):
+            src_arc[i] = len(cap)
             net.add(s, i, q)
             arcs = []
             for v in edges[i]:
                 arcs.append((len(cap), vpos[v]))
                 net.add(i, m + vpos[v], inf)
-            out_arcs.append(arcs)
+            out_arcs[i] = arcs
         for j in range(nv):
             sink_arc.append(len(cap))
             net.add(m + j, t, p)
         flow = 0
-        improved = False
-        for a in range(m):
-            if a:
-                # Back to q on the old anchor: cancel its flow above q along
-                # its own length-3 paths, which keeps the flow feasible.
+        for a in range(first, m):
+            if a > first:
+                # the old anchor is refuted: cancel its flow along its own
+                # length-3 paths, which keeps the flow feasible, and drop it
                 arc = src_arc[a - 1]
-                excess = cap[arc ^ 1] - q
-                if excess > 0:
-                    flow -= excess
-                    cap[arc ^ 1] = q
-                    for e_arc, j in out_arcs[a - 1]:
-                        d = min(cap[e_arc ^ 1], excess)
-                        cap[e_arc] += d
-                        cap[e_arc ^ 1] -= d
-                        cap[sink_arc[j]] += d
-                        cap[sink_arc[j] ^ 1] -= d
-                        excess -= d
-                cap[arc] = q - cap[arc ^ 1]
+                flow -= cap[arc ^ 1]
+                cap[arc] = cap[arc ^ 1] = 0
+                for e_arc, j in out_arcs[a - 1]:
+                    d = cap[e_arc ^ 1]
+                    cap[e_arc] += d
+                    cap[e_arc ^ 1] = 0
+                    cap[sink_arc[j]] += d
+                    cap[sink_arc[j] ^ 1] -= d
             arc = src_arc[a]
             cap[arc] = inf - cap[arc ^ 1]
             flow += net.max_flow(s, t)
             # improving iff (e'-1) - lam*(v'-k) > 0, scaled by q:
-            if q * m - flow > q - p * k:
+            if q * (m - a) - flow > q - p * k:
                 # The residual source side of any maximum flow is the minimal
                 # min cut, so the selection does not depend on the warm start.
                 side = net.source_side(s)
-                sel = [i for i in range(m) if i in side]
+                sel = [i for i in range(a, m) if i in side]
                 um = 0
                 for i in sel:
                     um |= H.edge_masks[i]
@@ -541,10 +543,10 @@ def _density_parametric(H: Hypergraph) -> DensityResult:
                     raise DiracLabError("parametric density step failed to improve")
                 lam = new
                 witness_idx = sel
-                improved = True
                 break
-        if not improved:
+        else:
             break
+        first = a
     witness = tuple(edges[i] for i in sorted(witness_idx))
     return DensityResult(lam, witness, "parametric")
 
@@ -563,13 +565,16 @@ def k_density(H: Hypergraph, method: str = "auto") -> DensityResult:
     size cap. ``"auto"`` uses the parametric route.
 
     The parametric route asks, for each anchor edge in turn, whether some
-    edge set holding it beats the current ratio. It builds one flow network
-    per ratio and carries its maximum flow from anchor to anchor: the old
-    anchor's source arc drops back to its finite capacity (its excess flow
-    is cancelled along its own paths), the new anchor's arc is raised, and
-    the flow is augmented from there. The witness is still the minimal
-    maximizer, because the set reachable from the source in the residual
-    network is the same for every maximum flow.
+    edge set holding it beats the current ratio lam, and moves to the ratio
+    of the minimal such set when one does. An anchor a is refuted once: if
+    no set holding a beats lam, none beats any higher ratio either, since
+    v' >= k. So moving past a sets a's source arc to 0 (its flow cancelled
+    along its own paths) and augments the flow from there; an improving
+    step at a rebuilds the network at the new ratio without the anchors
+    below a and resumes at a. Every maximizer of an improving step beats
+    lam, so it holds no refuted edge and scores the same without them; the
+    residual source side is the minimal maximizer for every maximum flow.
+    So the steps and witnesses are those of asking every anchor afresh.
     """
     if method not in ("auto", "enumerate", "parametric"):
         raise SpecError(f"unknown k_density method {method!r}")

@@ -17,11 +17,11 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import ceil, comb
 from typing import Iterable, Mapping, Sequence
 
-from .absorbing import Absorber, find_rooted_absorber
+from .absorbing import Absorber, _json_ints, find_rooted_absorber
 from .errors import (
     DiracLabError,
     FormatError,
@@ -146,13 +146,33 @@ def verify_montgomery(
     )
 
 
+def _hall_removal(R: BipartiteTemplate) -> tuple[int, ...] | None:
+    """An s-removal from Z that leaves some set S of one or two X vertices
+    fewer than |S| neighbours, or None. Removing min(s, |N(S) & Z|) of S's
+    Z neighbours (the lowest first, topped up with the lowest other Z ids)
+    leaves |N(S) & Y| + max(0, |N(S) & Z| - s). Singletons come first."""
+    s = R.s
+    Y = ((1 << 2 * s) - 1) << 3 * s
+    nbrs = [0] * (3 * s)
+    for x, w in R.edges:
+        nbrs[x] |= 1 << w
+    for S in chain(((x,) for x in range(3 * s)), combinations(range(3 * s), 2)):
+        N = nbrs[S[0]] | nbrs[S[-1]]
+        if (N & Y).bit_count() + max(0, (N & Y << 2 * s).bit_count() - s) < len(S):
+            hit = [w for w in R.Z if N >> w & 1][:s]
+            return tuple(sorted(hit + [w for w in R.Z if not N >> w & 1][: s - len(hit)]))
+    return None
+
+
 def search_montgomery(
     s: int, max_degree: int, trials: int = 200, seed: int = 0
 ) -> BipartiteTemplate:
     """Randomized search for a bipartite template with the half-removal
     property: each candidate is a union of max_degree random injections of
     X into Y+Z (so both sides respect the degree cap), kept only if it
-    passes the exhaustive verifier. Trial t draws from
+    passes the exhaustive verifier. A candidate with a two-vertex Hall
+    violation (:func:`_hall_removal`) would fail that sweep, so it is
+    dropped before the sweep runs. Trial t draws from
     ``Random(derived_seed(seed, t))``."""
     if s < 2:
         raise SizeError("scale must be at least 2")
@@ -166,7 +186,7 @@ def search_montgomery(
             targets = rng.sample(right, 3 * s)
             edges.update((x, targets[x]) for x in range(3 * s))
         cand = BipartiteTemplate(s, tuple(sorted(edges)))
-        if verify_montgomery(cand).ok:
+        if _hall_removal(cand) is None and verify_montgomery(cand).ok:
             return cand
     raise NotFound(
         f"no degree-{max_degree} template at scale {s} in {trials} trials", "trials"
@@ -573,8 +593,8 @@ def read_template(path) -> ResilientTemplate:
     try:
         with open(f"{path}.json", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        k = int(sidecar["k"])
-        Z = tuple(int(v) for v in sidecar["Z"])
+        k = _json_ints([sidecar["k"]], "k")[0]
+        Z = _json_ints(sidecar["Z"], "Z ids")
         provenance = dict(sidecar["provenance"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad template sidecar for {path}: {exc!r}") from None

@@ -811,6 +811,15 @@ def test_sparse_absorber_empty_host_diagnostics():
     assert all(f["star"] is not None for f in exc.value.details)
 
 
+def test_sparse_absorber_builds_no_host_edge_set():
+    # the K=8 host of a benchmark round has 129,766 edges; the finder and
+    # its verification only look up a few dozen of them
+    H = Hypergraph.complete(93, 3)
+    A = find_sparse_r_absorber(H, (1, 4, 7), K=8, q=3, seed=2, forbidden=(0, 2, 3, 5, 6, 8))
+    assert verify_r_absorber(A, H) == (True, None)
+    assert "edge_set" not in H.__dict__
+
+
 def test_sparse_absorber_deterministic():
     H = Hypergraph.complete(30, 3)
     A = find_sparse_r_absorber(H, (0, 1, 2), K=4, q=3, seed=7)
@@ -874,6 +883,25 @@ def test_absorber_record_errors():
     rec = absorber_record(mk((0, 1, 2), [(0, 1, 2)], []))
     rec["order"] = 5
     with pytest.raises(FormatError):
+        parse_absorber(json.dumps(rec))
+
+
+@pytest.mark.parametrize(
+    "field, value, what",
+    [
+        ("roots", [0.9, 1, 2], "roots"),
+        ("roots", [True, "2", 3], "roots"),
+        ("covering", [[0, 1, 2.0]], "edge vertices"),
+        ("covering", [[True, 1, 2]], "edge vertices"),
+        ("noncovering", [[3, 4.0, 5]], "edge vertices"),
+    ],
+)
+def test_absorber_record_rejects_non_integer_ids(field, value, what):
+    # int() read [0.9, 1, 2] as (0, 1, 2) and [true, "2", 3] as (1, 2, 3),
+    # and the edge reader took 2.0 and true as vertices 2 and 1
+    rec = absorber_record(mk((0, 1, 2), [(0, 1, 3), (2, 4, 5)], [(3, 4, 5)]))
+    rec[field] = value
+    with pytest.raises(FormatError, match=f"{what} must be integers"):
         parse_absorber(json.dumps(rec))
 
 

@@ -145,6 +145,19 @@ class TestVerify:
             assert code == 1
             assert err.startswith("rejected: bad absorber record: r must be an integer"), err
 
+    @pytest.mark.parametrize("old, new", [('"roots": [0, 1, 2]', '"roots": [0.9, 1, 2]'),
+                                          ('"roots": [0, 1, 2]', '"roots": [true, 1, 2]'),
+                                          ("[[0, 1, 2]]", "[[0, 1, 2.0]]")])
+    def test_non_integer_ids_are_rejected(self, k12, tmp_path, capsys, old, new):
+        record = tmp_path / "a.json"
+        run(capsys, "--out", str(record), "absorber", "find", "--in", k12, "--roots", "0 1 2")
+        assert old in record.read_text()
+        record.write_text(record.read_text().replace(old, new))
+        for argv in (("verify", "--absorber"), ("absorber", "verify", "--in")):
+            code, _, err = run(capsys, *argv, str(record))
+            assert code == 1
+            assert err.startswith("rejected: bad absorber record: TypeError"), err
+
     def test_exactly_one_artifact_flag(self, k12, capsys):
         assert run(capsys, "verify", "--in", k12)[0] == 2
 
@@ -222,6 +235,19 @@ class TestTemplateAndAbsorber:
             code, out, _ = run(capsys, "template", "verify", "--in", str(base), "--mode", mode)
             assert code == 0
             assert out.strip() == f"ok: mode={mode} removals_checked=0"
+
+    def test_template_with_non_integer_z_is_rejected(self, tmp_path, capsys):
+        # int() read a first Z id shifted by 0.5 as the id itself: exit 0
+        base = tmp_path / "t6"
+        run(capsys, "--out", str(base), "template", "build", "--r", "6", "--k", "3")
+        sidecar = tmp_path / "t6.json"
+        data = json.loads(sidecar.read_text())
+        for bad in (data["Z"][0] + 0.5, True):
+            sidecar.write_text(json.dumps(dict(data, Z=[bad] + data["Z"][1:])))
+            for argv in (("template", "verify", "--in"), ("verify", "--template")):
+                code, _, err = run(capsys, *argv, str(base))
+                assert code == 1
+                assert err.startswith("rejected: bad template sidecar") and "must be integers" in err, err
 
     def test_template_build_needs_out(self, capsys):
         assert run(capsys, "template", "build", "--r", "6", "--k", "3")[0] == 2

@@ -284,6 +284,89 @@ def test_girth_matches_oracle(H):
     assert girth(H) == oracle_berge_girth(H.edges)
 
 
+def girth_every_node_bfs(edge_sets):
+    """berge_girth_of as it ran before each BFS was limited to the nodes
+    above its root, verbatim."""
+    edges = [tuple(sorted(set(e))) for e in edge_sets]
+    verts = sorted({v for e in edges for v in e})
+    vid = {v: i for i, v in enumerate(verts)}
+    nv, ne = len(verts), len(edges)
+    total = nv + ne
+    adj: list[list[int]] = [[] for _ in range(total)]
+    for j, e in enumerate(edges):
+        for v in e:
+            adj[vid[v]].append(nv + j)
+            adj[nv + j].append(vid[v])
+
+    best = math.inf
+    # Every cycle in the incidence graph passes through an edge-node, so
+    # rooting BFS at edge-nodes only is enough for exactness.
+    dist = [0] * total
+    parent = [0] * total
+    for root in range(nv, total):
+        if best == 4:
+            break
+        for i in range(total):
+            dist[i] = -1
+        dist[root] = 0
+        parent[root] = -1
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            if 2 * dist[u] >= best:
+                break
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    cand = dist[u] + dist[w] + 1
+                    if cand < best:
+                        best = cand
+    return math.inf if best == math.inf else best // 2
+
+
+def girth_set_systems():
+    """Seeded set systems of four kinds: mixed member sizes, members
+    repeated (girth 2), forests of loose trees (acyclic) and graphs."""
+    rng = random.Random(7)
+    systems = []
+    for _ in range(150):
+        n = rng.randint(3, 30)
+        systems.append([rng.sample(range(n), rng.randint(1, min(n, 5)))
+                        for _ in range(rng.randint(0, 14))])
+    for sets in systems[:40]:
+        if sets:
+            systems.append(sets + [list(reversed(rng.choice(sets)))])
+    for _ in range(40):
+        # each new member meets the earlier ones in at most one vertex
+        sets, top = [], 0
+        for _ in range(rng.randint(1, 12)):
+            size = rng.randint(2, 4)
+            old = [rng.randrange(top)] if top and rng.random() < 0.8 else []
+            sets.append(old + list(range(top, top + size - len(old))))
+            top += size - len(old)
+        systems.append(sets)
+    for _ in range(80):
+        n = rng.randint(3, 40)
+        pool = list(combinations(range(n), 2))
+        systems.append(rng.sample(pool, min(len(pool), rng.randint(1, 2 * n))))
+    return systems
+
+
+def test_girth_lowest_node_bfs_matches_every_node_bfs():
+    seen = set()
+    for sets in girth_set_systems():
+        want = girth_every_node_bfs(sets)
+        assert berge_girth_of(sets) == want, sets
+        seen.add(want if want in (2, 3, 4, math.inf) else 5)
+    # girth 2 (repeats), 3, 4, longer cycles and acyclic systems all came up
+    assert seen == {2, 3, 4, 5, math.inf}
+
+
 @given(small_hypergraph())
 def test_linear_iff_girth_above_two(H):
     assert is_linear(H) == (girth(H) != 2)
@@ -388,10 +471,11 @@ def test_k_density_monotone_under_edge_addition(H, pick):
     assert k_density(bigger).value >= k_density(H).value
 
 
-def rebuild_density(H: Hypergraph) -> tuple[DensityResult, int]:
+def rebuild_density(H: Hypergraph) -> tuple[DensityResult, list[int]]:
     """The parametric route with a fresh flow network per anchor, as it ran
-    before the network was reused. Also returns how many improving steps
-    it took (each one rebuilds the network at a new ratio)."""
+    before the network was reused, asking every anchor from anchor 0 again
+    at each ratio. Also returns the anchor of each improving step (each one
+    rebuilds the network at a new ratio)."""
     k, edges, m = H.k, H.edges, len(H.edges)
     support = sorted(H.support())
     vpos = {v: i for i, v in enumerate(support)}
@@ -414,7 +498,7 @@ def rebuild_density(H: Hypergraph) -> tuple[DensityResult, int]:
 
     lam = Fraction(m - 1, len(support) - k)
     witness_idx = list(range(m))
-    steps = 0
+    anchors = []
     improved = True
     while improved:
         improved = False
@@ -425,17 +509,18 @@ def rebuild_density(H: Hypergraph) -> tuple[DensityResult, int]:
                 verts = {v for i in sel for v in edges[i]}
                 lam = Fraction(len(sel) - 1, len(verts) - k)
                 witness_idx = sel
-                steps += 1
+                anchors.append(a)
                 improved = True
                 break
     witness = tuple(edges[i] for i in sorted(witness_idx))
-    return DensityResult(lam, witness, "parametric"), steps
+    return DensityResult(lam, witness, "parametric"), anchors
 
 
 def density_hosts() -> list[Hypergraph]:
     """Seeded graphs with 12 to 40 edges: plain random ones, whose first
-    ratio is often already optimal, and dense cores with pendant edges,
-    where it is not."""
+    ratio is often already optimal, dense cores with pendant edges, where
+    it is not, and dense cores on the top ids, whose pendant edges come
+    first in edge order and are refuted before the core improves."""
     rng = random.Random(2024)
     hosts = []
     for _ in range(24):
@@ -452,15 +537,26 @@ def density_hosts() -> list[Hypergraph]:
             if len(e) == 3 and e not in edges:
                 edges.append(e)
         hosts.append(Hypergraph.from_edges(n, 3, edges[:40]))
+    for _ in range(8):
+        n = rng.randint(10, 14)
+        core = [e for e in combinations(range(n - 5, n), 3) if rng.random() < 0.9]
+        pendants = set()
+        while len(core) + len(pendants) < 14 or rng.random() < 0.5:
+            e = tuple(sorted({rng.randrange(n - 5), rng.randrange(n - 5), rng.randrange(n)}))
+            if len(e) == 3:
+                pendants.add(e)
+        hosts.append(Hypergraph.from_edges(n, 3, core + sorted(pendants)[:40 - len(core)]))
     return hosts
 
 
 def test_k_density_reused_network_matches_rebuilt_networks():
-    steps_seen, enumerated = [], []
+    steps_seen, enumerated, resumed = [], [], 0
     for H in density_hosts():
         assert 12 <= len(H.edges) <= 40
-        want, steps = rebuild_density(H)
+        want, anchors = rebuild_density(H)
+        steps = len(anchors)
         steps_seen.append(steps)
+        resumed += any(anchors)
         assert k_density(H) == want
         # the oracle doubles its time per edge (about 5 s at 20 edges)
         if len(H.edges) <= 16:
@@ -472,6 +568,34 @@ def test_k_density_reused_network_matches_rebuilt_networks():
     assert sum(s >= 1 for s in steps_seen) >= 10
     assert max(steps_seen) >= 2
     assert 0 in enumerated and max(enumerated) >= 1
+    # anchors were refuted before an improving one, so the scan resumed
+    # past anchor 0 on a network without them
+    assert resumed >= 8
+
+
+def test_k_density_matches_rebuilt_networks_on_a_gadgets_round():
+    # the shapes one benchmark round contracts: 12, 12 and 6 absorbers
+    for K, count in ((4, 12), (6, 12), (8, 6)):
+        for seed in range(count):
+            graph = make_contracted(K, seed).graph
+            assert k_density(graph) == rebuild_density(graph)[0]
+
+
+def test_has_edge_agrees_with_the_edge_set():
+    rng = random.Random(3)
+    for n, k in ((9, 3), (12, 4), (7, 2)):
+        H = Hypergraph.from_edges(n, k, rng.sample(list(combinations(range(n), k)), 2 * n))
+        probes = list(H.edges) + list(combinations(range(n), k))
+        probes += [tuple(reversed(e)) for e in H.edges]
+        probes += [e[:-1] for e in H.edges] + [e + (n,) for e in H.edges] + [(), (0,) * k]
+        got = [H.has_edge(e) for e in probes]
+        assert "edge_set" not in H.__dict__
+        assert got == [tuple(sorted(e)) in H.edge_set for e in probes]
+        # and the same answers once the set is built
+        assert got == [H.has_edge(e) for e in probes]
+    G = Hypergraph.complete(40, 3)
+    assert G.has_edge((39, 0, 20)) and not G.has_edge((0, 1)) and not G.has_edge((0, 1, 40))
+    assert "edge_set" not in G.__dict__
 
 
 def test_k_density_contracted_absorbers_pinned():

@@ -7,6 +7,7 @@ matcher inside verify_montgomery.
 """
 
 import hashlib
+import json
 import random
 from itertools import combinations
 from math import comb
@@ -253,6 +254,38 @@ class TestMontgomery:
         # whose 200 trials all fail
         with pytest.raises(NotFound):
             search_montgomery(6, 4, seed=17)
+
+    def test_hall_removal_is_a_real_violation(self):
+        # 1,200 candidates of the search's shape at scales 3-6: every
+        # removal the two-vertex Hall count names starves X, and no
+        # candidate the sweep accepts is named
+        fired = passed = 0
+        for s in range(3, 7):
+            for cap in (2, 3, 4, 5, 6):
+                for R in montgomery_candidates(s, cap, 60, seed=100 * s + cap):
+                    D = templates._hall_removal(R)
+                    ok = verify_montgomery(R).ok
+                    passed += ok
+                    if D is None:
+                        continue
+                    fired += 1
+                    assert not ok
+                    assert len(D) == s and set(D) <= set(R.Z) and list(D) == sorted(D)
+                    X = range(3 * s)
+                    adj = [[w for x2, w in R.edges if x2 == x] for x in X]
+                    assert bipartite_matching(adj, X, frozenset(D)) is None
+        assert fired >= 300 and passed >= 300
+
+    def test_hall_removal_skips_the_sweep(self, monkeypatch):
+        # the sweep runs only on candidates with no two-vertex violation,
+        # and the pinned search still returns the same template
+        calls = []
+        real = templates.verify_montgomery
+        monkeypatch.setattr(templates, "verify_montgomery",
+                            lambda R: calls.append(R) or real(R))
+        R = search_montgomery(5, 4, seed=0)
+        assert hashlib.sha256(repr(R.edges).encode()).hexdigest()[:16] == "8970429a87bff876"
+        assert calls and all(templates._hall_removal(c) is None for c in calls)
 
     def test_side_ranges_validated(self):
         with pytest.raises(ShapeError):
@@ -703,3 +736,17 @@ class TestSerialization:
         sidecar.write_text(sidecar.read_text().replace('"k": 3', '"k": 4'))
         with pytest.raises(FormatError):
             read_template(path)
+
+    def test_sidecar_ids_must_be_integers(self, tmp_path):
+        # int() read a Z id shifted by 0.5, or k given as 3.0, as the
+        # template it was written from
+        T = build_resilient_template(6, 3, seed=0)
+        path = tmp_path / "t6.khg"
+        write_template(T, path)
+        sidecar = tmp_path / "t6.khg.json"
+        data = json.loads(sidecar.read_text())
+        Z = data["Z"]
+        for bad in ({"Z": [Z[0] + 0.5] + Z[1:]}, {"Z": [True] + Z[1:]}, {"k": 3.0}, {"k": "3"}):
+            sidecar.write_text(json.dumps(dict(data, **bad)))
+            with pytest.raises(FormatError, match="must be integers"):
+                read_template(path)

@@ -20,7 +20,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import DiracLabError, FormatError, NotFound, ShapeError, SizeError
-from .hypercore import Hypergraph, berge_girth_of, derived_seed
+from .hypercore import Hypergraph, berge_girth_of, derived_seed, json_int
 from .matchpower import Matching, _pm_searcher, _pm_within, bipartite_matching
 
 __all__ = [
@@ -799,36 +799,23 @@ def dumps_absorber(A: Absorber, sparsity_k: int | None = None) -> str:
     return json.dumps(absorber_record(A, sparsity_k), sort_keys=True)
 
 
-def _json_ints(values: Iterable, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple when each one is a JSON integer, else a
-    TypeError naming the first that is not: int() would truncate 0.9, read
-    "2" and take true as 1, so a corrupted record would read as another."""
-    ids = tuple(values)
-    for v in ids:
-        if type(v) is not int:
-            raise TypeError(f"{what} must be integers, got {v!r}")
-    return ids
-
-
 def parse_absorber(line: str) -> Absorber:
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad absorber record: {exc}") from None
     try:
-        roots = _json_ints(rec["roots"], "roots")
-        cov = Matching.from_edges(_json_ints(e, "edge vertices") for e in rec["covering"])
-        non = Matching.from_edges(_json_ints(e, "edge vertices") for e in rec["noncovering"])
+        roots = tuple(json_int(v, "root") for v in rec["roots"])
+        cov = Matching.from_edges([json_int(v, "edge vertex") for v in e] for e in rec["covering"])
+        non = Matching.from_edges([json_int(v, "edge vertex") for v in e] for e in rec["noncovering"])
+        r = rec.get("r")
+        if r is not None:
+            json_int(r, "r")
+    except FormatError as exc:
+        raise FormatError(f"bad absorber record: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad absorber record: {exc!r}") from None
-    r = rec.get("r")
-    if r is not None:
-        # bool is an int subclass, and int() would truncate 2.7 or parse "2"
-        if type(r) is not int:
-            raise FormatError(f"bad absorber record: r must be an integer, got {r!r}")
-        A: Absorber = RAbsorber(roots, cov, non, r=r)
-    else:
-        A = Absorber(roots, cov, non)
+    A = Absorber(roots, cov, non) if r is None else RAbsorber(roots, cov, non, r=r)
     if "order" in rec and rec["order"] != A.order:
         raise FormatError(f"recorded order {rec['order']} but edges give {A.order}")
     return A

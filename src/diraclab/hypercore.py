@@ -45,6 +45,7 @@ __all__ = [
     "dumps_khg",
     "read_khg",
     "write_khg",
+    "json_int",
 ]
 
 
@@ -164,13 +165,10 @@ class Hypergraph:
         return len(self.edges)
 
     def has_edge(self, vertices: Iterable[int]) -> bool:
-        """True when the vertices, in any order, form an edge. A set lookup
-        once ``edge_set`` is built, else a binary search of the sorted
-        ``edges`` tuple, so a few lookups on a large host build no set of
-        all its edges."""
+        """True when the vertices, in any order, form an edge: a binary
+        search of the sorted ``edges`` tuple, so a few lookups on a large
+        host build no set of all its edges."""
         e = tuple(sorted(vertices))
-        if "edge_set" in self.__dict__:
-            return e in self.edge_set
         i = bisect_left(self.edges, e)
         return i < len(self.edges) and self.edges[i] == e
 
@@ -757,3 +755,13 @@ def read_khg(path) -> Hypergraph:
 def write_khg(H: Hypergraph, path, comment: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_khg(H, comment=comment))
+
+
+def json_int(value, what: str) -> int:
+    """``value`` when it is a JSON integer, else a FormatError naming it.
+    The JSON record readers take every id and count through this: int()
+    would truncate 0.9, read "2" and take true as 1 (bool is an int
+    subclass), so a corrupted record would read as another."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -21,7 +21,7 @@ from itertools import chain, combinations
 from math import ceil, comb
 from typing import Iterable, Mapping, Sequence
 
-from .absorbing import Absorber, _json_ints, find_rooted_absorber
+from .absorbing import Absorber, find_rooted_absorber
 from .errors import (
     DiracLabError,
     FormatError,
@@ -31,7 +31,7 @@ from .errors import (
     SizeError,
     TemplateMatchingFailed,
 )
-from .hypercore import Hypergraph, derived_seed, mask_of, read_khg, write_khg
+from .hypercore import Hypergraph, derived_seed, json_int, mask_of, read_khg, write_khg
 from .matchpower import Matching, SweepReport, _augment_all, _pm_searcher, _sweep
 
 __all__ = [
@@ -170,10 +170,12 @@ def search_montgomery(
     """Randomized search for a bipartite template with the half-removal
     property: each candidate is a union of max_degree random injections of
     X into Y+Z (so both sides respect the degree cap), kept only if it
-    passes the exhaustive verifier. A candidate with a two-vertex Hall
-    violation (:func:`_hall_removal`) would fail that sweep, so it is
-    dropped before the sweep runs. Trial t draws from
-    ``Random(derived_seed(seed, t))``."""
+    passes the verifier. A candidate with a one- or two-vertex Hall
+    violation (:func:`_hall_removal`) is dropped before the sweep runs. Up
+    to s = 11 the sweep is exhaustive and would fail it anyway; from s = 12
+    on (C(2s, s) above a million) the sweep is sampled and may miss the
+    starving removal, so there the Hall check is the stricter of the two.
+    Trial t draws from ``Random(derived_seed(seed, t))``."""
     if s < 2:
         raise SizeError("scale must be at least 2")
     if max_degree < 1:
@@ -593,9 +595,11 @@ def read_template(path) -> ResilientTemplate:
     try:
         with open(f"{path}.json", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        k = _json_ints([sidecar["k"]], "k")[0]
-        Z = _json_ints(sidecar["Z"], "Z ids")
+        k = json_int(sidecar["k"], "k")
+        Z = tuple(json_int(z, "Z id") for z in sidecar["Z"])
         provenance = dict(sidecar["provenance"])
+    except FormatError as exc:
+        raise FormatError(f"bad template sidecar for {path}: {exc}") from None
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad template sidecar for {path}: {exc!r}") from None
     if k != graph.k:

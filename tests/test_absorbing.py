@@ -889,11 +889,11 @@ def test_absorber_record_errors():
 @pytest.mark.parametrize(
     "field, value, what",
     [
-        ("roots", [0.9, 1, 2], "roots"),
-        ("roots", [True, "2", 3], "roots"),
-        ("covering", [[0, 1, 2.0]], "edge vertices"),
-        ("covering", [[True, 1, 2]], "edge vertices"),
-        ("noncovering", [[3, 4.0, 5]], "edge vertices"),
+        ("roots", [0.9, 1, 2], "root"),
+        ("roots", [True, "2", 3], "root"),
+        ("covering", [[0, 1, 2.0]], "edge vertex"),
+        ("covering", [[True, 1, 2]], "edge vertex"),
+        ("noncovering", [[3, 4.0, 5]], "edge vertex"),
     ],
 )
 def test_absorber_record_rejects_non_integer_ids(field, value, what):
@@ -901,7 +901,7 @@ def test_absorber_record_rejects_non_integer_ids(field, value, what):
     # and the edge reader took 2.0 and true as vertices 2 and 1
     rec = absorber_record(mk((0, 1, 2), [(0, 1, 3), (2, 4, 5)], [(3, 4, 5)]))
     rec[field] = value
-    with pytest.raises(FormatError, match=f"{what} must be integers"):
+    with pytest.raises(FormatError, match=f"bad absorber record: {what} must be an integer"):
         parse_absorber(json.dumps(rec))
 
 

@@ -156,7 +156,7 @@ class TestVerify:
         for argv in (("verify", "--absorber"), ("absorber", "verify", "--in")):
             code, _, err = run(capsys, *argv, str(record))
             assert code == 1
-            assert err.startswith("rejected: bad absorber record: TypeError"), err
+            assert err.startswith("rejected: bad absorber record: ") and "must be an integer" in err, err
 
     def test_exactly_one_artifact_flag(self, k12, capsys):
         assert run(capsys, "verify", "--in", k12)[0] == 2
@@ -247,7 +247,7 @@ class TestTemplateAndAbsorber:
             for argv in (("template", "verify", "--in"), ("verify", "--template")):
                 code, _, err = run(capsys, *argv, str(base))
                 assert code == 1
-                assert err.startswith("rejected: bad template sidecar") and "must be integers" in err, err
+                assert err.startswith("rejected: bad template sidecar") and "must be an integer" in err, err
 
     def test_template_build_needs_out(self, capsys):
         assert run(capsys, "template", "build", "--r", "6", "--k", "3")[0] == 2

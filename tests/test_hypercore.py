@@ -591,8 +591,6 @@ def test_has_edge_agrees_with_the_edge_set():
         got = [H.has_edge(e) for e in probes]
         assert "edge_set" not in H.__dict__
         assert got == [tuple(sorted(e)) in H.edge_set for e in probes]
-        # and the same answers once the set is built
-        assert got == [H.has_edge(e) for e in probes]
     G = Hypergraph.complete(40, 3)
     assert G.has_edge((39, 0, 20)) and not G.has_edge((0, 1)) and not G.has_edge((0, 1, 40))
     assert "edge_set" not in G.__dict__

@@ -748,5 +748,5 @@ class TestSerialization:
         Z = data["Z"]
         for bad in ({"Z": [Z[0] + 0.5] + Z[1:]}, {"Z": [True] + Z[1:]}, {"k": 3.0}, {"k": "3"}):
             sidecar.write_text(json.dumps(dict(data, **bad)))
-            with pytest.raises(FormatError, match="must be integers"):
+            with pytest.raises(FormatError, match="must be an integer"):
                 read_template(path)

@@ -32,9 +32,7 @@ __all__ = [
     "random_regular_pattern",
     "pattern_for",
     "Absorber",
-    "RAbsorber",
     "verify_absorber",
-    "verify_r_absorber",
     "is_k_sparse",
     "find_rooted_absorber",
     "ContractibleAbsorber",
@@ -273,7 +271,11 @@ def pattern_for(K: int, q: int, seed: int = 0) -> BipartitePattern:
 
 @dataclass(frozen=True)
 class Absorber:
-    """Root tuple plus the two matchings whose union is the edge set."""
+    """Root tuple plus the two matchings whose union is the edge set.
+
+    The roots fill r = len(roots) // k sets of size k: r is 1 for an
+    absorber and more for a sparse r-absorber.
+    """
 
     roots: tuple[int, ...]
     covering: Matching
@@ -288,25 +290,25 @@ class Absorber:
         return len(self.vertices) - len(self.roots)
 
     @property
-    def k(self) -> int:
-        return len(self.covering.edges[0]) if self.covering.edges else 0
+    def r(self) -> int:
+        edges = self.edges
+        return len(self.roots) // len(edges[0]) if edges else 0
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.covering.edges) + tuple(self.noncovering.edges)
 
 
-@dataclass(frozen=True)
-class RAbsorber(Absorber):
-    """An absorber whose root tuple has r*k entries instead of k."""
-
-    r: int = 1
-
-
-def _absorber_check(A: Absorber, host: Hypergraph | None, want_roots: int | None) -> tuple[bool, str | None]:
+def verify_absorber(A: Absorber, host: Hypergraph | None = None) -> tuple[bool, str | None]:
+    """Check the absorber invariants on a root tuple of any positive multiple
+    of k entries (k from the host when one is given, else from the edges),
+    and host membership when a host is given. The root count is checked
+    first. Returns (ok, reason); reason is None on success."""
     if not A.covering.edges:
         return False, "covering matching is empty"
     k = host.k if host is not None else len(A.covering.edges[0])
+    if not A.roots or len(A.roots) % k:
+        return False, f"root count {len(A.roots)} is not a positive multiple of {k}"
     for e in A.edges:
         if len(e) != k:
             return False, f"edge {e} is not a {k}-set"
@@ -314,8 +316,6 @@ def _absorber_check(A: Absorber, host: Hypergraph | None, want_roots: int | None
             return False, f"edge {e} is not a host edge"
     if len(set(A.roots)) != len(A.roots):
         return False, "repeated root"
-    if want_roots is not None and len(A.roots) != want_roots:
-        return False, f"expected {want_roots} roots, got {len(A.roots)}"
     if set(A.covering.edges) & set(A.noncovering.edges):
         return False, "an edge appears in both matchings"
     V = A.covering.covered
@@ -324,27 +324,6 @@ def _absorber_check(A: Absorber, host: Hypergraph | None, want_roots: int | None
     if A.noncovering.covered != V - set(A.roots):
         return False, "noncovering matching does not cover exactly the non-roots"
     return True, None
-
-
-def verify_absorber(A: Absorber, host: Hypergraph | None = None) -> tuple[bool, str | None]:
-    """Check the absorber invariants, and host membership when a host is
-    given. Returns (ok, reason); reason is None on success."""
-    want = host.k if host is not None else (len(A.covering.edges[0]) if A.covering.edges else None)
-    return _absorber_check(A, host, want)
-
-
-def verify_r_absorber(A: Absorber, host: Hypergraph | None = None) -> tuple[bool, str | None]:
-    """Like verify_absorber but with an r*k root tuple; r is taken from the
-    object when present, otherwise inferred from the root count."""
-    if not A.covering.edges:
-        return False, "covering matching is empty"
-    k = host.k if host is not None else len(A.covering.edges[0])
-    if len(A.roots) == 0 or len(A.roots) % k != 0:
-        return False, f"root count {len(A.roots)} is not a positive multiple of {k}"
-    r = getattr(A, "r", len(A.roots) // k)
-    if r * k != len(A.roots):
-        return False, f"r={r} disagrees with {len(A.roots)} roots"
-    return _absorber_check(A, host, r * k)
 
 
 def is_k_sparse(A: Absorber, K: int) -> bool:
@@ -430,7 +409,7 @@ def find_rooted_absorber(
             # the only order-0 absorber is the root tuple itself as an edge
             charge(1)
             edge = tuple(sorted(roots))
-            if edge in G.edge_set:
+            if G.has_edge(edge):
                 A = Absorber(roots, Matching((edge,)), Matching(()))
                 if accept(A):
                     return A
@@ -669,7 +648,7 @@ def find_sparse_r_absorber(
     trials: int = 40,
     seed: int = 0,
     forbidden: Iterable[int] = (),
-) -> RAbsorber:
+) -> Absorber:
     """Build a K-sparse r-absorber on the given r*k roots from a high-girth
     pattern.
 
@@ -758,13 +737,8 @@ def find_sparse_r_absorber(
             failures.append({"trial": t, "star": bad})
             continue
 
-        A = RAbsorber(
-            roots=roots,
-            covering=Matching.from_edges(cov_edges),
-            noncovering=Matching.from_edges(non_edges),
-            r=r,
-        )
-        ok, reason = verify_r_absorber(A, G)
+        A = Absorber(roots, Matching.from_edges(cov_edges), Matching.from_edges(non_edges))
+        ok, reason = verify_absorber(A, G)
         if ok and is_k_sparse(A, K):
             return A
         failures.append({"trial": t, "star": None, "reason": reason or "not sparse"})
@@ -780,26 +754,26 @@ def find_sparse_r_absorber(
 # Records
 # ---------------------------------------------------------------------------
 
-def absorber_record(A: Absorber, sparsity_k: int | None = None) -> dict:
-    rec = {
+def absorber_record(A: Absorber) -> dict:
+    """The record of an absorber. r is not written: a reader derives it
+    from the roots. The ``sparsity_k`` key stays null for stable bytes."""
+    return {
         "roots": list(A.roots),
         "covering": [list(e) for e in A.covering.edges],
         "noncovering": [list(e) for e in A.noncovering.edges],
         "order": A.order,
-        "sparsity_k": sparsity_k,
+        "sparsity_k": None,
     }
-    r = getattr(A, "r", None)
-    if r is not None:
-        rec["r"] = r
-    return rec
 
 
-def dumps_absorber(A: Absorber, sparsity_k: int | None = None) -> str:
+def dumps_absorber(A: Absorber) -> str:
     """One JSON line per absorber; keys sorted for byte-stable output."""
-    return json.dumps(absorber_record(A, sparsity_k), sort_keys=True)
+    return json.dumps(absorber_record(A), sort_keys=True)
 
 
 def parse_absorber(line: str) -> Absorber:
+    """Read one absorber record. An ``"r"`` key, which older records carry,
+    must be a JSON integer that agrees with the root count."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -815,7 +789,9 @@ def parse_absorber(line: str) -> Absorber:
         raise FormatError(f"bad absorber record: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad absorber record: {exc!r}") from None
-    A = Absorber(roots, cov, non) if r is None else RAbsorber(roots, cov, non, r=r)
+    A = Absorber(roots, cov, non)
+    if r is not None and r != A.r:
+        raise FormatError(f"bad absorber record: r={r} disagrees with {len(roots)} roots")
     if "order" in rec and rec["order"] != A.order:
         raise FormatError(f"recorded order {rec['order']} but edges give {A.order}")
     return A

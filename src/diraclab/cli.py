@@ -17,7 +17,6 @@ from math import comb
 from pathlib import Path
 
 from .absorbing import (
-    RAbsorber,
     assemble_contractible,
     contract_absorber,
     dumps_absorber,
@@ -27,7 +26,6 @@ from .absorbing import (
     parse_absorber,
     pattern_for,
     verify_absorber,
-    verify_r_absorber,
 )
 from .errors import (
     CapacityError,
@@ -186,51 +184,17 @@ def _cmd_mdk(args) -> int:
 _ARTIFACT_ERRORS = (FormatError, ShapeError, SpecError, SizeError)
 
 
-def _check_matching(graph_path: str, matching_path: str, perfect: bool) -> int:
-    H = read_khg(graph_path)
+def _cmd_verify(args) -> int:
+    H = read_khg(args.input)
     try:
-        m = parse_matching(Path(matching_path).read_text(encoding="ascii"))
-        ok, why = verify_matching(H, m, require_perfect=perfect)
+        m = parse_matching(Path(args.matching).read_text(encoding="ascii"))
+        ok, why = verify_matching(H, m, require_perfect=args.perfect)
     except _ARTIFACT_ERRORS as exc:
         ok, why = False, str(exc)
     if ok:
         print(f"ok: {len(m.edges)} edges, {len(m.covered)} vertices covered")
         return 0
     print(f"rejected: {why}", file=sys.stderr)
-    return 1
-
-
-def _check_absorber(absorber_path: str, host_path: str | None, sparsity: int | None) -> int:
-    host = read_khg(host_path) if host_path else None
-    try:
-        A = parse_absorber(Path(absorber_path).read_text(encoding="ascii").strip())
-        if isinstance(A, RAbsorber):
-            ok, why = verify_r_absorber(A, host)
-        else:
-            ok, why = verify_absorber(A, host)
-        if ok and sparsity is not None and not is_k_sparse(A, sparsity):
-            ok, why = False, f"not {sparsity}-sparse"
-    except _ARTIFACT_ERRORS as exc:
-        ok, why = False, str(exc)
-    if ok:
-        print(f"ok: order {A.order} on roots {' '.join(map(str, A.roots))}")
-        return 0
-    print(f"rejected: {why}", file=sys.stderr)
-    return 1
-
-
-def _check_template(template_path: str, mode: str, samples: int, seed: int) -> int:
-    try:
-        T = read_template(template_path)
-        rep = verify_resilient_template(T, mode=mode, samples=samples, seed=seed)
-    except _ARTIFACT_ERRORS as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return 1
-    if rep.ok:
-        print(f"ok: mode={rep.mode} removals_checked={rep.checked}")
-        return 0
-    bad = " ".join(map(str, rep.violating or ()))
-    print(f"rejected: removal [{bad}] leaves no perfect matching", file=sys.stderr)
     return 1
 
 
@@ -249,7 +213,19 @@ def _cmd_absorber(args) -> int:
         _emit(dumps_absorber(A) + "\n", args.out)
         return 0
     if args.action == "verify":
-        return _check_absorber(args.input, args.host, args.sparsity)
+        host = read_khg(args.host) if args.host else None
+        try:
+            A = parse_absorber(Path(args.input).read_text(encoding="ascii").strip())
+            ok, why = verify_absorber(A, host)
+            if ok and args.sparsity is not None and not is_k_sparse(A, args.sparsity):
+                ok, why = False, f"not {args.sparsity}-sparse"
+        except _ARTIFACT_ERRORS as exc:
+            ok, why = False, str(exc)
+        if ok:
+            print(f"ok: order {A.order} on roots {' '.join(map(str, A.roots))}")
+            return 0
+        print(f"rejected: {why}", file=sys.stderr)
+        return 1
 
     # contract: build the standard two-interior contractible shape on a
     # complete 3-graph and collapse its rooted triples. Each interior places
@@ -297,7 +273,18 @@ def _cmd_template(args) -> int:
         write_template(T, args.out)
         print(f"template: r={T.r} k={T.k} v={T.T.n} edges={len(T.T.edges)}")
         return 0
-    return _check_template(args.input, args.mode, args.samples, args.seed)
+    try:
+        T = read_template(args.input)
+        rep = verify_resilient_template(T, mode=args.mode, samples=args.samples, seed=args.seed)
+    except _ARTIFACT_ERRORS as exc:
+        print(f"rejected: {exc}", file=sys.stderr)
+        return 1
+    if rep.ok:
+        print(f"ok: mode={rep.mode} removals_checked={rep.checked}")
+        return 0
+    bad = " ".join(map(str, rep.violating or ()))
+    print(f"rejected: removal [{bad}] leaves no perfect matching", file=sys.stderr)
+    return 1
 
 
 def _cmd_pipeline(args) -> int:
@@ -336,17 +323,6 @@ def _cmd_experiment(args) -> int:
             for line in summary_lines(result):
                 print(line)
     return 0
-
-
-def _cmd_verify(args) -> int:
-    if args.matching:
-        if not args.input:
-            print("verify --matching needs --in with the host graph", file=sys.stderr)
-            return 2
-        return _check_matching(args.input, args.matching, args.perfect)
-    if args.absorber:
-        return _check_absorber(args.absorber, args.input, args.sparsity)
-    return _check_template(args.template, args.mode, args.samples, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--config", required=True)
     ex.set_defaults(func=_cmd_experiment)
 
-    ver = sub.add_parser("verify", help="re-check a stored artifact")
-    what = ver.add_mutually_exclusive_group(required=True)
-    what.add_argument("--matching", default=None, help="matching file; needs --in with its graph")
-    what.add_argument("--absorber", default=None, help="absorber record; --in optionally names its host")
-    what.add_argument("--template", default=None, help="template path base")
-    ver.add_argument("--in", dest="input", default=None, help="context graph (.khg)")
-    ver.add_argument("--perfect", action="store_true", help="matchings must also be perfect")
-    ver.add_argument("--sparsity", type=int, default=None, help="absorbers must have Berge girth >= this")
-    ver.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
-    ver.add_argument("--samples", type=_count, default=500)
+    ver = sub.add_parser("verify", help="re-check a stored matching against its graph")
+    ver.add_argument("--matching", required=True, help="matching file")
+    ver.add_argument("--in", dest="input", required=True, help="the matched graph (.khg)")
+    ver.add_argument("--perfect", action="store_true", help="the matching must also be perfect")
     ver.set_defaults(func=_cmd_verify)
 
     return top

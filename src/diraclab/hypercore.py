@@ -149,10 +149,6 @@ class Hypergraph:
         return tuple(mask_of(e) for e in self.edges)
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.edges)
-
-    @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """For each vertex, the indices of edges containing it."""
         inc: list[list[int]] = [[] for _ in range(self.n)]

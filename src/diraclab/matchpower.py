@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import CapacityError, NotFound, ShapeError, SizeError, SpecError
+from .errors import CapacityError, NotFound, ShapeError, SizeError
 from .hypercore import Hypergraph, mask_of
 
 __all__ = [
@@ -287,7 +287,7 @@ def _pm_within(
     n, k = len(vs), H.k
     if n % k:
         return "none", [], 0
-    edges = [e for e in combinations(vs, k) if e in H.edge_set and e not in banned]
+    edges = [e for e in combinations(vs, k) if H.has_edge(e) and e not in banned]
     pos = {v: i for i, v in enumerate(vs)}
     local = [tuple(pos[v] for v in e) for e in edges]
     status, picked, nodes = _pm_searcher(local, n)(0, set(), budget)
@@ -358,24 +358,9 @@ def _max_matching(
             banned |= 1 << v
 
 
-def max_matching(H: Hypergraph, mode: str = "exact", budget: int | None = None) -> MaxMatchingResult:
-    """Maximum (exact) or maximal (greedy) matching.
-
-    Greedy scans edges in canonical order and keeps whatever fits, so the
-    result is maximal but not necessarily maximum. Exact mode is
-    branch-and-bound; if the budget runs out it returns the best matching
-    found with ``optimal`` False.
-    """
-    if mode not in ("exact", "greedy"):
-        raise SpecError(f"unknown max_matching mode {mode!r}")
-    if mode == "greedy":
-        covered = 0
-        out = []
-        for i, mk in enumerate(H.edge_masks):
-            if not mk & covered:
-                covered |= mk
-                out.append(H.edges[i])
-        return MaxMatchingResult(Matching.from_edges(out), True, len(H.edges))
+def max_matching(H: Hypergraph, budget: int | None = None) -> MaxMatchingResult:
+    """Maximum matching by branch and bound; if the budget runs out it
+    returns the best matching found with ``optimal`` False."""
     sel, optimal, nodes = _max_matching(H.edges, H.n, budget=budget)
     return MaxMatchingResult(
         Matching.from_edges(H.edges[i] for i in sel), optimal, nodes

@@ -19,7 +19,6 @@ from conftest import make_contracted, seeded_subgraph
 from diraclab.absorbing import (
     Absorber,
     BipartitePattern,
-    RAbsorber,
     absorber_record,
     admits_absorber_partition,
     assemble_contractible,
@@ -36,7 +35,6 @@ from diraclab.absorbing import (
     projective_plane_pattern,
     random_regular_pattern,
     verify_absorber,
-    verify_r_absorber,
 )
 from diraclab import absorbing
 from diraclab.errors import DiracLabError, FormatError, NotFound, ShapeError, SizeError
@@ -63,12 +61,8 @@ def oracle_absorber_ok(roots, covering, noncovering, host_edges=None):
     return set(flat_cov) == V and set(flat_non) == V - set(roots) and set(roots) <= V
 
 
-def mk(roots, covering, noncovering, r=None):
-    cov = Matching.from_edges(covering)
-    non = Matching.from_edges(noncovering)
-    if r is None:
-        return Absorber(tuple(roots), cov, non)
-    return RAbsorber(tuple(roots), cov, non, r=r)
+def mk(roots, covering, noncovering):
+    return Absorber(tuple(roots), Matching.from_edges(covering), Matching.from_edges(noncovering))
 
 
 K6 = Hypergraph.complete(6, 3)
@@ -215,19 +209,31 @@ def test_absorber_edge_must_live_in_host():
 
 
 def test_r_absorber_reduces_and_composes():
-    A = mk((0, 1, 2), [(0, 1, 3), (2, 4, 5)], [(3, 4, 5)], r=1)
-    assert verify_r_absorber(A, K6) == (True, None)
+    A = mk((0, 1, 2), [(0, 1, 3), (2, 4, 5)], [(3, 4, 5)])
+    assert verify_absorber(A, K6) == (True, None)
 
     host = Hypergraph.complete(12, 3)
     two = mk(
         (0, 1, 2, 6, 7, 8),
         [(0, 1, 3), (2, 4, 5), (6, 7, 9), (8, 10, 11)],
         [(3, 4, 5), (9, 10, 11)],
-        r=2,
     )
-    ok, reason = verify_r_absorber(two, host)
+    ok, reason = verify_absorber(two, host)
     assert ok, reason
     assert two.order == 6
+
+
+def test_verify_absorber_without_host_reads_k_from_the_edges():
+    # six roots at k=3 make a 2-absorber without a host too; an empty root
+    # tuple is no positive multiple of k
+    two = mk(
+        (0, 1, 2, 6, 7, 8),
+        [(0, 1, 3), (2, 4, 5), (6, 7, 9), (8, 10, 11)],
+        [(3, 4, 5), (9, 10, 11)],
+    )
+    assert two.r == 2 and verify_absorber(two) == (True, None)
+    ok, reason = verify_absorber(mk((), [(0, 1, 2)], [(0, 1, 2)]))
+    assert not ok and reason == "root count 0 is not a positive multiple of 3"
 
 
 def test_r_absorber_overlap_unrepresentable():
@@ -239,13 +245,12 @@ def test_r_absorber_overlap_unrepresentable():
             (0, 1, 2, 6, 7, 8),
             [(0, 1, 3), (2, 4, 5), (6, 7, 9), (8, 10, 11)],
             [(3, 4, 5), (5, 9, 10)],
-            r=2,
         )
 
 
 def test_r_absorber_root_count_must_be_multiple():
     A = mk((0, 1, 2, 3), [(0, 1, 3), (2, 4, 5)], [(4, 5)])
-    ok, reason = verify_r_absorber(A, K6)
+    ok, reason = verify_absorber(A, K6)
     assert not ok and "multiple" in reason
 
 
@@ -394,7 +399,7 @@ def rooted_cases():
     for H in ROOTED_HOSTS:
         for roots in ROOT_TUPLES:
             if max(roots) < H.n:
-                yield H, roots, tuple(sorted(roots)) in H.edge_set
+                yield H, roots, H.has_edge(roots)
 
 
 def test_rooted_order0_is_the_root_edge():
@@ -426,7 +431,7 @@ def test_rooted_search_falls_through_to_order_k():
         for A in runs:
             assert A.order == 3
             assert verify_absorber(A, H) == (True, None)
-            assert oracle_absorber_ok(roots, A.covering.edges, A.noncovering.edges, H.edge_set)
+            assert oracle_absorber_ok(roots, A.covering.edges, A.noncovering.edges, set(H.edges))
         if not present:
             assert runs[0] == runs[1]
     assert cases >= 20 and absent >= 5
@@ -757,7 +762,7 @@ def test_assemble_with_host_checks_membership():
 def test_sparse_absorber_girth_4():
     H = Hypergraph.complete(30, 3)
     A = find_sparse_r_absorber(H, (0, 1, 2), K=4, q=3, seed=0)
-    assert verify_r_absorber(A, H) == (True, None)
+    assert verify_absorber(A, H) == (True, None)
     assert is_k_sparse(A, 4)
     assert A.order == 6 and A.r == 1
 
@@ -765,7 +770,7 @@ def test_sparse_absorber_girth_4():
 def test_sparse_absorber_girth_6_and_8():
     H = Hypergraph.complete(60, 3)
     A6 = find_sparse_r_absorber(H, (0, 1, 2), K=6, q=3, seed=1)
-    assert verify_r_absorber(A6, H) == (True, None)
+    assert verify_absorber(A6, H) == (True, None)
     assert is_k_sparse(A6, 6)
     assert A6.order == 18
 
@@ -779,7 +784,7 @@ def test_sparse_absorber_r2():
     roots = (0, 1, 2, 3, 4, 5)
     A = find_sparse_r_absorber(H, roots, K=4, q=6, seed=3)
     assert A.r == 2
-    assert verify_r_absorber(A, H) == (True, None)
+    assert verify_absorber(A, H) == (True, None)
     assert is_k_sparse(A, 4)
     assert A.noncovering.covered == A.vertices - set(roots)
 
@@ -816,8 +821,7 @@ def test_sparse_absorber_builds_no_host_edge_set():
     # its verification only look up a few dozen of them
     H = Hypergraph.complete(93, 3)
     A = find_sparse_r_absorber(H, (1, 4, 7), K=8, q=3, seed=2, forbidden=(0, 2, 3, 5, 6, 8))
-    assert verify_r_absorber(A, H) == (True, None)
-    assert "edge_set" not in H.__dict__
+    assert verify_absorber(A, H) == (True, None)
 
 
 def test_sparse_absorber_deterministic():
@@ -863,16 +867,16 @@ def test_acyclic_subsets_obey_forest_bound():
 
 def test_absorber_record_round_trip():
     A = mk((0, 1, 2), [(0, 1, 3), (2, 4, 5)], [(3, 4, 5)])
-    line = dumps_absorber(A, sparsity_k=None)
+    line = dumps_absorber(A)
     back = parse_absorber(line)
     assert back.roots == A.roots
     assert back.covering == A.covering and back.noncovering == A.noncovering
 
     R = mk((0, 1, 2, 6, 7, 8),
            [(0, 1, 3), (2, 4, 5), (6, 7, 9), (8, 10, 11)],
-           [(3, 4, 5), (9, 10, 11)], r=2)
+           [(3, 4, 5), (9, 10, 11)])
     back2 = parse_absorber(dumps_absorber(R))
-    assert isinstance(back2, RAbsorber) and back2.r == 2
+    assert back2 == R and back2.r == 2
 
 
 def test_absorber_record_errors():
@@ -903,6 +907,16 @@ def test_absorber_record_rejects_non_integer_ids(field, value, what):
     rec[field] = value
     with pytest.raises(FormatError, match=f"bad absorber record: {what} must be an integer"):
         parse_absorber(json.dumps(rec))
+
+
+def test_absorber_record_writes_no_r_and_checks_a_stored_one():
+    # r is derived from the roots; a stored "r" that disagrees with them is
+    # a corrupted record, rejected by the reader rather than after parsing
+    rec = absorber_record(mk((0, 1, 2), [(0, 1, 3), (2, 4, 5)], [(3, 4, 5)]))
+    assert "r" not in rec and rec["sparsity_k"] is None
+    assert parse_absorber(json.dumps(dict(rec, r=1))).r == 1
+    with pytest.raises(FormatError, match="bad absorber record: r=2 disagrees with 3 roots"):
+        parse_absorber(json.dumps(dict(rec, r=2)))
 
 
 @pytest.mark.parametrize("r", ["x", 2.7, True])

@@ -373,7 +373,7 @@ def test_criterion_08_condition_always_yields_representatives():
         assert len(reps) == t
         used: set[int] = set()
         for i, e in enumerate(reps):
-            assert e in links[i].edge_set
+            assert links[i].has_edge(e)
             assert not used.intersection(e)
             used.update(e)
     _report(8, f"500 satisfying instances out of {attempts}, all solved")

@@ -130,20 +130,19 @@ class TestVerify:
             "absorber", "find", "--in", k12, "--roots", "0 1 2",
         )
         assert code == 0
-        assert run(capsys, "verify", "--absorber", str(record), "--in", k12)[0] == 0
+        assert run(capsys, "absorber", "verify", "--in", str(record), "--host", k12)[0] == 0
         garbled = tmp_path / "g.json"
         garbled.write_text(record.read_text().replace("[", "{", 1))
-        assert run(capsys, "verify", "--absorber", str(garbled))[0] == 1
+        assert run(capsys, "absorber", "verify", "--in", str(garbled))[0] == 1
 
     @pytest.mark.parametrize("r", ['"x"', "2.7", "true"])
     def test_malformed_r_is_rejected(self, k12, tmp_path, capsys, r):
         record = tmp_path / "a.json"
         run(capsys, "--out", str(record), "absorber", "find", "--in", k12, "--roots", "0 1 2")
         record.write_text(record.read_text().replace("{", f'{{"r": {r}, ', 1))
-        for argv in (("verify", "--absorber"), ("absorber", "verify", "--in")):
-            code, _, err = run(capsys, *argv, str(record))
-            assert code == 1
-            assert err.startswith("rejected: bad absorber record: r must be an integer"), err
+        code, _, err = run(capsys, "absorber", "verify", "--in", str(record))
+        assert code == 1
+        assert err.startswith("rejected: bad absorber record: r must be an integer"), err
 
     @pytest.mark.parametrize("old, new", [('"roots": [0, 1, 2]', '"roots": [0.9, 1, 2]'),
                                           ('"roots": [0, 1, 2]', '"roots": [true, 1, 2]'),
@@ -153,13 +152,20 @@ class TestVerify:
         run(capsys, "--out", str(record), "absorber", "find", "--in", k12, "--roots", "0 1 2")
         assert old in record.read_text()
         record.write_text(record.read_text().replace(old, new))
-        for argv in (("verify", "--absorber"), ("absorber", "verify", "--in")):
-            code, _, err = run(capsys, *argv, str(record))
-            assert code == 1
-            assert err.startswith("rejected: bad absorber record: ") and "must be an integer" in err, err
+        code, _, err = run(capsys, "absorber", "verify", "--in", str(record))
+        assert code == 1
+        assert err.startswith("rejected: bad absorber record: ") and "must be an integer" in err, err
 
     def test_exactly_one_artifact_flag(self, k12, capsys):
         assert run(capsys, "verify", "--in", k12)[0] == 2
+
+    @pytest.mark.parametrize("flags", [("--sparsity", "3"), ("--mode", "sampled"), ("--samples", "5")])
+    def test_matching_check_takes_no_absorber_or_template_flags(self, k12, capsys, flags):
+        # verify checks matchings only; absorbers and templates each have
+        # their own verify subcommand, so these flags are usage errors here
+        run(capsys, "pm", "--in", k12)
+        code, _, err = run(capsys, "verify", "--matching", k12 + ".matching", "--in", k12, *flags)
+        assert code == 2 and "unrecognized arguments" in err
 
 
 class TestMdk:
@@ -225,7 +231,6 @@ class TestTemplateAndAbsorber:
         assert code == 0
         assert "r=6" in out
         assert run(capsys, "template", "verify", "--in", str(base), "--mode", "exhaustive")[0] == 0
-        assert run(capsys, "verify", "--template", str(base))[0] == 0
 
     def test_template_without_feasible_removals_verifies_in_both_modes(self, tmp_path, capsys):
         base = tmp_path / "bare"
@@ -244,10 +249,9 @@ class TestTemplateAndAbsorber:
         data = json.loads(sidecar.read_text())
         for bad in (data["Z"][0] + 0.5, True):
             sidecar.write_text(json.dumps(dict(data, Z=[bad] + data["Z"][1:])))
-            for argv in (("template", "verify", "--in"), ("verify", "--template")):
-                code, _, err = run(capsys, *argv, str(base))
-                assert code == 1
-                assert err.startswith("rejected: bad template sidecar") and "must be an integer" in err, err
+            code, _, err = run(capsys, "template", "verify", "--in", str(base))
+            assert code == 1
+            assert err.startswith("rejected: bad template sidecar") and "must be an integer" in err, err
 
     def test_template_build_needs_out(self, capsys):
         assert run(capsys, "template", "build", "--r", "6", "--k", "3")[0] == 2
@@ -278,10 +282,9 @@ class TestTemplateAndAbsorber:
     def test_negative_samples_are_usage_errors(self, tmp_path, capsys):
         base = tmp_path / "t6"
         assert run(capsys, "--out", str(base), "template", "build", "--r", "6", "--k", "3")[0] == 0
-        for argv in (["template", "verify", "--in", str(base)], ["verify", "--template", str(base)]):
-            code, out, err = run(capsys, *argv, "--mode", "sampled", "--samples", "-5")
-            assert (code, out) == (2, "")
-            assert "--samples: must be nonnegative" in err
+        code, out, err = run(capsys, "template", "verify", "--in", str(base), "--mode", "sampled", "--samples", "-5")
+        assert (code, out) == (2, "")
+        assert "--samples: must be nonnegative" in err
 
     def test_absorber_contract_reports_shape(self, capsys):
         code, out, _ = run(capsys, "absorber", "contract", "--K", "4")

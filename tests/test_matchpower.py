@@ -234,7 +234,7 @@ def memo_hosts() -> list[Hypergraph]:
             kept = set(sample_hk(n, 3, 0.5 + 0.05 * seed, seed).edges)
             hosts.append(Hypergraph.from_edges(n, 3, [e for e in H.edges if e in kept]))
         else:
-            extra = rng.choice([e for e in combinations(range(n), 3) if e not in H.edge_set])
+            extra = rng.choice([e for e in combinations(range(n), 3) if not H.has_edge(e)])
             hosts.append(Hypergraph.from_edges(n, 3, H.edges + (extra,)))
     return hosts
 
@@ -518,29 +518,21 @@ def test_pm_status_matches_naive_oracle(H):
 
 def test_max_matching_examples():
     m = Hypergraph.from_edges(6, 3, [(0, 1, 2), (3, 4, 5)])
-    res = max_matching(m, mode="exact")
+    res = max_matching(m)
     assert res.matching.edges == m.edges
 
-    res = max_matching(Hypergraph.complete(7, 3), mode="exact")
+    res = max_matching(Hypergraph.complete(7, 3))
     assert len(res.matching) == 2 and res.optimal
 
     path = Hypergraph.from_edges(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
-    res = max_matching(path, mode="exact")
+    res = max_matching(path)
     assert len(res.matching) == 2
     assert res.matching.edges == ((0, 1, 2), (4, 5, 6))
 
 
-def test_max_matching_greedy_is_maximal():
-    H = seeded_subgraph(9, 3, 0.4, seed=7)
-    res = max_matching(H, mode="greedy")
-    covered = res.matching.covered
-    for e in H.edges:
-        assert covered.intersection(e), f"greedy missed extendable edge {e}"
-
-
 def test_max_matching_budget_flag():
     H = Hypergraph.complete(15, 3)
-    res = max_matching(H, mode="exact", budget=3)
+    res = max_matching(H, budget=3)
     assert not res.optimal
     assert verify_matching(H, res.matching)[0]
 
@@ -548,11 +540,9 @@ def test_max_matching_budget_flag():
 @settings(max_examples=80)
 @given(small_hypergraph(max_n=8, max_k=3))
 def test_max_matching_agrees_with_oracle(H):
-    res = max_matching(H, mode="exact")
+    res = max_matching(H)
     assert res.optimal
     assert len(res.matching) == oracle_max_matching_size(H)
-    greedy = max_matching(H, mode="greedy")
-    assert len(greedy.matching) <= len(res.matching)
 
 
 @given(small_hypergraph(max_n=7, max_k=3), st.randoms(use_true_random=False))
@@ -560,8 +550,8 @@ def test_max_matching_size_relabeling_invariant(H, rng):
     perm = list(range(H.n))
     rng.shuffle(perm)
     relabeled = Hypergraph.from_edges(H.n, H.k, [[perm[v] for v in e] for e in H.edges])
-    a = max_matching(H, mode="exact")
-    b = max_matching(relabeled, mode="exact")
+    a = max_matching(H)
+    b = max_matching(relabeled)
     assert len(a.matching) == len(b.matching)
 
 
@@ -698,7 +688,7 @@ def test_ah_true_implies_representatives(t, seed):
         assert len(reps) == t
         seen = set()
         for i, e in enumerate(reps):
-            assert e in links[i].edge_set
+            assert links[i].has_edge(e)
             assert not seen.intersection(e)
             seen.update(e)
 
@@ -761,7 +751,7 @@ def test_representatives_agree_with_family_order_search():
         assert len(reps) == len(want) == t
         used: set[int] = set()
         for L, e in zip(links, reps):
-            assert e in L.edge_set
+            assert L.has_edge(e)
             assert used.isdisjoint(e)
             used.update(e)
         outcomes["found"] += 1

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import diraclab
+from diraclab.hypercore import Hypergraph
 
 
 def test_no_assert_statements():
@@ -152,3 +153,18 @@ def test_seeds_are_derived_not_computed():
                 elif "_trial_seed" in (getattr(node, "name", None), getattr(node, "id", None)):
                     found.add(f"{name}:_trial_seed")
     assert found == {"pipeline.dirac_perfect_matching"}
+
+
+def test_one_absorber_type_and_no_cached_edge_set():
+    # an r-absorber is an Absorber on r*k roots, checked by the one
+    # verify_absorber; host edges are looked up by has_edge's binary search,
+    # so no host-wide edge set is cached beside the sorted edge tuple
+    found = []
+    for path in sorted(Path(diraclab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "Absorber" for b in node.bases
+            ):
+                found.append(f"{path.stem}.{node.name}")
+    assert found == []
+    assert not hasattr(Hypergraph, "edge_set")

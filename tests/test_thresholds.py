@@ -325,7 +325,7 @@ def test_space_barrier_shape_and_certificate():
     assert S == (0, 1)
     assert all(set(S).intersection(e) for e in H.edges)
     # counting certificate: any matching uses a vertex of S per edge
-    best = max_matching(H, mode="exact").matching
+    best = max_matching(H).matching
     assert len(best) == len(S) < 9 // 3
     assert find_perfect_matching(H).status == "none"
 

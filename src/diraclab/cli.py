@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from math import comb
 from pathlib import Path
 
@@ -329,14 +330,17 @@ def _cmd_experiment(args) -> int:
 # parser
 
 
-def _count(text: str) -> int:
-    """argparse type for a nonnegative integer."""
+def _count(text: str, low: int = 0) -> int:
+    """argparse type for an integer of at least ``low``, by default a
+    nonnegative one."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {low}, got {value}" if low else f"must be nonnegative, got {value}"
+        )
     return value
 
 
@@ -383,7 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     abv = absub.add_parser("verify", help="check a stored absorber record")
     abv.add_argument("--in", dest="input", required=True)
     abv.add_argument("--host", default=None, help="optional .khg whose edges must contain the absorber")
-    abv.add_argument("--sparsity", type=int, default=None, help="also require Berge girth >= this")
+    # every Berge cycle has at least 2 edges, so a bound below 3 passes all
+    abv.add_argument(
+        "--sparsity", type=partial(_count, low=3), default=None,
+        help="also require Berge girth >= this (at least 3)",
+    )
     abc = absub.add_parser("contract", help="build and collapse the two-interior shape (k=3)")
     abc.add_argument("--K", type=int, required=True, help="sparsity level for the interior absorbers")
     abc.add_argument("--q", type=int, default=3)

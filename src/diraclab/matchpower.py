@@ -127,31 +127,26 @@ def find_perfect_matching(H: Hypergraph, budget: int | None = None) -> MatchResu
     broken by lowest id), trying its edges in canonical order. With no budget
     the search is exhaustive, so status "none" is a proof of non-existence.
 
-    Covered-vertex masks whose branches all failed are remembered as dead and
-    cut at once when reached again (still counted as a node). This is sound
-    because the branching is a function of the covered mask alone: the vertex
-    picked and the edge order depend on nothing else, so a revisit would
-    replay the same failed subtree, at the same depth, and could not find a
-    longer partial matching than the one already kept. The matching returned,
-    and "none" as a proof, are the same as without the memo; only
-    ``nodes_explored`` shrinks. The memo holds at most one entry per failed
-    inner node.
+    Covered-vertex masks whose branches all failed are remembered as dead;
+    a child whose mask is dead is counted as a node and never descended
+    into. This is sound because the branching is a function of the covered
+    mask alone: the vertex picked and the edge order depend on nothing
+    else, so a revisit would replay the same failed subtree, at the same
+    depth, and could not find a longer partial matching than the one
+    already kept. The matching returned, and "none" as a proof, are the
+    same as without the memo; only ``nodes_explored`` shrinks. The memo
+    holds at most one entry per failed inner node.
 
-    The search keeps its state as bitsets over edge indices: one int of the
-    edges still available, and per vertex the int of its edges, built once
-    per call. A node counts every vertex's available edges with one AND and
-    one popcount each instead of rebuilding the lists, and a chosen edge
-    clears its vertices' edges from the available set. The counts are the
-    list lengths the rule above compares, so the branching, the matching
-    and the node count are those of a scan over every vertex.
+    The search is :func:`_pm_searcher`, on bitsets over edge indices. Its
+    counts are the list lengths the rule above compares, so the branching,
+    the matching and the node count are those of a scan over every vertex.
     """
     n, k = H.n, H.k
     if n == 0:
         return MatchResult("perfect", Matching(()), (), 0)
     if n % k != 0:
         return MatchResult("none", Matching(()), tuple(range(n)), 0)
-    search = _pm_searcher(H.edges, n)
-    status, picked, nodes = search(0, set(), budget)
+    status, picked, nodes = _pm_searcher(H.edges, n)(0, set(), budget)
     m = Matching.from_edges(H.edges[i] for i in picked)
     unc = () if status == "perfect" else tuple(sorted(set(range(n)) - m.covered))
     return MatchResult(status, m, unc, nodes)
@@ -173,30 +168,29 @@ def _pm_searcher(
     secondary column.
 
     ``search`` returns ``(status, edge indices, nodes)``: the indices form
-    the exact cover, or the longest partial one seen. The search is one
-    loop over an explicit stack with one frame ``(covered, avail, untried
-    candidates)`` per open node of the current path; a node with a zero
-    count or a memoised mask opens no frame, and a budget stop returns
-    ``("partial", best, nodes)`` from inside the loop.
+    the exact cover, or the longest partial one seen. It is one loop over an
+    explicit stack, one frame ``(covered, avail, live, untried candidates)``
+    per open node of the current path, and returns from inside the loop.
 
     ``dead`` is the memo of covered masks shown to fail. A mask enters it
     only when its frame runs out of candidates and is popped: never on a
-    zero count, on a memo hit or on a budget stop. The mask holds the
-    covered secondary columns too, so a dead mask means the primary columns
-    outside it have no cover by edges avoiding it, whatever the start mask
-    was, and a caller may share the memo between searches on the same
+    zero count (which opens no frame), a memo hit or a budget stop. It holds
+    the covered secondary columns too, so a dead mask means the primary
+    columns outside it have no cover by edges avoiding it, whatever the
+    start, and a caller may share the memo between searches on the same
     edges. The status stays exact; only the partial matching kept after a
     failure may be shorter than a fresh search's.
 
-    The state is bitsets over edge indices (the column sizes of Dancing
-    Links, read off with one popcount each). ``avail`` holds the edges that
-    avoid every covered column, and ``cur[v]`` is ``inc[v]``, the edges at
-    v, while primary column v is uncovered. A covered or secondary column's
-    slot holds ``SENT``, a block of bits above the edge bits that ``avail``
-    always keeps. The block is one bit wider than the widest column, so its
-    count exceeds any uncovered primary column's and it is never picked,
-    while the ints ANDed and counted at each node stay close to E bits. The
-    counts ``popcount(avail & cur[v])`` are the lengths of the
+    A frame looks each candidate's child mask up in ``dead`` before it
+    descends. A dead child only adds a node, becomes ``best`` if longer and
+    ends the search if that spends the budget. Its visit would do no more:
+    a memo hit opens no frame, and no frame opens on a cover, so no dead
+    mask is one. The nodes, ``best`` and budget stops are a visit's.
+
+    ``avail`` holds the edges that avoid every covered column, and ``live``
+    lists the uncovered primary columns in ascending order; an empty
+    ``live`` is a cover. The counts ``popcount(avail & inc[v])`` for v in
+    ``live`` (the column sizes of Dancing Links) are the lengths of the
     available-edge lists of a scan over all vertices, and the set bits of
     ``avail & inc[v]``, low to high, are v's available edges in incidence
     order; so the column picked (fewest available edges, lowest id on
@@ -206,67 +200,73 @@ def _pm_searcher(
     cols = max(n, max((e[-1] + 1 for e in edges), default=0))
     # set bits in a bytearray: growing an int bit by bit copies it each time
     rows = [bytearray((E + 7) // 8) for _ in range(cols)]
+    emask = []
     for i, e in enumerate(edges):
         byte, bit = i >> 3, 1 << (i & 7)
         for v in e:
             rows[v][byte] |= bit
+        emask.append(mask_of(e))
     inc = [int.from_bytes(row, "little") for row in rows]
     ninc = [~b for b in inc]
-    width = max(map(int.bit_count, inc), default=0) + 1
-    SENT = ((1 << width) - 1) << E
-    base = inc[:n] + [SENT] * (cols - n)
-    full = (1 << n) - 1
-    every = (1 << E) - 1 | SENT
-    popcount = int.bit_count
 
     def search(
         start: int, dead: set[int], budget: int | None = None
     ) -> tuple[str, list[int], int]:
-        nodes = 0
         chosen: list[int] = []
         best: list[int] = []
-        cur = base[:]
-        covered, avail = start, every
+        covered, avail, nodes = start, (1 << E) - 1, 0
         for v in range(cols):
             if start >> v & 1:
-                cur[v] = SENT
                 avail &= ninc[v]
-        stack: list[tuple[int, int, int]] = []
+        live = [v for v in range(n) if not start >> v & 1]
+        stack: list[tuple[int, int, list[int], int]] = []
         while True:
             nodes += 1
             if budget is not None and nodes > budget:
                 return "partial", best, nodes
-            if covered & full == full:
+            if not live:
                 return "perfect", chosen, nodes
-            if covered not in dead:
-                cnts = list(map(popcount, map(avail.__and__, cur)))
+            # a child was looked up in the memo before the descent; only the
+            # start is visited with an empty stack
+            if stack or covered not in dead:
+                cnts = list(map(int.bit_count, map(avail.__and__, map(inc.__getitem__, live))))
                 c = min(cnts)
                 if c:
-                    stack.append((covered, avail, avail & inc[cnts.index(c)]))
-            # back up to the deepest frame with an untried candidate; the
-            # top frame's last edge is still on the path while len(chosen)
-            # equals len(stack)
+                    stack.append((covered, avail, live, avail & inc[live[cnts.index(c)]]))
+            # back up to the deepest frame with a candidate whose child is not
+            # dead; its last edge is on the path while len(chosen) == len(stack)
             while stack:
-                covered, avail, cand = stack[-1]
+                covered, avail, live, cand = stack[-1]
                 if len(chosen) == len(stack):
-                    for u in edges[chosen.pop()]:
-                        cur[u] = base[u]
-                if cand:
-                    break
-                stack.pop()
-                dead.add(covered)
+                    chosen.pop()
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    i = low.bit_length() - 1
+                    if covered | emask[i] not in dead:
+                        break
+                    nodes += 1
+                    if len(chosen) >= len(best):
+                        best = chosen + [i]
+                    if budget is not None and nodes > budget:
+                        return "partial", best, nodes
+                else:
+                    stack.pop()
+                    dead.add(covered)
+                    continue
+                stack[-1] = covered, avail, live, cand
+                break
             else:
                 return "none", best, nodes
-            low = cand & -cand
-            stack[-1] = covered, avail, cand ^ low
-            i = low.bit_length() - 1
             chosen.append(i)
             if len(chosen) > len(best):
                 best[:] = chosen
+            covered |= emask[i]
+            live = live[:]
             for u in edges[i]:
                 avail &= ninc[u]
-                covered |= 1 << u
-                cur[u] = SENT
+                if u < n:
+                    live.remove(u)
 
     return search
 

@@ -156,6 +156,23 @@ class TestVerify:
         assert code == 1
         assert err.startswith("rejected: bad absorber record: ") and "must be an integer" in err, err
 
+    @pytest.mark.parametrize("bound", ["0", "-5", "2"])
+    def test_sparsity_below_three_is_a_usage_error(self, k12, tmp_path, capsys, bound):
+        # a Berge cycle has at least 2 edges, so these bounds would pass
+        # every absorber; the parent printed "ok" for each
+        record = tmp_path / "a.json"
+        run(capsys, "--out", str(record), "absorber", "find", "--in", k12, "--roots", "0 1 2")
+        code, _, err = run(capsys, "absorber", "verify", "--in", str(record), f"--sparsity={bound}")
+        assert code == 2 and f"--sparsity: must be at least 3, got {bound}" in err
+
+    def test_sparsity_three_rejects_the_trivial_absorber(self, k12, tmp_path, capsys):
+        # its one edge is the root tuple, a 2-cycle with the added root edge
+        record = tmp_path / "a.json"
+        run(capsys, "--out", str(record), "absorber", "find", "--in", k12, "--roots", "0 1 2")
+        assert parse_absorber(record.read_text()).order == 0
+        code, _, err = run(capsys, "absorber", "verify", "--in", str(record), "--sparsity", "3")
+        assert code == 1 and err == "rejected: not 3-sparse\n"
+
     def test_exactly_one_artifact_flag(self, k12, capsys):
         assert run(capsys, "verify", "--in", k12)[0] == 2
 

@@ -285,6 +285,24 @@ def test_pm_barrier_proofs_pinned(build, n, nodes, uncovered):
     assert len(res.matching) == n // 3 - 1
 
 
+@pytest.mark.parametrize(
+    "build, n, k, nodes",
+    [
+        (space_barrier, 18, 3, 39_876),
+        (parity_barrier, 18, 3, 66_089),
+        (space_barrier, 15, 3, 5_197),
+        (parity_barrier, 15, 3, 7_674),
+        (space_barrier, 12, 4, 1_162),
+        (parity_barrier, 12, 4, 1_361),
+    ],
+)
+def test_pm_barrier_walks_pinned_under_budget(build, n, k, nodes):
+    # the proofs behind the lower bounds m_d(k, n) >= 1 + barrier degree
+    # settle within the budget the memo-free search cannot meet at n=18
+    res = find_perfect_matching(build(n, k, 1), budget=200_000)
+    assert (res.status, res.nodes_explored) == ("none", nodes)
+
+
 def induced_pm(H: Hypergraph, verts, budget: int | None = None):
     """The subset search as an ``induced`` copy, searched and mapped back."""
     sub, old = induced(H, verts)
@@ -415,6 +433,44 @@ def assert_kernels_agree(H: Hypergraph, start: int) -> None:
 @pytest.mark.parametrize("H", MEMO_HOSTS, ids=[f"host{i}" for i in range(len(MEMO_HOSTS))])
 def test_bitset_kernel_matches_scanning_kernel(H):
     assert_kernels_agree(H, 0)
+
+
+# every budget costs a search on each kernel, so the sweep below takes the
+# memo hosts with edges whose walk is at most 300 nodes, and the k=3
+# barriers on 9 and 12 vertices (62 to 789 nodes)
+BUDGET_SWEEP_HOSTS = {
+    **{
+        f"host{i}": H
+        for i, H in enumerate(MEMO_HOSTS)
+        if H.edges and _pm_searcher(H.edges, H.n)(0, set())[2] <= 300
+    },
+    **{f"{build.__name__}{n}": build(n, 3, 1) for n in (9, 12) for build in (space_barrier, parity_barrier)},
+}
+
+
+@pytest.mark.parametrize("left", (False, True), ids=("fresh", "left"))
+@pytest.mark.parametrize("H", BUDGET_SWEEP_HOSTS.values(), ids=BUDGET_SWEEP_HOSTS.keys())
+def test_bitset_kernel_matches_scanning_kernel_at_every_budget(H, left):
+    # A budget stop can fall on a child whose mask is already dead. With a
+    # fresh memo that child's depth was reached before; a memo left by a
+    # search that started with the first edge covered is hit from the empty
+    # start at a depth no visit has reached, so the partial matching
+    # returned there must end with the hit edge.
+    search = _pm_searcher(H.edges, H.n)
+    memo: set[int] = set()
+    if left:
+        ref_memo: set[int] = set()
+        assert search(H.edge_masks[0], memo) == _pm_search(
+            H.edge_masks, H.incident, H.n, H.edge_masks[0], ref_memo
+        )
+        assert memo == ref_memo
+    nodes = search(0, set(memo))[2]
+    for budget in range(1, nodes + 1):
+        dead_new, dead_old = set(memo), set(memo)
+        got = search(0, dead_new, budget)
+        ref = _pm_search(H.edge_masks, H.incident, H.n, 0, dead_old, budget)
+        assert got == ref
+        assert dead_new == dead_old
 
 
 def test_bitset_kernel_matches_scanning_kernel_on_start_masks():

@@ -159,7 +159,7 @@ class TestVerify:
     @pytest.mark.parametrize("bound", ["0", "-5", "2"])
     def test_sparsity_below_three_is_a_usage_error(self, k12, tmp_path, capsys, bound):
         # a Berge cycle has at least 2 edges, so these bounds would pass
-        # every absorber; the parent printed "ok" for each
+        # every absorber
         record = tmp_path / "a.json"
         run(capsys, "--out", str(record), "absorber", "find", "--in", k12, "--roots", "0 1 2")
         code, _, err = run(capsys, "absorber", "verify", "--in", str(record), f"--sparsity={bound}")

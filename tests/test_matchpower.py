@@ -442,7 +442,7 @@ BUDGET_SWEEP_HOSTS = {
     **{
         f"host{i}": H
         for i, H in enumerate(MEMO_HOSTS)
-        if H.edges and _pm_searcher(H.edges, H.n)(0, set())[2] <= 300
+        if H.edges and _pm_search(H.edge_masks, H.incident, H.n, 0, set())[2] <= 300
     },
     **{f"{build.__name__}{n}": build(n, 3, 1) for n in (9, 12) for build in (space_barrier, parity_barrier)},
 }

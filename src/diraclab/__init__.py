@@ -3,9 +3,9 @@ in k-uniform hypergraphs.
 
 Subpackages by theme:
 
-- ``hypercore``: the Hypergraph type, degrees, links, Berge girth, k-density,
-  contraction, and the .khg file format.
-- ``matchpower``: perfect/maximum matchings, set-family matching conditions,
+- ``hypercore``: the Hypergraph type, degrees, Berge girth, k-density, and
+  the .khg file format.
+- ``matchpower``: perfect matchings, set-family matching conditions,
   disjoint representatives.
 - ``thresholds``: exact Dirac-threshold sweeps and extremal barrier builders.
 - ``absorbing``: rooted absorbers, bipartite incidence patterns, sparsity

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import DiracLabError, FormatError, NotFound, ShapeError, SizeError
 from .hypercore import Hypergraph, berge_girth_of, derived_seed, json_int
-from .matchpower import Matching, _pm_searcher, _pm_within, bipartite_matching
+from .matchpower import Matching, _pm_within, bipartite_matching
 
 __all__ = [
     "BipartitePattern",
@@ -29,7 +29,6 @@ __all__ = [
     "projective_plane_pattern",
     "generalized_quadrangle_pattern",
     "peel_matchings",
-    "random_regular_pattern",
     "pattern_for",
     "Absorber",
     "verify_absorber",
@@ -39,7 +38,6 @@ __all__ = [
     "ContractedAbsorber",
     "assemble_contractible",
     "contract_absorber",
-    "admits_absorber_partition",
     "find_sparse_r_absorber",
     "absorber_record",
     "dumps_absorber",
@@ -215,30 +213,6 @@ def peel_matchings(P: BipartitePattern, count: int, seed: int = 0) -> BipartiteP
             f"from degree {P.degree} and girth {P.girth}"
         )
     return out
-
-
-def random_regular_pattern(m: int, q: int, min_girth: int, trials: int = 200, seed: int = 0) -> BipartitePattern:
-    """Random q-regular bipartite graph on m+m vertices as a union of q
-    random permutations, rejected until simple with girth >= min_girth;
-    trial t draws from ``Random(derived_seed(seed, t))``."""
-    if q < 2 or m < q:
-        raise SizeError("need m >= q >= 2")
-    for t in range(trials):
-        rng = random.Random(derived_seed(seed, t))
-        edges = set()
-        for _ in range(q):
-            perm = list(range(m))
-            rng.shuffle(perm)
-            edges.update((a, perm[a]) for a in range(m))
-        if len(edges) < q * m:
-            continue
-        P = BipartitePattern.build(m, m, edges, f"random({m},{q},{seed},{t})")
-        if P.girth >= min_girth:
-            return P
-    raise NotFound(
-        f"no girth-{min_girth} {q}-regular pattern on {m}+{m} in {trials} trials",
-        "trials",
-    )
 
 
 def pattern_for(K: int, q: int, seed: int = 0) -> BipartitePattern:
@@ -601,39 +575,6 @@ def contract_absorber(CA: ContractibleAbsorber) -> ContractedAbsorber:
         vertex_map=tuple(sorted(vmap.items())),
         sub_images=tuple(sub_images),
     )
-
-
-def admits_absorber_partition(H: Hypergraph, roots: Sequence[int]) -> bool:
-    """Whether the whole edge set of H splits into a matching covering every
-    supported vertex and a matching covering everything except `roots`.
-
-    This is the empirical probe applied to contracted absorbers. Edge
-    counting settles most cases: a split needs exactly (2v - |roots|)/k
-    edges, and a contracted absorber carries k-2 more than that, so the
-    probe reports True for k=2 and False for k >= 3. Past the counts the
-    split is one exact cover on the :func:`~diraclab.matchpower._pm_searcher`
-    kernel: each edge is a column covered once, by its row into a copy of
-    the supported vertices (the covering side) or, when it avoids the
-    roots, by its row into a copy of the non-roots.
-    """
-    roots = tuple(roots)
-    rs, V = set(roots), H.support()
-    if not rs <= V:
-        return False
-    v, m = len(V), H.edge_count()
-    rk = len(roots)
-    if v % H.k or (v - rk) % H.k:
-        return False
-    if m != (2 * v - rk) // H.k:
-        return False
-    col = {u: m + j for j, u in enumerate(sorted(V))}
-    non = {u: m + v + j for j, u in enumerate(sorted(V - rs))}
-    rows = []
-    for i, e in enumerate(H.edges):
-        rows.append((i,) + tuple(col[u] for u in e))
-        if rs.isdisjoint(e):
-            rows.append((i,) + tuple(non[u] for u in e))
-    return _pm_searcher(rows, m + v + len(non))(0, set())[0] == "perfect"
 
 
 # ---------------------------------------------------------------------------

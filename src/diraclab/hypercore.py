@@ -27,18 +27,12 @@ from .errors import CapacityError, DiracLabError, FormatError, SizeError, SpecEr
 
 __all__ = [
     "Hypergraph",
-    "ContractionSpec",
-    "ContractionResult",
     "DensityResult",
-    "degree",
     "min_d_degree",
     "induced",
-    "link",
     "girth",
     "berge_girth_of",
-    "is_linear",
     "k_density",
-    "contract",
     "mask_of",
     "derived_seed",
     "parse_khg",
@@ -182,19 +176,6 @@ class Hypergraph:
         return Hypergraph(self.n, self.k, tuple(kept))
 
 
-def degree(H: Hypergraph, S: Iterable[int]) -> int:
-    """Number of edges containing every vertex of ``S`` (|S| <= k-1; S may be empty)."""
-    s = frozenset(S)
-    if len(s) > H.k - 1:
-        raise SizeError(f"degree set has size {len(s)}, must be at most k-1 = {H.k - 1}")
-    if any(v < 0 or v >= H.n for v in s):
-        raise SizeError("degree set out of range")
-    if not s:
-        return len(H.edges)
-    sm = mask_of(s)
-    return sum(1 for em in H.edge_masks if em & sm == sm)
-
-
 def min_d_degree(H: Hypergraph, d: int) -> tuple[int, tuple[int, ...]]:
     """Minimum degree over all d-subsets of the vertex set, with one argmin.
 
@@ -236,20 +217,6 @@ def induced(H: Hypergraph, S: Iterable[int]) -> tuple[Hypergraph, tuple[int, ...
     keep = frozenset(old_ids)
     edges = [tuple(pos[v] for v in e) for e in H.edges if keep.issuperset(e)]
     return Hypergraph(len(old_ids), H.k, tuple(sorted(edges))), old_ids
-
-
-def link(H: Hypergraph, S: Iterable[int]) -> Hypergraph:
-    """The (k-|S|)-uniform link of ``S``: residues of edges containing S.
-
-    Keeps the host's vertex universe, so vertices of ``S`` become isolated.
-    """
-    s = frozenset(S)
-    if not s or len(s) > H.k - 1:
-        raise SizeError(f"link set must have size 1..k-1, got {len(s)}")
-    if any(v < 0 or v >= H.n for v in s):
-        raise SizeError("link set out of range")
-    residues = [tuple(v for v in e if v not in s) for e in H.edges if s.issubset(e)]
-    return Hypergraph.from_edges(H.n, H.k - len(s), residues)
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +278,6 @@ def berge_girth_of(edge_sets: Sequence[Iterable[int]]) -> int | float:
 def girth(H: Hypergraph) -> int | float:
     """Berge girth of the hypergraph (``math.inf`` when Berge-acyclic)."""
     return berge_girth_of(H.edges)
-
-
-def is_linear(H: Hypergraph) -> bool:
-    """True when no two edges share two or more vertices (girth > 2)."""
-    masks = H.edge_masks
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if (masks[i] & masks[j]).bit_count() >= 2:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +502,7 @@ def _density_parametric(H: Hypergraph) -> DensityResult:
     return DensityResult(lam, witness, "parametric")
 
 
-def k_density(H: Hypergraph, method: str = "auto") -> DensityResult:
+def k_density(H: Hypergraph, method: str = "parametric") -> DensityResult:
     """Exact maximum of ``(e(H')-1)/(v(H')-k)`` over subgraphs with v(H') > k.
 
     Returns 0 (witness ``None``) when no qualifying subgraph exists, which
@@ -556,7 +513,7 @@ def k_density(H: Hypergraph, method: str = "auto") -> DensityResult:
     capped at 20 edges, :class:`CapacityError` above, since the walk doubles
     per edge and takes seconds at 20). ``method="parametric"``
     solves the same maximization by ratio iteration over min-cuts and has no
-    size cap. ``"auto"`` uses the parametric route.
+    size cap; it is the default.
 
     The parametric route asks, for each anchor edge in turn, whether some
     edge set holding it beats the current ratio lam, and moves to the ratio
@@ -570,108 +527,13 @@ def k_density(H: Hypergraph, method: str = "auto") -> DensityResult:
     residual source side is the minimal maximizer for every maximum flow.
     So the steps and witnesses are those of asking every anchor afresh.
     """
-    if method not in ("auto", "enumerate", "parametric"):
+    if method not in ("enumerate", "parametric"):
         raise SpecError(f"unknown k_density method {method!r}")
     if len(H.edges) < 2:
-        return DensityResult(Fraction(0), None, method if method != "auto" else "parametric")
+        return DensityResult(Fraction(0), None, method)
     if method == "enumerate":
         return _density_enumerate(H)
     return _density_parametric(H)
-
-
-# ---------------------------------------------------------------------------
-# Contraction
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContractionSpec:
-    """Disjoint ordered (k-1)-tuples plus k-1 disjoint vertex parts.
-
-    ``tuples[t][j-1]`` is the j-th coordinate of tuple t; coordinate j pairs
-    with part ``parts[j-1]``. Tuples, parts, and their unions must be pairwise
-    disjoint vertex sets.
-    """
-
-    tuples: tuple[tuple[int, ...], ...]
-    parts: tuple[tuple[int, ...], ...]
-
-    def validate(self, H: Hypergraph) -> None:
-        km1 = H.k - 1
-        if len(self.parts) != km1:
-            raise SpecError(f"need k-1={km1} parts, got {len(self.parts)}")
-        seen: set[int] = set()
-        for tup in self.tuples:
-            if len(tup) != km1:
-                raise SpecError(f"tuple {tup} must have k-1={km1} coordinates")
-            for v in tup:
-                if v < 0 or v >= H.n:
-                    raise SpecError(f"tuple vertex {v} out of range")
-                if v in seen:
-                    raise SpecError(f"vertex {v} used twice in the contraction spec")
-                seen.add(v)
-        for part in self.parts:
-            for v in part:
-                if v < 0 or v >= H.n:
-                    raise SpecError(f"part vertex {v} out of range")
-                if v in seen:
-                    raise SpecError(f"vertex {v} used twice in the contraction spec")
-                seen.add(v)
-
-
-@dataclass(frozen=True)
-class ContractionResult:
-    """Contracted hypergraph with the maps needed to trace edges back."""
-
-    graph: Hypergraph
-    vertex_map: dict[int, int]
-    merged: tuple[int, ...]
-    edge_preimage: dict[tuple[int, ...], tuple[int, ...]]
-
-
-def contract(H: Hypergraph, spec: ContractionSpec) -> ContractionResult:
-    """Contract each spec tuple to a single new vertex over the given parts.
-
-    The result contains (a) every edge of ``H`` lying inside the union of the
-    parts, and (b) for each tuple t with new vertex w_t, each coordinate j and
-    each f with f ∪ {tuples[t][j-1]} an edge of ``H`` and f inside part j, the
-    edge f ∪ {w_t}. Each contracted edge has exactly one preimage edge in
-    ``H``; the returned ``edge_preimage`` is that bijection onto its image.
-    """
-    spec.validate(H)
-    U_all: list[int] = sorted(v for part in spec.parts for v in part)
-    newid = {v: i for i, v in enumerate(U_all)}
-    merged = tuple(range(len(U_all), len(U_all) + len(spec.tuples)))
-    part_sets = [frozenset(p) for p in spec.parts]
-
-    edges: dict[tuple[int, ...], tuple[int, ...]] = {}
-    u_union = frozenset(U_all)
-    for e in H.edges:
-        if u_union.issuperset(e):
-            new_e = tuple(sorted(newid[v] for v in e))
-            edges[new_e] = e
-    for t, tup in enumerate(spec.tuples):
-        w = merged[t]
-        for j in range(H.k - 1):
-            vj = tup[j]
-            pj = part_sets[j]
-            for e in H.edges:
-                if vj in e:
-                    rest = [v for v in e if v != vj]
-                    if pj.issuperset(rest):
-                        new_e = tuple(sorted([newid[v] for v in rest] + [w]))
-                        if new_e in edges:
-                            raise SpecError(
-                                f"contracted edge {new_e} arises twice; spec parts overlap"
-                            )
-                        edges[new_e] = e
-
-    graph = Hypergraph(len(U_all) + len(spec.tuples), H.k, tuple(sorted(edges)))
-    return ContractionResult(
-        graph=graph,
-        vertex_map={v: newid[v] for v in U_all},
-        merged=merged,
-        edge_preimage=dict(sorted(edges.items())),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import ceil, comb, sqrt
+from math import ceil, comb, isfinite, sqrt
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Sequence, TypeVar, get_args, get_type_hints
@@ -280,6 +280,8 @@ class ExperimentConfig:
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
                 raise SizeError(f"{field} must be in [0, 1], got {value}")
+        if not isfinite(self.gamma):
+            raise SizeError(f"need a finite number for gamma, got {self.gamma}")
         if self.gamma < 0:
             raise SizeError(f"gamma must be nonnegative, got {self.gamma}")
         if self.Q < 0:

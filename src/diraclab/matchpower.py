@@ -1,6 +1,6 @@
-"""Matching engines: exact perfect-matching search, maximum matchings, the
-set-family matching condition with disjoint representatives, matching a small
-set into a flexible set, and the block-partition almost-perfect procedure.
+"""Matching engines: exact perfect-matching search, the set-family matching
+condition with disjoint representatives, matching a small set into a flexible
+set, and the block-partition almost-perfect procedure.
 
 All searches are deterministic: branching follows canonical (lexicographic)
 orders, and randomness only enters through explicit seeds. Budgets count
@@ -21,11 +21,9 @@ from .hypercore import Hypergraph, mask_of
 __all__ = [
     "Matching",
     "MatchResult",
-    "MaxMatchingResult",
     "SweepReport",
     "BlockReport",
     "find_perfect_matching",
-    "max_matching",
     "aharoni_haxell_holds",
     "find_disjoint_representatives",
     "bipartite_matching",
@@ -34,7 +32,6 @@ __all__ = [
     "verify_matching",
     "parse_matching",
     "dumps_matching",
-    "read_matching",
     "write_matching",
 ]
 
@@ -86,13 +83,6 @@ class MatchResult:
     status: str
     matching: Matching
     uncovered: tuple[int, ...]
-    nodes_explored: int
-
-
-@dataclass(frozen=True)
-class MaxMatchingResult:
-    matching: Matching
-    optimal: bool
     nodes_explored: int
 
 
@@ -356,15 +346,6 @@ def _max_matching(
         else:
             stack.pop()
             banned |= 1 << v
-
-
-def max_matching(H: Hypergraph, budget: int | None = None) -> MaxMatchingResult:
-    """Maximum matching by branch and bound; if the budget runs out it
-    returns the best matching found with ``optimal`` False."""
-    sel, optimal, nodes = _max_matching(H.edges, H.n, budget=budget)
-    return MaxMatchingResult(
-        Matching.from_edges(H.edges[i] for i in sel), optimal, nodes
-    )
 
 
 def _sweep(
@@ -638,11 +619,6 @@ def parse_matching(text: str) -> Matching:
 
 def dumps_matching(m: Matching) -> str:
     return "".join(" ".join(str(v) for v in e) + "\n" for e in m.edges)
-
-
-def read_matching(path) -> Matching:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matching(fh.read())
 
 
 def write_matching(m: Matching, path) -> None:

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, isfinite
 from typing import Iterable
 
 from .errors import (
@@ -82,6 +82,8 @@ class PipelineParams:
             raise SizeError(f"unknown template_mode {self.template_mode!r}")
         if not 0 < self.rho <= 1:
             raise SizeError(f"rho must lie in (0, 1], got {self.rho}")
+        if not isfinite(self.lam):
+            raise SizeError(f"need a finite number for lam, got {self.lam}")
         if self.lam < 0:
             raise SizeError(f"lam must be at least 0, got {self.lam}")
         floors = {"min_r": 1, "trials": 1, "template_trials": 1, "partition_attempts": 1,

@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from diraclab.absorbing import parse_absorber, verify_absorber
 from diraclab.cli import main
 from diraclab.hypercore import Hypergraph, read_khg
 from diraclab.lab import parse_table
-from diraclab.matchpower import find_perfect_matching, read_matching, verify_matching
+from diraclab.matchpower import find_perfect_matching, parse_matching, verify_matching
 from diraclab.templates import ResilientTemplate, write_template
 
 
@@ -80,7 +81,7 @@ class TestPm:
     def test_writes_default_sidecar(self, k12, capsys):
         code, out, _ = run(capsys, "pm", "--in", k12)
         assert code == 0
-        m = read_matching(k12 + ".matching")
+        m = parse_matching(Path(k12 + ".matching").read_text())
         ok, _ = verify_matching(read_khg(k12), m, require_perfect=True)
         assert ok
 
@@ -334,7 +335,8 @@ class TestPipeline:
         payload = json.loads(report.read_text())
         assert payload["status"] == "success"
         sidecar = str(report) + ".matching"
-        ok, _ = verify_matching(read_khg(k12), read_matching(sidecar), require_perfect=True)
+        m = parse_matching(Path(sidecar).read_text())
+        ok, _ = verify_matching(read_khg(k12), m, require_perfect=True)
         assert ok
 
     def test_reruns_are_byte_identical(self, k12, tmp_path, capsys):

@@ -12,19 +12,14 @@ from hypothesis import strategies as st
 
 from diraclab.errors import CapacityError, DiracLabError, FormatError, SizeError, SpecError
 from diraclab.hypercore import (
-    ContractionSpec,
     DensityResult,
     Hypergraph,
     _Dinic,
     berge_girth_of,
-    contract,
-    degree,
     dumps_khg,
     girth,
     induced,
-    is_linear,
     k_density,
-    link,
     min_d_degree,
     parse_khg,
 )
@@ -149,24 +144,6 @@ def test_complete_graph_sizes():
     assert Hypergraph.complete(2, 3).edges == ()
 
 
-def test_degree_pair_example():
-    H = Hypergraph.from_edges(6, 3, [(0, 1, 2), (0, 1, 3), (0, 4, 5)])
-    assert degree(H, [0, 1]) == 2
-    assert degree(H, [0]) == 3
-    assert degree(H, [5]) == 1
-    assert degree(H, []) == 3
-    with pytest.raises(SizeError):
-        degree(H, [0, 1, 2])
-
-
-@given(small_hypergraph())
-def test_degree_matches_recount(H):
-    for d in range(1, H.k):
-        for S in combinations(range(H.n), d):
-            assert degree(H, S) == oracle_degree(H, S)
-            break  # one subset per size keeps the example count sane
-
-
 @given(small_hypergraph())
 def test_min_d_degree_is_minimum_with_lex_first_witness(H):
     for d in range(1, H.k):
@@ -219,17 +196,6 @@ def test_min_d_degree_rejects_bad_d():
         min_d_degree(H, 0)
     with pytest.raises(SizeError):
         min_d_degree(H, 3)
-
-
-def test_link_example():
-    H = Hypergraph.from_edges(5, 3, [(0, 1, 2), (0, 3, 4), (1, 3, 4)])
-    L = link(H, [0])
-    assert L.k == 2
-    assert L.n == 5
-    assert L.edges == ((1, 2), (3, 4))
-    L2 = link(H, [3, 4])
-    assert L2.k == 1
-    assert L2.edges == ((0,), (1,))
 
 
 def test_induced_keeps_ids_traceable():
@@ -367,11 +333,6 @@ def test_girth_lowest_node_bfs_matches_every_node_bfs():
     assert seen == {2, 3, 4, 5, math.inf}
 
 
-@given(small_hypergraph())
-def test_linear_iff_girth_above_two(H):
-    assert is_linear(H) == (girth(H) != 2)
-
-
 @given(small_hypergraph(max_n=7, max_k=3))
 def test_acyclic_graphs_are_vertex_rich(H):
     if girth(H) == math.inf and H.edges:
@@ -435,6 +396,9 @@ def test_k_density_enumerate_cap_is_20_edges():
     with pytest.raises(CapacityError, match="limited to 20 edges, got 21"):
         k_density(H, method="enumerate")
     assert k_density(H).method == "parametric"
+    for bogus in ("auto", "exact"):
+        with pytest.raises(SpecError, match="unknown k_density method"):
+            k_density(H, method=bogus)
 
 
 @settings(max_examples=60)
@@ -629,51 +593,6 @@ def test_girth_and_density_are_relabeling_invariant(H, rng):
     )
     assert girth(relabeled) == girth(H)
     assert k_density(relabeled).value == k_density(H).value
-
-
-# ---------------------------------------------------------------------------
-# Contraction
-# ---------------------------------------------------------------------------
-
-
-def test_contract_two_pendant_edges():
-    H = Hypergraph.from_edges(7, 3, [(0, 1, 2), (0, 3, 4), (1, 5, 6)])
-    spec = ContractionSpec(tuples=((0, 1),), parts=((3, 4), (5, 6)))
-    res = contract(H, spec)
-    assert res.graph.n == 5
-    assert res.merged == (4,)
-    assert res.graph.edges == ((0, 1, 4), (2, 3, 4))
-    assert res.vertex_map == {3: 0, 4: 1, 5: 2, 6: 3}
-    assert res.edge_preimage == {(0, 1, 4): (0, 3, 4), (2, 3, 4): (1, 5, 6)}
-
-
-def test_contract_keeps_edges_inside_parts():
-    H = Hypergraph.from_edges(8, 3, [(0, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 7)])
-    spec = ContractionSpec(tuples=((0,), (1,)), parts=((2, 3, 4, 5, 6, 7),))
-    # k=3 needs two coordinates per tuple; this spec is malformed
-    with pytest.raises(SpecError):
-        contract(H, spec)
-
-
-def test_contract_validates_disjointness():
-    H = Hypergraph.complete(6, 3)
-    with pytest.raises(SpecError):
-        ContractionSpec(tuples=((0, 1),), parts=((1, 2), (3, 4))).validate(H)
-    with pytest.raises(SpecError):
-        ContractionSpec(tuples=((0, 1),), parts=((2, 3),)).validate(H)
-
-
-@given(small_hypergraph(max_n=8, min_k=3, max_k=3))
-def test_contract_preimages_are_distinct_host_edges(H):
-    if H.n < 6:
-        return
-    spec = ContractionSpec(tuples=((0, 1),), parts=((2, 3), (4, 5)))
-    res = contract(H, spec)
-    values = list(res.edge_preimage.values())
-    assert len(set(values)) == len(values)
-    for src in values:
-        assert H.has_edge(src)
-    assert set(res.edge_preimage) == set(res.graph.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ Oracles:
 from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations
-from math import comb, sqrt
+from math import comb, inf, nan, sqrt
 from random import Random
 
 import pytest
@@ -360,6 +360,9 @@ class TestConfig:
             ExperimentConfig(name="x", n=6, k=3, host="moon")
         with pytest.raises(SizeError):
             ExperimentConfig(name="x", n=6, k=0)
+        for gamma in (-0.1, nan, inf):
+            with pytest.raises(SizeError, match="gamma"):
+                ExperimentConfig(name="x", n=6, k=3, gamma=gamma)
 
     def test_search_budget(self):
         assert ExperimentConfig(name="x", n=6, k=3).search_budget() is None

@@ -15,6 +15,7 @@ from diraclab.hypercore import Hypergraph, induced, mask_of
 from diraclab.lab import sample_hk
 from diraclab.matchpower import (
     Matching,
+    _max_matching,
     _pm_searcher,
     _pm_within,
     aharoni_haxell_holds,
@@ -23,7 +24,6 @@ from diraclab.matchpower import (
     find_disjoint_representatives,
     find_perfect_matching,
     match_into_flexible,
-    max_matching,
     parse_matching,
     verify_matching,
 )
@@ -505,8 +505,8 @@ def test_bitset_kernel_matches_scanning_kernel_on_template_removals(r, seed):
 
 
 def test_bitset_kernel_matches_scanning_kernel_on_two_disjoint_complete_graphs():
-    # once one K_6^(3) is covered, every uncovered column of the other is as
-    # wide as the widest column, so a covered column's slot must count more
+    # once one K_6^(3) is covered, every live column of the other lies in
+    # ten live edges, so they all tie and the lowest-id rule decides
     H = Hypergraph.from_edges(
         12, 3, [e for e in combinations(range(12), 3) if max(e) < 6 or min(e) >= 6]
     )
@@ -574,31 +574,31 @@ def test_pm_status_matches_naive_oracle(H):
 
 def test_max_matching_examples():
     m = Hypergraph.from_edges(6, 3, [(0, 1, 2), (3, 4, 5)])
-    res = max_matching(m)
-    assert res.matching.edges == m.edges
+    sel, _, _ = _max_matching(m.edges, m.n)
+    assert sorted(m.edges[i] for i in sel) == list(m.edges)
 
-    res = max_matching(Hypergraph.complete(7, 3))
-    assert len(res.matching) == 2 and res.optimal
+    K7 = Hypergraph.complete(7, 3)
+    sel, optimal, _ = _max_matching(K7.edges, K7.n)
+    assert len(sel) == 2 and optimal
 
     path = Hypergraph.from_edges(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
-    res = max_matching(path)
-    assert len(res.matching) == 2
-    assert res.matching.edges == ((0, 1, 2), (4, 5, 6))
+    sel, _, _ = _max_matching(path.edges, path.n)
+    assert sorted(path.edges[i] for i in sel) == [(0, 1, 2), (4, 5, 6)]
 
 
 def test_max_matching_budget_flag():
     H = Hypergraph.complete(15, 3)
-    res = max_matching(H, budget=3)
-    assert not res.optimal
-    assert verify_matching(H, res.matching)[0]
+    sel, optimal, _ = _max_matching(H.edges, H.n, budget=3)
+    assert not optimal
+    assert verify_matching(H, [H.edges[i] for i in sel])[0]
 
 
 @settings(max_examples=80)
 @given(small_hypergraph(max_n=8, max_k=3))
 def test_max_matching_agrees_with_oracle(H):
-    res = max_matching(H)
-    assert res.optimal
-    assert len(res.matching) == oracle_max_matching_size(H)
+    sel, optimal, _ = _max_matching(H.edges, H.n)
+    assert optimal
+    assert len(sel) == oracle_max_matching_size(H)
 
 
 @given(small_hypergraph(max_n=7, max_k=3), st.randoms(use_true_random=False))
@@ -606,9 +606,9 @@ def test_max_matching_size_relabeling_invariant(H, rng):
     perm = list(range(H.n))
     rng.shuffle(perm)
     relabeled = Hypergraph.from_edges(H.n, H.k, [[perm[v] for v in e] for e in H.edges])
-    a = max_matching(H)
-    b = max_matching(relabeled)
-    assert len(a.matching) == len(b.matching)
+    a, _, _ = _max_matching(H.edges, H.n)
+    b, _, _ = _max_matching(relabeled.edges, relabeled.n)
+    assert len(a) == len(b)
 
 
 # ---------------------------------------------------------------------------

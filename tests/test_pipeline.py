@@ -10,7 +10,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, inf, nan
 
 import pytest
 
@@ -204,6 +204,8 @@ class TestBuildAbsorbingSet:
             ("rho", -0.2),
             ("rho", 1.5),
             ("lam", -0.1),
+            ("lam", nan),
+            ("lam", inf),
             ("partition_attempts", 0),
         ],
     )

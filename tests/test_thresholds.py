@@ -15,7 +15,7 @@ import pytest
 from diraclab import thresholds
 from diraclab.errors import CapacityError, DiracLabError, SizeError
 from diraclab.hypercore import Hypergraph, min_d_degree
-from diraclab.matchpower import find_perfect_matching, max_matching
+from diraclab.matchpower import _max_matching, find_perfect_matching
 from diraclab.thresholds import (
     SandwichReport,
     ThresholdRecord,
@@ -325,7 +325,7 @@ def test_space_barrier_shape_and_certificate():
     assert S == (0, 1)
     assert all(set(S).intersection(e) for e in H.edges)
     # counting certificate: any matching uses a vertex of S per edge
-    best = max_matching(H).matching
+    best, _, _ = _max_matching(H.edges, H.n)
     assert len(best) == len(S) < 9 // 3
     assert find_perfect_matching(H).status == "none"
 

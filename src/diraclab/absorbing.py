@@ -319,7 +319,6 @@ def find_rooted_absorber(
     roots: Sequence[int],
     Q: int,
     forbidden: Iterable[int] = (),
-    require_sparse: int | None = None,
     budget: int | None = None,
     min_order: int = 0,
 ) -> Absorber:
@@ -367,11 +366,11 @@ def find_rooted_absorber(
                 f"budget of {budget} nodes exhausted searching order <= {Q}", "budget"
             )
 
-    def accept(A: Absorber) -> bool:
+    def verified(A: Absorber) -> Absorber:
         ok, reason = verify_absorber(A, G)
         if not ok:
             raise DiracLabError(f"rooted search built a broken absorber: {reason}")
-        return require_sparse is None or is_k_sparse(A, require_sparse)
+        return A
 
     # host edges avoiding `forbidden`, listed on first need: coverings that
     # stay on the roots' incidence lists never use them
@@ -384,9 +383,7 @@ def find_rooted_absorber(
             charge(1)
             edge = tuple(sorted(roots))
             if G.has_edge(edge):
-                A = Absorber(roots, Matching((edge,)), Matching(()))
-                if accept(A):
-                    return A
+                return verified(Absorber(roots, Matching((edge,)), Matching(())))
             continue
         a = order // k + 1
         # one frame (pool, untried positions, blocked vertices) per open node
@@ -407,9 +404,9 @@ def find_rooted_absorber(
                 # so this charge raises exactly when the kernel hit the budget
                 charge(used - 1)
                 if status == "perfect":
-                    A = Absorber(roots, Matching.from_edges(chosen), Matching.from_edges(pm))
-                    if accept(A):
-                        return A
+                    return verified(
+                        Absorber(roots, Matching.from_edges(chosen), Matching.from_edges(pm))
+                    )
             # back up to the deepest frame with an untried candidate; the top
             # frame's edge is on the path while len(chosen) equals len(stack)
             while stack:
@@ -466,7 +463,6 @@ class ContractedAbsorber:
 
     graph: Hypergraph
     roots: tuple[int, ...]
-    vertex_map: tuple[tuple[int, int], ...]
     sub_images: tuple[Absorber, ...]
 
 
@@ -572,7 +568,6 @@ def contract_absorber(CA: ContractibleAbsorber) -> ContractedAbsorber:
     return ContractedAbsorber(
         graph=graph,
         roots=new_roots,
-        vertex_map=tuple(sorted(vmap.items())),
         sub_images=tuple(sub_images),
     )
 

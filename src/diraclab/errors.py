@@ -19,6 +19,7 @@ __all__ = [
     "NotFound",
     "PlacementFailed",
     "TemplateMatchingFailed",
+    "StageFailure",
     "TargetInfeasible",
 ]
 
@@ -36,7 +37,7 @@ class CapacityError(DiracLabError):
 
 
 class SpecError(DiracLabError, ValueError):
-    """A structured argument (contraction spec, config, record) is malformed."""
+    """A structured argument (an edge list, a method name) is malformed."""
 
 
 class ShapeError(DiracLabError, ValueError):

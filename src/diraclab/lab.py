@@ -58,13 +58,9 @@ __all__ = [
     "parse_config",
     "dumps_config",
     "read_config",
-    "write_config",
     "dumps_table",
     "parse_table",
-    "read_table",
-    "write_table",
     "experiment_csv",
-    "write_experiment",
     "summary_lines",
 ]
 
@@ -120,7 +116,6 @@ def degrade_to_degree(
     target: int,
     policy: str = "random",
     seed: int = 0,
-    budget: int | None = None,
 ) -> DegradeResult:
     """Delete edges one at a time while every d-degree stays >= target.
 
@@ -129,7 +124,7 @@ def degrade_to_degree(
     "random" removes a uniformly random deletable edge each step; "greedy"
     removes the deletable edge whose loss leaves the smallest d-degree
     anywhere (the adversarial schedule), breaking ties by lexicographic edge
-    order.  Stops when nothing is deletable or after ``budget`` deletions.
+    order.  Stops when nothing is deletable.
 
     Degrees only go down, so the deletable set only shrinks: it is built
     once, in edge order, and a deletion drops from it just the edges holding
@@ -150,8 +145,6 @@ def degrade_to_degree(
         raise SizeError(f"degree target must be nonnegative, got {target}")
     if policy not in ("random", "greedy"):
         raise SizeError(f"unknown policy {policy!r}")
-    if budget is not None and budget < 0:
-        raise SizeError(f"budget must be nonnegative, got {budget}")
     start, _ = min_d_degree(G, d)
     if start < target:
         raise TargetInfeasible(
@@ -187,7 +180,7 @@ def degrade_to_degree(
 
     rng = Random(seed)
     deleted: list[tuple[int, ...]] = []
-    while budget is None or len(deleted) < budget:
+    while True:
         if greedy:
             while heap and (not listed[heap[0][1]] or heap[0][0] != key[heap[0][1]]):
                 heappop(heap)
@@ -369,10 +362,6 @@ def read_config(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text(encoding="ascii"))
 
 
-def write_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(dumps_config(cfg), encoding="ascii")
-
-
 # ---------------------------------------------------------------------------
 # trial records and the CSV report dialect
 
@@ -409,7 +398,6 @@ _CSV_MAGIC = "#diraclab-csv"
 @dataclass(frozen=True)
 class CsvTable:
     name: str
-    version: str
     columns: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
 
@@ -466,15 +454,7 @@ def parse_table(text: str) -> CsvTable:
         if len(cells) != len(columns):
             raise FormatError(f"row {line!r} does not match the column row")
         rows.append(cells)
-    return CsvTable(name, version, columns, tuple(rows))
-
-
-def read_table(path) -> CsvTable:
-    return parse_table(Path(path).read_text(encoding="ascii"))
-
-
-def write_table(path, name: str, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    Path(path).write_text(dumps_table(name, columns, rows), encoding="ascii")
+    return CsvTable(name, columns, tuple(rows))
 
 
 def experiment_csv(result: ExperimentResult) -> str:
@@ -484,10 +464,6 @@ def experiment_csv(result: ExperimentResult) -> str:
     ]
     rows.append(result.summary_row)
     return dumps_table(result.config.name, result.columns, rows)
-
-
-def write_experiment(result: ExperimentResult, path) -> None:
-    Path(path).write_text(experiment_csv(result), encoding="ascii")
 
 
 def summary_lines(result: ExperimentResult) -> list[str]:

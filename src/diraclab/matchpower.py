@@ -62,10 +62,6 @@ class Matching:
     def covered(self) -> frozenset[int]:
         return frozenset(v for e in self.edges for v in e)
 
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -288,23 +284,21 @@ def _max_matching(
     edges: Sequence[Sequence[int]],
     nv: int,
     target: int | None = None,
-    budget: int | None = None,
-) -> tuple[list[int], bool, int]:
+) -> tuple[list[int], int]:
     """Branch-and-bound maximum matching over edge tuples on ``nv`` vertices.
 
     Branches on the lowest coverable vertex: either one of its available
     edges is used, or the vertex is banned (left uncovered for good). Returns
-    (best edge-index list, optimal flag, nodes). With ``target`` set, stops as
-    soon as a matching of that size appears (the flag then only means the
-    search was not cut short by ``budget``).
+    (best edge-index list, nodes); the list is a maximum matching, or with
+    ``target`` set, the first matching of that size found.
 
     One loop walks a stack of frames ``(covered, banned, v, untried edges
     at v)``; the ban child comes last, so its parent's frame is popped first.
     Nodes are visited and counted in that branching's depth-first preorder,
-    so node counts, budget stops and matchings follow it.
+    so node counts and matchings follow it.
     """
     if not edges:
-        return [], True, 0
+        return [], 0
     k = len(edges[0])
     masks = [mask_of(e) for e in edges]
     incident: list[list[int]] = [[] for _ in range(nv)]
@@ -319,12 +313,10 @@ def _max_matching(
     covered, banned = 0, mask_of(v for v in range(nv) if not incident[v])
     while True:
         nodes += 1
-        if budget is not None and nodes > budget:
-            return best, False, nodes
         if len(chosen) > len(best):
             best[:] = chosen
             if target is not None and len(best) >= target:
-                return best, True, nodes
+                return best, nodes
         blocked = covered | banned
         want = len(best) + 1 if target is None else min(target, len(best) + 1)
         free = ~blocked & ((1 << nv) - 1)
@@ -332,7 +324,7 @@ def _max_matching(
             v = (free & -free).bit_length() - 1
             stack.append((covered, banned, v, iter(incident[v])))
         if not stack:
-            return best, True, nodes
+            return best, nodes
         # the top frame's edge is on the path while len(chosen) equals len(stack)
         covered, banned, v, untried = stack[-1]
         if len(chosen) == len(stack):
@@ -388,7 +380,6 @@ def aharoni_haxell_holds(
     mode: str = "exhaustive",
     samples: int = 200,
     seed: int = 0,
-    budget: int | None = None,
 ) -> SweepReport:
     """Check the matching condition that guarantees disjoint representatives.
 
@@ -413,7 +404,7 @@ def aharoni_haxell_holds(
         edges = sorted(set().union(*(links[i].edges for i in I)))
         if len(edges) < need:
             return False
-        sel, _, _ = _max_matching(edges, n, target=need, budget=budget)
+        sel, _ = _max_matching(edges, n, target=need)
         return len(sel) >= need
 
     def subsets() -> Iterator[tuple[int, ...]]:
@@ -435,9 +426,7 @@ def aharoni_haxell_holds(
     )
 
 
-def find_disjoint_representatives(
-    links: Sequence[Hypergraph], budget: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def find_disjoint_representatives(links: Sequence[Hypergraph]) -> tuple[tuple[int, ...], ...]:
     """One edge per family, pairwise vertex-disjoint, by exact cover.
 
     Family f is primary column f, which some edge must cover once, and
@@ -447,18 +436,12 @@ def find_disjoint_representatives(
     family with the fewest edges still free of the chosen vertices first
     (lowest index on ties) and tries its edges in canonical order, so the
     result is deterministic. Where several systems exist, the one returned
-    need not be the first in family order. Raises NotFound("exhausted")
-    when the full search space has no system, NotFound("budget") when cut
-    short.
+    need not be the first in family order. The search is exhaustive:
+    raises NotFound("exhausted") when no system exists.
     """
     t = len(links)
     rows = [(f,) + tuple(t + v for v in e) for f, L in enumerate(links) for e in L.edges]
-    status, picked, nodes = _pm_searcher(rows, t)(0, set(), budget)
-    if status == "partial":
-        raise NotFound(
-            f"representative search stopped by budget after {nodes} nodes",
-            reason="budget",
-        )
+    status, picked, _ = _pm_searcher(rows, t)(0, set())
     if status == "none":
         raise NotFound("no system of disjoint representatives exists", reason="exhausted")
     return tuple(tuple(v - t for v in rows[i][1:]) for i in sorted(picked))
@@ -503,9 +486,7 @@ def _augment(adj: Sequence[Sequence[int]], partner: dict[int, int], a: int, seen
     return False
 
 
-def match_into_flexible(
-    G: Hypergraph, W: Iterable[int], Z: Iterable[int], budget: int | None = None
-) -> Matching:
+def match_into_flexible(G: Hypergraph, W: Iterable[int], Z: Iterable[int]) -> Matching:
     """Match every vertex of W along edges whose other k-1 vertices lie in Z.
 
     Builds, for each w, the family of (k-1)-sets f with f ∪ {w} an edge of G
@@ -524,7 +505,7 @@ def match_into_flexible(
         residues = (tuple(v for v in G.edges[i] if v != w) for i in G.incident[w])
         kept = tuple(f for f in residues if zs.issuperset(f))
         links.append(Hypergraph(G.n, G.k - 1, kept))
-    reps = find_disjoint_representatives(links, budget=budget)
+    reps = find_disjoint_representatives(links)
     return Matching.from_edges(
         tuple(sorted((w,) + f)) for w, f in zip(ws, reps)
     )

@@ -327,14 +327,6 @@ def test_find_rooted_absorber_forbidden():
         find_rooted_absorber(K6, (0, 1, 2), Q=3, forbidden={2})
 
 
-def test_find_rooted_absorber_sparse_request():
-    H = Hypergraph.complete(9, 3)
-    A = find_rooted_absorber(H, (0, 1, 2), Q=6, require_sparse=4)
-    assert A.order == 6
-    assert is_k_sparse(A, 4)
-    assert verify_absorber(A, H) == (True, None)
-
-
 def test_find_rooted_absorber_validation():
     with pytest.raises(SizeError):
         find_rooted_absorber(K6, (0, 1), Q=3)
@@ -441,25 +433,6 @@ def test_rooted_search_avoids_forbidden_edges():
             assert A == find_rooted_absorber(H.remove_vertices(forbidden), roots, Q=6, min_order=3)
 
 
-def test_rooted_sparse_request_rejects_trivial_absorber():
-    H = Hypergraph.from_edges(4, 3, [(0, 1, 2)])
-    assert find_rooted_absorber(H, (0, 1, 2), Q=3).order == 0
-    with pytest.raises(NotFound) as exc:
-        find_rooted_absorber(H, (0, 1, 2), Q=3, require_sparse=3)
-    assert exc.value.reason == "exhausted"
-    hits = 0
-    for H, roots, present in rooted_cases():
-        if not present:
-            continue
-        try:
-            A = find_rooted_absorber(H, roots, Q=6, require_sparse=3)
-        except NotFound:
-            continue
-        hits += 1
-        assert A.order > 0 and is_k_sparse(A, 3)
-    assert hits >= 5
-
-
 @pytest.mark.parametrize(
     "H, roots, kwargs, covering, noncovering",
     [
@@ -525,7 +498,6 @@ def test_rooted_search_budget_outcomes_pinned():
     "H, roots, kwargs, result, least",
     [
         (Hypergraph.complete(12, 3), (0, 1, 2), {"min_order": 3}, 3, 88),
-        (Hypergraph.complete(9, 3), (0, 1, 2), {"require_sparse": 4}, 6, 1149),
         (seeded_subgraph(9, 3, 0.2, seed=4), (0, 4, 8), {}, "exhausted", 42),
     ],
 )
@@ -557,15 +529,15 @@ def test_rooted_search_outcomes_pinned():
         for roots in ROOT_TUPLES:
             for Q in (0, 3, 6):
                 for budget in (None, 3, 20, 150, 1000):
-                    for kwargs in ({}, {"forbidden": (6, 7)}, {"require_sparse": 4}):
+                    for kwargs in ({}, {"forbidden": (6, 7)}):
                         try:
                             A = find_rooted_absorber(H, roots, Q, budget=budget, **kwargs)
                             outcomes.append(f"{A.covering.edges}|{A.noncovering.edges}")
                         except NotFound as exc:
                             outcomes.append(f"{exc.reason}|{exc}")
-    assert len(outcomes) == 2700
+    assert len(outcomes) == 1800
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == "4abd969d579ad6a6837cba8cf054ef055660c98f440950bb71d7d768f46de586"
+    assert digest == "c648dd1d4038ac8a27c973464b7c0657668c8e718a6ad47eacca200de63d9605"
 
 
 def test_rooted_search_raises_on_failed_verification(monkeypatch):

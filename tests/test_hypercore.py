@@ -4,7 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings

@@ -574,30 +574,22 @@ def test_pm_status_matches_naive_oracle(H):
 
 def test_max_matching_examples():
     m = Hypergraph.from_edges(6, 3, [(0, 1, 2), (3, 4, 5)])
-    sel, _, _ = _max_matching(m.edges, m.n)
+    sel, _ = _max_matching(m.edges, m.n)
     assert sorted(m.edges[i] for i in sel) == list(m.edges)
 
     K7 = Hypergraph.complete(7, 3)
-    sel, optimal, _ = _max_matching(K7.edges, K7.n)
-    assert len(sel) == 2 and optimal
+    sel, _ = _max_matching(K7.edges, K7.n)
+    assert len(sel) == 2
 
     path = Hypergraph.from_edges(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
-    sel, _, _ = _max_matching(path.edges, path.n)
+    sel, _ = _max_matching(path.edges, path.n)
     assert sorted(path.edges[i] for i in sel) == [(0, 1, 2), (4, 5, 6)]
-
-
-def test_max_matching_budget_flag():
-    H = Hypergraph.complete(15, 3)
-    sel, optimal, _ = _max_matching(H.edges, H.n, budget=3)
-    assert not optimal
-    assert verify_matching(H, [H.edges[i] for i in sel])[0]
 
 
 @settings(max_examples=80)
 @given(small_hypergraph(max_n=8, max_k=3))
 def test_max_matching_agrees_with_oracle(H):
-    sel, optimal, _ = _max_matching(H.edges, H.n)
-    assert optimal
+    sel, _ = _max_matching(H.edges, H.n)
     assert len(sel) == oracle_max_matching_size(H)
 
 
@@ -606,8 +598,8 @@ def test_max_matching_size_relabeling_invariant(H, rng):
     perm = list(range(H.n))
     rng.shuffle(perm)
     relabeled = Hypergraph.from_edges(H.n, H.k, [[perm[v] for v in e] for e in H.edges])
-    a, _, _ = _max_matching(H.edges, H.n)
-    b, _, _ = _max_matching(relabeled.edges, relabeled.n)
+    a, _ = _max_matching(H.edges, H.n)
+    b, _ = _max_matching(relabeled.edges, relabeled.n)
     assert len(a) == len(b)
 
 
@@ -720,13 +712,6 @@ def test_representatives_exhausted():
     with pytest.raises(NotFound) as info:
         find_disjoint_representatives([L, L])
     assert info.value.reason == "exhausted"
-
-
-def test_representatives_budget():
-    links = [Hypergraph.complete(6, 2)] * 4
-    with pytest.raises(NotFound) as info:
-        find_disjoint_representatives(links, budget=2)
-    assert info.value.reason == "budget"
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,7 +22,6 @@ from diraclab.hypercore import Hypergraph
 from diraclab.lab import parse_key_values, sample_hk
 from diraclab.matchpower import Matching, find_perfect_matching
 from diraclab.pipeline import (
-    AbsorbingSet,
     PipelineParams,
     RichSet,
     absorb_and_complete,

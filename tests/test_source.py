@@ -54,6 +54,24 @@ def test_all_names_are_defined():
     assert missing == []
 
 
+def test_public_names_are_in_all():
+    # a module that declares __all__ lists every public class and function
+    # in it, so `import *` and the callers test see the whole surface
+    missing = []
+    for path in sorted(Path(diraclab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in filter(_is_all, tree.body):
+            listed = set(ast.literal_eval(node.value))
+            missing += [
+                f"{path.stem}.{top.name}"
+                for top in tree.body
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                and not top.name.startswith("_")
+                and top.name not in listed
+            ]
+    assert missing == []
+
+
 def _referenced_names(tree: ast.Module) -> set[str]:
     """Names, attributes, imported names and string constants (the bench's
     span targets name functions by string), outside ``__all__``."""
@@ -76,8 +94,9 @@ def _referenced_names(tree: ast.Module) -> set[str]:
 def test_public_functions_have_callers():
     # a public function that only its own tests call is dead surface. The
     # exceptions have only test callers today: criterion 8 checks the subset
-    # condition directly, and the rest are the sandwich and barrier
-    # certificates and the experiment file readers and writers
+    # condition directly, the rest are the sandwich and barrier certificates,
+    # the load check, and the report reader and config writer, the halves of
+    # the two file formats that the CLI does not use
     pkg = Path(diraclab.__file__).parent
     bench = sorted((Path(__file__).resolve().parents[1] / "diracbench").glob("*.py"))
     assert bench
@@ -101,10 +120,8 @@ def test_public_functions_have_callers():
         "thresholds.verify_threshold_sandwich",
         "thresholds.parity_barrier_set",
         "lab.neighborhood_load_check",
-        "lab.write_config",
-        "lab.read_table",
-        "lab.write_table",
-        "lab.write_experiment",
+        "lab.dumps_config",
+        "lab.parse_table",
     }
 
 
@@ -123,11 +140,11 @@ def test_host_stages_do_not_import_induced():
     assert found == []
 
 
-def test_budgeted_loops_are_the_known_four():
+def test_budgeted_loops_are_the_known_two():
     # a loop bounded by a budget compares a running count with the name
-    # `budget`; these are the exact-cover kernel, the rooted-absorber walk,
-    # the branch-and-bound maximum matching and the degree degradation, and
-    # a new hand-rolled one must not appear beside them
+    # `budget`; these are the exact-cover kernel and the rooted-absorber
+    # walk, whose budgets callers set, and a new hand-rolled one must not
+    # appear beside them
     pkg = Path(diraclab.__file__).parent
     found = set()
     for path in sorted(pkg.glob("*.py")):
@@ -145,12 +162,7 @@ def test_budgeted_loops_are_the_known_four():
                         for x, y in ((a, b), (b, a))
                     ):
                         found.add(f"{path.stem}.{top.name}")
-    assert found == {
-        "absorbing.find_rooted_absorber",
-        "lab.degrade_to_degree",
-        "matchpower._max_matching",
-        "matchpower._pm_searcher",
-    }
+    assert found == {"absorbing.find_rooted_absorber", "matchpower._pm_searcher"}
 
 
 def test_no_nested_function_calls_itself():
@@ -226,3 +238,25 @@ def test_one_absorber_type_and_no_cached_edge_set():
                 found.append(f"{path.stem}.{node.name}")
     assert found == []
     assert not hasattr(Hypergraph, "edge_set")
+
+
+def test_no_unused_imports():
+    # an import that nothing in the file reads is dead; a name re-exported
+    # through the module's __all__ counts as read
+    found = []
+    pkg, tests = Path(diraclab.__file__).parent, Path(__file__).parent
+    for path in sorted(pkg.glob("*.py")) + sorted(tests.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in filter(_is_all, tree.body):
+            read.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.name}:{name}"
+                    for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                    if name not in read
+                ]
+    assert found == []

@@ -14,11 +14,10 @@ import pytest
 
 from diraclab import thresholds
 from diraclab.errors import CapacityError, DiracLabError, SizeError
-from diraclab.hypercore import Hypergraph, min_d_degree
+from diraclab.hypercore import min_d_degree
 from diraclab.matchpower import _max_matching, find_perfect_matching
 from diraclab.thresholds import (
     SandwichReport,
-    ThresholdRecord,
     _incidence_masks,
     _perfect_matching_masks,
     _sweep_pruned,
@@ -325,7 +324,7 @@ def test_space_barrier_shape_and_certificate():
     assert S == (0, 1)
     assert all(set(S).intersection(e) for e in H.edges)
     # counting certificate: any matching uses a vertex of S per edge
-    best, _, _ = _max_matching(H.edges, H.n)
+    best, _ = _max_matching(H.edges, H.n)
     assert len(best) == len(S) < 9 // 3
     assert find_perfect_matching(H).status == "none"
 

@@ -25,7 +25,7 @@ from random import Random
 from typing import Iterable, Mapping, Sequence, TypeVar, get_args, get_type_hints
 
 from .errors import DiracLabError, FormatError, SizeError, TargetInfeasible
-from .hypercore import Hypergraph, derived_seed, induced, mask_of, min_d_degree
+from .hypercore import Hypergraph, derived_seed, induced, min_d_degree
 from .matchpower import find_perfect_matching
 from .thresholds import _frac, conjectured_density, parity_barrier, space_barrier
 
@@ -705,15 +705,15 @@ def _load_pairs(
     total = comb(G.n, G.k)
     p_hat = Fraction(len(G.edges), total) if total else Fraction(0)
     bound = 2 * x_size * p_hat * comb(G.n - 2, G.k - 2)
-    masks = G.edge_masks
+    inc, edges = G.incident, G.edges
     pairs = []
     for i in range(samples):
         s = derived_seed(seed, i)
         rng = Random(s)
         w = rng.randrange(G.n)
         X = tuple(sorted(rng.sample([v for v in range(G.n) if v != w], x_size)))
-        wbit, xmask = 1 << w, mask_of(X)
-        pairs.append((s, w, X, sum(1 for m in masks if m & wbit and m & xmask)))
+        xset = frozenset(X)
+        pairs.append((s, w, X, sum(1 for j in inc[w] if not xset.isdisjoint(edges[j]))))
     # max keeps the first of equal loads, the earliest worst pair
     _, w, X, top = max(pairs, key=lambda pair: pair[3])
     report = LoadReport(_load_ratio(top, bound), top, bound, x_size, samples, w, X)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diraclab import hypercore
 from diraclab.errors import CapacityError, DiracLabError, FormatError, SizeError, SpecError
 from diraclab.hypercore import (
     DensityResult,
@@ -130,6 +131,97 @@ def test_raw_constructor_names_first_bad_edge(n, k, edges, exc, message):
     with pytest.raises(exc) as info:
         Hypergraph(n, k, edges)
     assert str(info.value) == message
+
+
+def dense_copy(n, k, edges):
+    """The edges with valid k-subsets appended until C(n, k) <= 4 * len,
+    so that the constructor's subsequence pass sees them first."""
+    edges = list(edges)
+    valid = combinations(range(n), k)
+    while math.comb(n, k) > 4 * len(edges):
+        edges.append(next(valid))
+    return tuple(edges)
+
+
+@pytest.mark.parametrize("n,k,edges,exc,message", _MALFORMED)
+def test_dense_malformed_lists_name_the_same_edge(n, k, edges, exc, message):
+    edges = dense_copy(n, k, edges)
+    assert math.comb(n, k) <= 4 * len(edges)
+    with pytest.raises(exc) as info:
+        Hypergraph(n, k, edges)
+    assert str(info.value) == message
+
+
+def constructor_outcome(n, k, edges):
+    try:
+        return Hypergraph(n, k, edges).edges
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def loop_outcome(monkeypatch, n, k, edges):
+    """The outcome with both fast passes off, so only the per-edge loop
+    decides."""
+    with monkeypatch.context() as m:
+        m.setattr(hypercore, "_edges_canonical", lambda *args: False)
+        return constructor_outcome(n, k, edges)
+
+
+# list-typed edges and float vertices; the fast passes may accept them only
+# where the per-edge loop does, and must otherwise leave the loop to decide
+_ODD_EDGES = [
+    [[0, 1, 2], [0, 1, 3]],
+    [(0, 1, 2), [0, 1, 3]],
+    [(-0.5, 1, 2)],
+    [(0, 1, 2.0)],
+    [(0, 1, 2.0), (0, 1, 3)],
+    [(0, 1, 2), (0, 1, 2.0)],
+    [(0, 0.5, 1), (0, 1, 3)],
+]
+
+
+@pytest.mark.parametrize("edges", _ODD_EDGES)
+@pytest.mark.parametrize("n,dense", [(4, True), (9, False)])
+def test_fast_passes_defer_to_the_loop(monkeypatch, edges, n, dense):
+    assert (math.comb(n, 3) <= 4 * len(edges)) == dense
+    assert constructor_outcome(n, 3, edges) == loop_outcome(monkeypatch, n, 3, edges)
+
+
+def test_fast_passes_agree_with_the_loop_on_random_lists(monkeypatch):
+    rng = random.Random(23)
+    dense = sparse = accepted = 0
+    for _ in range(400):
+        n, k = rng.randint(1, 8), rng.randint(1, 4)
+        pool = list(combinations(range(n), k))
+        edges = sorted(rng.sample(pool, rng.randint(0, len(pool) // rng.choice((1, 5)))))
+        for _ in range(rng.randint(0, 2)):
+            if not edges:
+                break
+            i = rng.randrange(len(edges))
+            e = list(edges[i])
+            if not e:
+                continue
+            j = rng.randrange(len(e))
+            fault = rng.randrange(5)
+            if fault == 0:
+                e[j] = rng.choice((-1, n, e[j] + 1))
+            elif fault == 1:
+                e = e[::-1]
+            elif fault == 2:
+                e = e[:-1]
+            elif fault == 3:
+                edges.insert(i, edges[i])
+                continue
+            else:
+                edges[i], edges[-1] = edges[-1], edges[i]
+                continue
+            edges[i] = tuple(e)
+        dense += math.comb(n, k) <= 4 * len(edges)
+        sparse += math.comb(n, k) > 4 * len(edges)
+        got = constructor_outcome(n, k, tuple(edges))
+        assert got == loop_outcome(monkeypatch, n, k, tuple(edges))
+        accepted += got == tuple(edges)
+    assert dense >= 100 and sparse >= 100 and 100 <= accepted <= 300
 
 
 def test_raw_constructor_accepts_canonical_lists():

@@ -620,6 +620,11 @@ class TestLoad:
         assert rep.pairs_checked == 10_000
         assert 0 < rep.max_ratio < 1.0
 
+    def test_loads_walk_incidence_lists_only(self):
+        G = sample_hk(16, 3, 0.5, 2)
+        neighborhood_load_check(G, 0.25, samples=60, seed=9)
+        assert "edge_masks" not in G.__dict__
+
     def test_worst_pair_is_reproducible(self):
         G = sample_hk(16, 3, 0.5, 2)
         rep = neighborhood_load_check(G, 0.25, samples=60, seed=9)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from hashlib import sha256
-from itertools import combinations, islice, repeat
-from operator import contains, itemgetter, lt
+from itertools import combinations, islice
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, DiracLabError, FormatError, SizeError, SpecError
@@ -62,18 +62,11 @@ def derived_seed(master_seed: int, index: int) -> int:
 
 def _edges_canonical(edges: tuple, n: int, k: int) -> bool:
     """True when every edge is a strictly ascending k-tuple within 0..n-1
-    and the list is strictly increasing. False sends the caller to its
-    per-edge loop, which finds the first bad edge.
-
-    Two passes, picked by density. When C(n, k) <= 4 * len(edges), the
-    edges must appear, in order, in one run of ``combinations(range(n), k)``
-    (about 60 ns per k-subset). Sparser lists are checked column by column
-    in C-level passes that build no copy of the columns (about 300-400 ns
-    per edge)."""
+    and the list is strictly increasing, checked column by column in
+    C-level passes that build no copy of the columns. False sends the
+    caller to its per-edge loop, which finds the first bad edge."""
     if not edges:
         return True
-    if math.comb(n, k) <= 4 * len(edges):
-        return all(map(contains, repeat(combinations(range(n), k)), edges))
     try:
         if not all(map(k.__eq__, map(len, edges))):
             return False

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import chain, filterfalse
 from math import ceil, comb, isfinite
-from operator import add
 from typing import Iterable
 
 from .errors import (
@@ -143,22 +143,13 @@ def choose_rich_set(
     lists. The comparison is exact (no floats), with a floor of one edge so
     an empty graph never qualifies. Needs k >= 2.
 
-    A vertex v outside Z has one edge into Z for each (k-1)-subset S of Z
-    with S + v an edge. Each trial counts these one of two ways, and both
-    give the same degrees:
-
-    - lookups: one ``has_edge`` binary search per outside vertex and
-      (k-1)-subset of Z, (n-r)*C(r, k-1) searches;
-    - Z's incidence lists: one pass over the edges through Z, counting an
-      edge for v when v is its only vertex outside Z, sum(|incident[z]|)
-      items over z in Z.
-
-    A trial takes the lookups unless they outnumber the incidence items.
-    For k >= 3 on a host whose vertex degrees are at least c*C(n-1, k-1)
-    with c >= 1/2, as the pipeline's degree targets ask, the lookups cost
-    about (1-rho)*rho^(k-2)/c <= 1/2 of the pass, so such hosts take them
-    and sparse ones walk the lists. Neither builds an index over every
-    host edge.
+    A vertex v outside Z has one edge into Z for each edge whose only
+    vertex outside Z is v, that is each edge with k-1 vertices in Z. An
+    edge appears once in the incidence list of each of its vertices, so a
+    C-level count over Z's lists, sum(|incident[z]|) items over z in Z,
+    gives each edge's number of vertices in Z; a trial then visits only the
+    edges with k-1 of them to credit their outside vertex. Nothing indexes
+    every host edge.
 
     Raises NotFound("trials") carrying the best candidate's deficit.
     """
@@ -171,28 +162,20 @@ def choose_rich_set(
     inc, edges = G.incident, G.edges
     delta_hat = Fraction(min(map(len, inc)), comb(n - 1, k - 1))
     threshold = max(delta_hat / 2 * comb(r - 1, k - 1), Fraction(1))
-    lookups = (n - r) * comb(r, k - 1)
     rng = random.Random(seed)
     best_deficit: Fraction | None = None
     best_min: int | None = None
     for t in range(trials):
         Z = tuple(sorted(rng.sample(range(n), r)))
-        zset = frozenset(Z)
-        outside = [v for v in range(n) if v not in zset]
+        in_z = frozenset(Z).__contains__
+        outside = list(filterfalse(in_z, range(n)))
         if not outside:
             return RichSet(Z, None, threshold, t + 1)
-        if lookups <= sum(len(inc[z]) for z in Z):
-            subsets = list(combinations(Z, k - 1))
-            worst = min(
-                sum(map(G.has_edge, map(add, subsets, repeat((v,))))) for v in outside
-            )
-        else:
-            deg = [0] * n
-            for i in set().union(*map(inc.__getitem__, Z)):
-                out = [u for u in edges[i] if u not in zset]
-                if len(out) == 1:
-                    deg[out[0]] += 1
-            worst = min(map(deg.__getitem__, outside))
+        deg = [0] * n
+        for i, hits in Counter(chain.from_iterable(map(inc.__getitem__, Z))).items():
+            if hits == k - 1:
+                deg[next(filterfalse(in_z, edges[i]))] += 1
+        worst = min(map(deg.__getitem__, outside))
         if worst >= threshold:
             return RichSet(Z, worst, threshold, t + 1)
         deficit = threshold - worst

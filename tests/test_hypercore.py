@@ -133,25 +133,6 @@ def test_raw_constructor_names_first_bad_edge(n, k, edges, exc, message):
     assert str(info.value) == message
 
 
-def dense_copy(n, k, edges):
-    """The edges with valid k-subsets appended until C(n, k) <= 4 * len,
-    so that the constructor's subsequence pass sees them first."""
-    edges = list(edges)
-    valid = combinations(range(n), k)
-    while math.comb(n, k) > 4 * len(edges):
-        edges.append(next(valid))
-    return tuple(edges)
-
-
-@pytest.mark.parametrize("n,k,edges,exc,message", _MALFORMED)
-def test_dense_malformed_lists_name_the_same_edge(n, k, edges, exc, message):
-    edges = dense_copy(n, k, edges)
-    assert math.comb(n, k) <= 4 * len(edges)
-    with pytest.raises(exc) as info:
-        Hypergraph(n, k, edges)
-    assert str(info.value) == message
-
-
 def constructor_outcome(n, k, edges):
     try:
         return Hypergraph(n, k, edges).edges
@@ -160,15 +141,16 @@ def constructor_outcome(n, k, edges):
 
 
 def loop_outcome(monkeypatch, n, k, edges):
-    """The outcome with both fast passes off, so only the per-edge loop
+    """The outcome with the column passes off, so only the per-edge loop
     decides."""
     with monkeypatch.context() as m:
         m.setattr(hypercore, "_edges_canonical", lambda *args: False)
         return constructor_outcome(n, k, edges)
 
 
-# list-typed edges and float vertices; the fast passes may accept them only
-# where the per-edge loop does, and must otherwise leave the loop to decide
+# list-typed edges and float vertices; the column passes may accept them
+# only where the per-edge loop does, and must otherwise leave the loop to
+# decide
 _ODD_EDGES = [
     [[0, 1, 2], [0, 1, 3]],
     [(0, 1, 2), [0, 1, 3]],
@@ -181,15 +163,14 @@ _ODD_EDGES = [
 
 
 @pytest.mark.parametrize("edges", _ODD_EDGES)
-@pytest.mark.parametrize("n,dense", [(4, True), (9, False)])
-def test_fast_passes_defer_to_the_loop(monkeypatch, edges, n, dense):
-    assert (math.comb(n, 3) <= 4 * len(edges)) == dense
+@pytest.mark.parametrize("n", [4, 9])
+def test_column_passes_defer_to_the_loop(monkeypatch, edges, n):
     assert constructor_outcome(n, 3, edges) == loop_outcome(monkeypatch, n, 3, edges)
 
 
-def test_fast_passes_agree_with_the_loop_on_random_lists(monkeypatch):
+def test_column_passes_agree_with_the_loop_on_random_lists(monkeypatch):
     rng = random.Random(23)
-    dense = sparse = accepted = 0
+    accepted = 0
     for _ in range(400):
         n, k = rng.randint(1, 8), rng.randint(1, 4)
         pool = list(combinations(range(n), k))
@@ -216,12 +197,10 @@ def test_fast_passes_agree_with_the_loop_on_random_lists(monkeypatch):
                 edges[i], edges[-1] = edges[-1], edges[i]
                 continue
             edges[i] = tuple(e)
-        dense += math.comb(n, k) <= 4 * len(edges)
-        sparse += math.comb(n, k) > 4 * len(edges)
         got = constructor_outcome(n, k, tuple(edges))
         assert got == loop_outcome(monkeypatch, n, k, tuple(edges))
         accepted += got == tuple(edges)
-    assert dense >= 100 and sparse >= 100 and 100 <= accepted <= 300
+    assert 100 <= accepted <= 300
 
 
 def test_raw_constructor_accepts_canonical_lists():

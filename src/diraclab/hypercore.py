@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from hashlib import sha256
-from itertools import combinations, islice
-from operator import itemgetter, lt
+from itertools import combinations, islice, repeat
+from operator import contains, itemgetter, lt
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, DiracLabError, FormatError, SizeError, SpecError
@@ -62,11 +63,34 @@ def derived_seed(master_seed: int, index: int) -> int:
 
 def _edges_canonical(edges: tuple, n: int, k: int) -> bool:
     """True when every edge is a strictly ascending k-tuple within 0..n-1
-    and the list is strictly increasing, checked column by column in
-    C-level passes that build no copy of the columns. False sends the
-    caller to its per-edge loop, which finds the first bad edge."""
+    and the list is strictly increasing. False sends the caller to its
+    per-edge loop, which finds the first bad edge. Neither route below
+    builds a copy of the edges or of their columns.
+
+    A dense list, one with C(n, k) <= 4·len(edges), is first tried as one
+    walk of ``combinations(range(n), k)``: ``e in it`` consumes the iterator
+    up to the match, so every edge is found exactly when the list is a
+    subsequence of the lexicographic run of k-subsets, which is what
+    canonical means. This accept cannot widen what is accepted: each edge
+    it passes equals a k-subset under ``==``, and for vertices that compare
+    as numbers (ints, numpy integers, floats) the loop's size, range, ascent
+    and order checks then pass too. A miss, or an exception from a
+    comparison (an array edge's ambiguous truth value), falls through.
+    Past the 4x rule the walk, which may visit every k-subset, measures
+    slower than the column passes, so sparse lists go straight to them.
+
+    The column passes check sizes, each adjacent pair of columns, the
+    range and the order of consecutive edges, each in one C-level pass.
+    """
     if not edges:
         return True
+    if math.comb(n, k) <= 4 * len(edges):
+        it = combinations(range(n), k)
+        try:
+            if all(map(contains, repeat(it), edges)):
+                return True
+        except (TypeError, ValueError):
+            pass
     try:
         if not all(map(k.__eq__, map(len, edges))):
             return False
@@ -81,6 +105,15 @@ def _edges_canonical(edges: tuple, n: int, k: int) -> bool:
         return False
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int, through ``__index__`` (so numpy integers pass);
+    a float or other non-integer is a ``SizeError`` naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SizeError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A k-uniform hypergraph on vertices ``0..n-1``.
@@ -92,7 +125,14 @@ class Hypergraph:
     edges : tuple of sorted k-tuples, lexicographically ordered, no duplicates.
 
     Use :meth:`from_edges` to build from unordered input; the raw constructor
-    expects already-canonical data and validates it.
+    expects already-canonical data and validates it. Every instance,
+    :meth:`complete` and the random hosts included, is built through that
+    check; there is no unvalidated route. A dense list (C(n, k) at most 4
+    times its length) is accepted by one ordered walk of the k-subsets,
+    any other by column passes; a list either route turns down goes to a
+    per-edge loop that names its first bad edge. On numeric vertices both
+    routes accept exactly what the loop accepts. The edge masks and incidence lists are
+    built lazily, on first use.
     """
 
     n: int
@@ -100,11 +140,12 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 0:
+        n, k = _integer(self.n, "vertex count n"), _integer(self.k, "uniformity k")
+        if n < 0:
             raise SizeError(f"vertex count must be nonnegative, got {self.n}")
-        if self.k < 1:
+        if k < 1:
             raise SizeError(f"uniformity must be at least 1, got {self.k}")
-        if _edges_canonical(self.edges, self.n, self.k):
+        if _edges_canonical(self.edges, n, k):
             return
         # some edge is malformed: find the first one and name it
         prev = None
@@ -215,8 +256,9 @@ def induced(H: Hypergraph, S: Iterable[int]) -> tuple[Hypergraph, tuple[int, ...
         raise SizeError("induced set out of range")
     pos = {v: i for i, v in enumerate(old_ids)}
     keep = frozenset(old_ids)
-    edges = [tuple(pos[v] for v in e) for e in H.edges if keep.issuperset(e)]
-    return Hypergraph(len(old_ids), H.k, tuple(sorted(edges))), old_ids
+    # pos is increasing, so the kept edges stay in lexicographic order
+    edges = tuple(tuple(pos[v] for v in e) for e in H.edges if keep.issuperset(e))
+    return Hypergraph(len(old_ids), H.k, edges), old_ids
 
 
 # ---------------------------------------------------------------------------

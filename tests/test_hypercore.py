@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,7 +171,7 @@ def test_column_passes_defer_to_the_loop(monkeypatch, edges, n):
 
 def test_column_passes_agree_with_the_loop_on_random_lists(monkeypatch):
     rng = random.Random(23)
-    accepted = 0
+    accepted = dense = 0
     for _ in range(400):
         n, k = rng.randint(1, 8), rng.randint(1, 4)
         pool = list(combinations(range(n), k))
@@ -200,7 +201,122 @@ def test_column_passes_agree_with_the_loop_on_random_lists(monkeypatch):
         got = constructor_outcome(n, k, tuple(edges))
         assert got == loop_outcome(monkeypatch, n, k, tuple(edges))
         accepted += got == tuple(edges)
+        dense += math.comb(n, k) <= 4 * len(edges)
     assert 100 <= accepted <= 300
+    # both sides of the dense-walk rule C(n, k) <= 4·len(edges) are covered
+    assert 100 <= dense <= 300
+
+
+def _spy_walks(monkeypatch):
+    """Record the (n, k) of every ``combinations(range(n), k)`` walk the
+    constructor starts."""
+    walks = []
+
+    def spy(pool, r):
+        walks.append((len(pool), r))
+        return combinations(pool, r)
+
+    monkeypatch.setattr(hypercore, "combinations", spy)
+    return walks
+
+
+@pytest.mark.parametrize("n,k", [(8, 3), (9, 4), (7, 2), (6, 1)])
+def test_dense_walk_starts_exactly_at_the_boundary(monkeypatch, n, k):
+    rng = random.Random(n * 10 + k)
+    pool = list(combinations(range(n), k))
+    at = -(-len(pool) // 4)  # fewest edges with C(n, k) <= 4·len
+    lists = [tuple(sorted(rng.sample(pool, size))) for size in (at, at, at - 1, at - 1)]
+    walks = _spy_walks(monkeypatch)
+    for edges in lists:
+        assert constructor_outcome(n, k, edges) == edges
+    assert walks == [(n, k), (n, k)]
+    for edges in lists:
+        assert loop_outcome(monkeypatch, n, k, edges) == edges
+
+
+def _fault(edges, i, kind):
+    """``_MALFORMED``'s fault kinds, applied at edge ``i``."""
+    out = list(edges)
+    e = out[i]
+    if kind == "duplicate":
+        out.insert(i, e)
+    elif kind == "swap":
+        out[i], out[i + 1] = out[i + 1], out[i]
+    elif kind == "out of range":
+        out[i] = e[:-1] + (99,)
+    elif kind == "negative":
+        out[i] = (-1,) + e[1:]
+    elif kind == "short":
+        out[i] = e[:-1]
+    elif kind == "long":
+        out[i] = e + (e[-1] + 1,)
+    elif kind == "descending":
+        out[i] = e[::-1]
+    elif kind == "repeated vertex":
+        out[i] = (e[0],) + e[:-1]
+    return tuple(out)
+
+
+_FAULTS = ["duplicate", "swap", "out of range", "negative", "short", "long", "descending", "repeated vertex"]
+
+
+@pytest.mark.parametrize("kind", _FAULTS)
+@pytest.mark.parametrize("n,k", [(6, 3), (7, 4), (5, 2)])
+def test_dense_lists_with_faults_agree_with_the_loop(monkeypatch, kind, n, k):
+    full = tuple(combinations(range(n), k))
+    rng = random.Random(len(full) + _FAULTS.index(kind))
+    dense = tuple(sorted(rng.sample(full, -(-len(full) // 2))))
+    for base in (full, dense):
+        for i in (0, len(base) // 2, len(base) - 2):
+            edges = _fault(base, i, kind)
+            assert math.comb(n, k) <= 4 * len(edges)
+            got = constructor_outcome(n, k, edges)
+            assert got == loop_outcome(monkeypatch, n, k, edges)
+            assert got != edges
+
+
+# a dense list with one edge given as a list, with float or numpy-int
+# vertices, or as a numpy array; the walk may accept one only where the
+# per-edge loop does
+_ODD_FORMS = [
+    list,
+    lambda e: tuple(map(float, e)),
+    lambda e: tuple(map(np.int64, e)),
+    lambda e: (e[0] + 0.5,) + e[1:],
+    np.array,
+]
+
+
+@pytest.mark.parametrize("form", _ODD_FORMS)
+@pytest.mark.parametrize("n,k", [(5, 3), (3, 3), (4, 1)])
+def test_dense_walk_defers_odd_edges_to_the_loop(monkeypatch, form, n, k):
+    full = tuple(combinations(range(n), k))
+    for i in {0, len(full) // 2, len(full) - 1}:
+        edges = full[:i] + (form(full[i]),) + full[i + 1:]
+        assert constructor_outcome(n, k, edges) == loop_outcome(monkeypatch, n, k, edges)
+
+
+@pytest.mark.parametrize(
+    "n,k,message",
+    [
+        (5.5, 3, "vertex count n must be an integer, got 5.5"),
+        (np.float64(5.0), 3, "vertex count n must be an integer, got np.float64(5.0)"),
+        ("5", 3, "vertex count n must be an integer, got '5'"),
+        (5, 3.0, "uniformity k must be an integer, got 3.0"),
+        (5, 2.5, "uniformity k must be an integer, got 2.5"),
+        (5, None, "uniformity k must be an integer, got None"),
+    ],
+)
+def test_sizes_must_be_integers(n, k, message):
+    with pytest.raises(SizeError) as info:
+        Hypergraph(n, k, ((0, 1, 2),))
+    assert str(info.value) == message
+
+
+def test_numpy_integer_sizes_are_accepted():
+    H = Hypergraph(np.int64(5), np.int32(3), ((0, 1, 2), (2, 3, 4)))
+    assert H.edge_count() == 2 and H.incident[2] == (0, 1)
+    assert Hypergraph(np.int64(4), np.int64(3), tuple(combinations(range(4), 3))).edge_count() == 4
 
 
 def test_raw_constructor_accepts_canonical_lists():

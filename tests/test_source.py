@@ -240,6 +240,29 @@ def test_one_absorber_type_and_no_cached_edge_set():
     assert not hasattr(Hypergraph, "edge_set")
 
 
+def test_hypergraphs_are_built_through_the_validator():
+    # every Hypergraph goes through __post_init__'s check; a "trusted" fast
+    # path that sets fields behind it (object.__setattr__, object.__new__,
+    # dataclasses.replace) must not appear
+    bypasses = {
+        ("object", "__setattr__"),
+        ("object", "__new__"),
+        ("Hypergraph", "__new__"),
+        ("cls", "__new__"),
+        ("dataclasses", "replace"),
+    }
+    found = []
+    for path in sorted(Path(diraclab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and (getattr(node.value, "id", None), node.attr) in bypasses:
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses" and any(
+                a.name == "replace" for a in node.names
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_unused_imports():
     # an import that nothing in the file reads is dead; a name re-exported
     # through the module's __all__ counts as read

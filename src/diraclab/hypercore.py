@@ -131,8 +131,8 @@ class Hypergraph:
     times its length) is accepted by one ordered walk of the k-subsets,
     any other by column passes; a list either route turns down goes to a
     per-edge loop that names its first bad edge. On numeric vertices both
-    routes accept exactly what the loop accepts. The edge masks and incidence lists are
-    built lazily, on first use.
+    routes accept exactly what the loop accepts. The edge masks and
+    incidence lists are built lazily, on first use.
     """
 
     n: int

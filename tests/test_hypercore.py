@@ -207,26 +207,16 @@ def test_column_passes_agree_with_the_loop_on_random_lists(monkeypatch):
     assert 100 <= dense <= 300
 
 
-def _spy_walks(monkeypatch):
-    """Record the (n, k) of every ``combinations(range(n), k)`` walk the
-    constructor starts."""
-    walks = []
-
-    def spy(pool, r):
-        walks.append((len(pool), r))
-        return combinations(pool, r)
-
-    monkeypatch.setattr(hypercore, "combinations", spy)
-    return walks
-
-
 @pytest.mark.parametrize("n,k", [(8, 3), (9, 4), (7, 2), (6, 1)])
 def test_dense_walk_starts_exactly_at_the_boundary(monkeypatch, n, k):
     rng = random.Random(n * 10 + k)
     pool = list(combinations(range(n), k))
     at = -(-len(pool) // 4)  # fewest edges with C(n, k) <= 4·len
     lists = [tuple(sorted(rng.sample(pool, size))) for size in (at, at, at - 1, at - 1)]
-    walks = _spy_walks(monkeypatch)
+    walks = []  # (n, k) of each combinations(range(n), k) walk started
+    monkeypatch.setattr(
+        hypercore, "combinations", lambda pool, r: walks.append((len(pool), r)) or combinations(pool, r)
+    )
     for edges in lists:
         assert constructor_outcome(n, k, edges) == edges
     assert walks == [(n, k), (n, k)]

@@ -149,9 +149,10 @@ def loop_outcome(monkeypatch, n, k, edges):
         return constructor_outcome(n, k, edges)
 
 
-# list-typed edges and float vertices; the column passes may accept them
-# only where the per-edge loop does, and must otherwise leave the loop to
-# decide
+# list-typed edges, float and numpy-int vertices and a numpy-array edge; at
+# n=4 the lists are dense, at n=9 sparse, so both the ordered walk and the
+# column passes may accept them only where the per-edge loop does, and must
+# otherwise leave the loop to decide
 _ODD_EDGES = [
     [[0, 1, 2], [0, 1, 3]],
     [(0, 1, 2), [0, 1, 3]],
@@ -160,6 +161,8 @@ _ODD_EDGES = [
     [(0, 1, 2.0), (0, 1, 3)],
     [(0, 1, 2), (0, 1, 2.0)],
     [(0, 0.5, 1), (0, 1, 3)],
+    [(np.int64(0), np.int64(1), np.int64(2)), (0, 1, np.int64(3))],
+    [(0, 1, 2), np.array([0, 1, 3])],
 ]
 
 
@@ -263,27 +266,6 @@ def test_dense_lists_with_faults_agree_with_the_loop(monkeypatch, kind, n, k):
             got = constructor_outcome(n, k, edges)
             assert got == loop_outcome(monkeypatch, n, k, edges)
             assert got != edges
-
-
-# a dense list with one edge given as a list, with float or numpy-int
-# vertices, or as a numpy array; the walk may accept one only where the
-# per-edge loop does
-_ODD_FORMS = [
-    list,
-    lambda e: tuple(map(float, e)),
-    lambda e: tuple(map(np.int64, e)),
-    lambda e: (e[0] + 0.5,) + e[1:],
-    np.array,
-]
-
-
-@pytest.mark.parametrize("form", _ODD_FORMS)
-@pytest.mark.parametrize("n,k", [(5, 3), (3, 3), (4, 1)])
-def test_dense_walk_defers_odd_edges_to_the_loop(monkeypatch, form, n, k):
-    full = tuple(combinations(range(n), k))
-    for i in {0, len(full) // 2, len(full) - 1}:
-        edges = full[:i] + (form(full[i]),) + full[i + 1:]
-        assert constructor_outcome(n, k, edges) == loop_outcome(monkeypatch, n, k, edges)
 
 
 @pytest.mark.parametrize(

@@ -317,12 +317,13 @@ def is_k_sparse(A: Absorber, K: int) -> bool:
 def find_rooted_absorber(
     G: Hypergraph,
     roots: Sequence[int],
-    Q: int,
+    Q: int | None = None,
     forbidden: Iterable[int] = (),
     budget: int | None = None,
     min_order: int = 0,
 ) -> Absorber:
-    """Exact search for an absorber of order at most Q on the given roots.
+    """Exact search for an absorber of order at most Q on the given roots;
+    Q=None, the default, caps the order at 2k.
 
     Orders are tried from small to large (so the first hit has minimum
     order; pass min_order to skip the degenerate low orders). Order 0 is a
@@ -353,6 +354,7 @@ def find_rooted_absorber(
     forb = frozenset(forbidden)
     if forb.intersection(roots):
         raise SizeError("roots overlap the forbidden set")
+    Q = 2 * k if Q is None else Q
     if Q < 0:
         raise SizeError(f"order cap must be nonnegative, got {Q}")
     root_set = frozenset(roots)

@@ -46,6 +46,7 @@ from .lab import (
     build_host,
     dumps_table,
     experiment_csv,
+    experiment_rows,
     parse_key_values,
     read_config,
     run_experiment,
@@ -103,18 +104,16 @@ def _jcell(value: object):
     return value
 
 
-def _emit_table(args, name: str, columns, rows) -> None:
-    if args.format == "json":
-        payload = {
-            "name": name,
-            "columns": list(columns),
-            "rows": [
-                {c: _jcell(v) for c, v in zip(columns, row)} for row in rows
-            ],
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        _emit(dumps_table(name, columns, rows), args.out)
+def _json_table(name: str, columns, rows, summary=None) -> str:
+    """The ``--format json`` table: one object per row, keyed by column."""
+    payload = {
+        "name": name,
+        "columns": list(columns),
+        "rows": [{c: _jcell(v) for c, v in zip(columns, row)} for row in rows],
+    }
+    if summary is not None:
+        payload["summary"] = {k: _jcell(v) for k, v in summary.items()}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +174,8 @@ def _cmd_mdk(args) -> int:
         return 1
     if args.out and witness is not None:
         write_khg(witness, witness_file, comment=f"extremal witness for n={args.n} k={args.k} d={args.d}")
-    _emit_table(args, "mdk", MDK_COLUMNS, rows)
+    table = _json_table if args.format == "json" else dumps_table
+    _emit(table("mdk", MDK_COLUMNS, rows), args.out)
     return 0
 
 
@@ -206,7 +206,7 @@ def _cmd_absorber(args) -> int:
         A = find_rooted_absorber(
             host,
             _parse_ids(args.roots),
-            args.order_cap if args.order_cap is not None else 2 * host.k,
+            args.order_cap,
             forbidden=forbidden,
             budget=args.budget,
             min_order=args.min_order,
@@ -307,17 +307,7 @@ def _cmd_experiment(args) -> int:
     result = run_experiment(args.kind, cfg)
     out = args.out or (cfg.out or None)
     if args.format == "json":
-        payload = {
-            "name": cfg.name,
-            "columns": list(result.columns),
-            "rows": [
-                {c: _jcell(rec.data.get(c)) for c in result.columns[2:]}
-                | {"trial": rec.index, "seed": rec.seed}
-                for rec in result.records
-            ],
-            "summary": {k: _jcell(v) for k, v in result.summary.items()},
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+        _emit(_json_table(cfg.name, result.columns, experiment_rows(result), result.summary), out)
     else:
         _emit(experiment_csv(result), out)
         if out:
@@ -382,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     abf.add_argument("--in", dest="input", required=True)
     abf.add_argument("--roots", required=True, help="space-separated vertex ids")
     abf.add_argument("--forbidden", default="", help="space-separated vertex ids to avoid")
-    abf.add_argument("--order-cap", type=int, default=None)
+    abf.add_argument("--order-cap", type=int, default=None, help="largest absorber order (default 2k)")
     abf.add_argument("--min-order", type=int, default=0)
     abv = absub.add_parser("verify", help="check a stored absorber record")
     abv.add_argument("--in", dest="input", required=True)

@@ -63,8 +63,8 @@ def derived_seed(master_seed: int, index: int) -> int:
 
 def _edges_canonical(edges: tuple, n: int, k: int) -> bool:
     """True when every edge is a strictly ascending k-tuple within 0..n-1
-    and the list is strictly increasing. False sends the caller to its
-    per-edge loop, which finds the first bad edge. Neither route below
+    and the list is strictly increasing. False sends the constructor to
+    :func:`_first_fault`, which finds the first bad edge. Neither route below
     builds a copy of the edges or of their columns.
 
     A dense list, one with C(n, k) <= 4·len(edges), is first tried as one
@@ -73,9 +73,9 @@ def _edges_canonical(edges: tuple, n: int, k: int) -> bool:
     subsequence of the lexicographic run of k-subsets, which is what
     canonical means. This accept cannot widen what is accepted: each edge
     it passes equals a k-subset under ``==``, and for vertices that compare
-    as numbers (ints, numpy integers, floats) the loop's size, range, ascent
-    and order checks then pass too. A miss, or an exception from a
-    comparison (an array edge's ambiguous truth value), falls through.
+    as numbers (ints, numpy integers, floats) the size, range, ascent and
+    order checks of ``_first_fault`` then pass too. A miss, or an exception
+    from a comparison (an array edge's ambiguous truth value), falls through.
     Past the 4x rule the walk, which may visit every k-subset, measures
     slower than the column passes, so sparse lists go straight to them:
     a contracted absorber (about 26 edges on up to 87 vertices) validates
@@ -105,6 +105,26 @@ def _edges_canonical(edges: tuple, n: int, k: int) -> bool:
         )
     except TypeError:
         return False
+
+
+def _first_fault(edges: Sequence, n: int, k: int) -> tuple[int, DiracLabError] | None:
+    """``(index, error)`` for the first malformed edge, or None. Within an
+    edge the checks run size, range, ascent; across edges the first offender
+    wins. The constructor raises the error, and ``parse_khg`` names its line."""
+    prev = None
+    for i, e in enumerate(edges):
+        if len(e) != k:
+            return i, SizeError(f"edge {e} has size {len(e)}, expected {k}")
+        if any(v < 0 or v >= n for v in e):
+            return i, SizeError(f"edge {e} out of range for n={n}")
+        if any(e[j] >= e[j + 1] for j in range(len(e) - 1)):
+            return i, SpecError(f"edge {e} is not strictly ascending")
+        if prev is not None and e <= prev:
+            if e == prev:
+                return i, SpecError(f"duplicate edge {e}")
+            return i, SpecError("edge list is not in lexicographic order")
+        prev = e
+    return None
 
 
 def _integer(value, what: str) -> int:
@@ -144,20 +164,9 @@ class Hypergraph:
             raise SizeError(f"uniformity must be at least 1, got {self.k}")
         if _edges_canonical(self.edges, n, k):
             return
-        # some edge is malformed: find the first one and name it
-        prev = None
-        for e in self.edges:
-            if len(e) != self.k:
-                raise SizeError(f"edge {e} has size {len(e)}, expected {self.k}")
-            if any(v < 0 or v >= self.n for v in e):
-                raise SizeError(f"edge {e} out of range for n={self.n}")
-            if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
-                raise SpecError(f"edge {e} is not strictly ascending")
-            if prev is not None and e <= prev:
-                if e == prev:
-                    raise SpecError(f"duplicate edge {e}")
-                raise SpecError("edge list is not in lexicographic order")
-            prev = e
+        fault = _first_fault(self.edges, n, k)
+        if fault is not None:
+            raise fault[1]
 
     @classmethod
     def from_edges(cls, n: int, k: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -171,10 +180,6 @@ class Hypergraph:
         if k > n:
             return cls(n, k, ())
         return cls(n, k, tuple(combinations(range(n), k)))
-
-    @classmethod
-    def empty(cls, n: int, k: int) -> "Hypergraph":
-        return cls(n, k, ())
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
@@ -203,15 +208,6 @@ class Hypergraph:
     def support(self) -> frozenset[int]:
         """Vertices that appear in at least one edge."""
         return frozenset(v for e in self.edges for v in e)
-
-    def add_edges(self, extra: Iterable[Iterable[int]]) -> "Hypergraph":
-        return Hypergraph.from_edges(self.n, self.k, list(self.edges) + list(extra))
-
-    def remove_vertices(self, gone: Iterable[int]) -> "Hypergraph":
-        """Same vertex universe, minus every edge meeting ``gone``."""
-        g = set(gone)
-        kept = [e for e in self.edges if not g.intersection(e)]
-        return Hypergraph(self.n, self.k, tuple(kept))
 
 
 def min_d_degree(H: Hypergraph, d: int) -> tuple[int, tuple[int, ...]]:
@@ -582,13 +578,14 @@ def k_density(H: Hypergraph, method: str = "parametric") -> DensityResult:
 def parse_khg(text: str) -> Hypergraph:
     """Parse the ``khg 1 <k> <n> <m>`` text format.
 
-    Blank lines and ``#`` comments are ignored. Edge lines must hold k
-    strictly ascending vertex ids; the edge list must be lexicographically
-    sorted with no duplicates. Raises :class:`FormatError` with a line number
-    otherwise.
+    Blank lines and ``#`` comments are ignored. A malformed edge is a
+    :class:`FormatError` naming its line and the constructor's reason;
+    faults on the lines are reported before a wrong edge count.
     """
     header: tuple[int, int, int] | None = None
     edges: list[tuple[int, ...]] = []
+    linenos: list[int] = []
+    late = None  # a non-integer line ends the edges; a fault above it wins
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -605,29 +602,27 @@ def parse_khg(text: str) -> Hypergraph:
                 raise FormatError(f"line {lineno}: uniformity must be at least 2")
             header = (k, n, m)
             continue
-        k, n, m = header
         try:
-            ids = tuple(int(tok) for tok in line.split())
+            edges.append(tuple(int(tok) for tok in line.split()))
         except ValueError:
-            raise FormatError(f"line {lineno}: non-integer vertex id") from None
-        if len(ids) != k:
-            raise FormatError(f"line {lineno}: expected {k} vertex ids, got {len(ids)}")
-        if any(ids[i] >= ids[i + 1] for i in range(len(ids) - 1)):
-            raise FormatError(f"line {lineno}: vertex ids must be strictly ascending")
-        if any(v < 0 or v >= n for v in ids):
-            raise FormatError(f"line {lineno}: vertex id out of range 0..{n - 1}")
-        if edges:
-            if ids == edges[-1]:
-                raise FormatError(f"line {lineno}: duplicate edge")
-            if ids < edges[-1]:
-                raise FormatError(f"line {lineno}: edges not in lexicographic order")
-        edges.append(ids)
+            late = FormatError(f"line {lineno}: non-integer vertex id")
+            break
+        linenos.append(lineno)
     if header is None:
         raise FormatError("missing header line")
     k, n, m = header
+    try:
+        H = Hypergraph(n, k, tuple(edges))
+    except (SizeError, SpecError):
+        fault = _first_fault(edges, n, k)
+        if fault is None:  # n itself is bad, not an edge
+            raise
+        raise FormatError(f"line {linenos[fault[0]]}: {fault[1]}") from None
+    if late is not None:
+        raise late
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, file has {len(edges)}")
-    return Hypergraph(n, k, tuple(edges))
+    return H
 
 
 def dumps_khg(H: Hypergraph, comment: str | None = None) -> str:

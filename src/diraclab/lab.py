@@ -60,6 +60,7 @@ __all__ = [
     "read_config",
     "dumps_table",
     "parse_table",
+    "experiment_rows",
     "experiment_csv",
     "summary_lines",
 ]
@@ -145,11 +146,8 @@ def degrade_to_degree(
         raise SizeError(f"degree target must be nonnegative, got {target}")
     if policy not in ("random", "greedy"):
         raise SizeError(f"unknown policy {policy!r}")
-    start, _ = min_d_degree(G, d)
-    if start < target:
-        raise TargetInfeasible(
-            f"minimum {d}-degree is {start}, already below target {target}"
-        )
+    if G.n < d:
+        raise SizeError(f"need at least d={d} vertices, have {G.n}")
 
     edges = G.edges
     holders: dict[tuple[int, ...], list[int]] = {}
@@ -157,6 +155,12 @@ def degrade_to_degree(
         for S in combinations(e, d):
             holders.setdefault(S, []).append(i)
     deg = {S: len(ids) for S, ids in holders.items()}
+    # a d-set in no edge is missing from the index and has degree 0
+    start = min(deg.values()) if len(deg) == comb(G.n, d) else 0
+    if start < target:
+        raise TargetInfeasible(
+            f"minimum {d}-degree is {start}, already below target {target}"
+        )
 
     # edge indices, ascending, so the list stays in the order of G.edges
     deletable = [
@@ -457,12 +461,16 @@ def parse_table(text: str) -> CsvTable:
     return CsvTable(name, columns, tuple(rows))
 
 
-def experiment_csv(result: ExperimentResult) -> str:
-    rows = [
+def experiment_rows(result: ExperimentResult) -> list[tuple[object, ...]]:
+    """One ``(trial, seed, *data)`` row per record, aligned to ``columns``."""
+    return [
         (rec.index, rec.seed) + tuple(rec.data.get(c) for c in result.columns[2:])
         for rec in result.records
     ]
-    rows.append(result.summary_row)
+
+
+def experiment_csv(result: ExperimentResult) -> str:
+    rows = experiment_rows(result) + [result.summary_row]
     return dumps_table(result.config.name, result.columns, rows)
 
 

@@ -557,16 +557,17 @@ def verify_matching(
 ) -> tuple[bool, str | None]:
     """Independent matching checker, deliberately free of bitmask machinery.
 
-    Accepts a Matching or any iterable of edges. Checks edge membership in
-    the host, pairwise disjointness, and (optionally) full coverage.
+    Accepts a Matching (edges as stored, so an unsorted one is no host
+    edge) or any iterable of edges (each sorted first). Checks membership
+    by :meth:`Hypergraph.has_edge`, building no set of all host edges,
+    pairwise disjointness, and (optionally) full coverage.
     """
     edges = list(matching.edges) if isinstance(matching, Matching) else [
         tuple(sorted(e)) for e in matching
     ]
-    host_edges = set(H.edges)
     seen: set[int] = set()
     for e in edges:
-        if e not in host_edges:
+        if list(e) != sorted(e) or not H.has_edge(e):
             return False, f"edge {e} is not an edge of the host"
         for v in e:
             if v in seen:

@@ -41,6 +41,7 @@ from .templates import (
     build_absorbing_structure,
     build_resilient_template,
     compact_template,
+    layered_template_size,
     structure_matching_after_removal,
 )
 from .thresholds import _frac, conjectured_density
@@ -189,12 +190,6 @@ def choose_rich_set(
     )
 
 
-def _montgomery_size(r: int, k: int) -> int:
-    """Vertex count of the layered template at flexible-set size r."""
-    s = ceil(r / 2)
-    return 3 * k * s - s + r
-
-
 def _removal_cap(r: int, k: int) -> int:
     """Largest |W| with (k-1)|W| < r/2."""
     return ceil(Fraction(r, 2 * (k - 1))) - 1
@@ -218,7 +213,7 @@ def build_absorbing_set(
     r = max(params.min_r, ceil(_frac(params.rho) * n))
     mode = params.template_mode
     if mode == "auto":
-        roomy = n >= _montgomery_size(r, k) + params.block_size(k)
+        roomy = n >= layered_template_size(r, k) + params.block_size(k)
         mode = "montgomery" if roomy else "compact"
         if mode == "compact":
             r = k * ceil(r / k)
@@ -248,7 +243,7 @@ def build_absorbing_set(
             G,
             T,
             rich.Z,
-            Q=params.finder_Q if params.finder_Q is not None else 2 * k,
+            Q=params.finder_Q,
             budget=params.finder_budget,
         )
     except (PlacementFailed, SizeError) as exc:

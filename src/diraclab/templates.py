@@ -44,6 +44,7 @@ __all__ = [
     "lift_k_partite",
     "independent_free_overlay",
     "find_independent_set",
+    "layered_template_size",
     "build_resilient_template",
     "compact_template",
     "feasible_removals",
@@ -336,6 +337,13 @@ class ResilientTemplate:
         return len(self.Z)
 
 
+def layered_template_size(r: int, k: int) -> int:
+    """Vertex count of the layered template at flexible-set size r: the lift
+    at scale s = ceil(r/2) has 3ks + s vertices, and 2s - r are trimmed."""
+    s = ceil(r / 2)
+    return 3 * k * s - s + r
+
+
 def build_resilient_template(
     r: int, k: int, seed: int = 0, trials: int = 200
 ) -> ResilientTemplate:
@@ -366,7 +374,7 @@ def build_resilient_template(
         )
     lift = lift_k_partite(R, k)
     trim = 2 * s - r
-    n_T = lift.graph.n - trim
+    n_T = layered_template_size(r, k)
     kept = [e for e in lift.graph.edges if all(v < n_T for v in e)]
     Z_ids = tuple(lift.Z[:r])
     overlay, overlay_mode = independent_free_overlay(r, k, trials=trials, seed=seed)
@@ -479,7 +487,7 @@ def build_absorbing_structure(
     host: Hypergraph,
     T: ResilientTemplate,
     embed_Z: Sequence[int],
-    Q: int = 6,
+    Q: int | None = None,
     budget: int | None = None,
     min_order: int = 0,
 ) -> AbsorbingStructure:
@@ -488,8 +496,8 @@ def build_absorbing_structure(
     Z lands on the caller's rich set (sorted template Z to sorted embed_Z);
     the other template vertices take the lowest unused host ids. Template
     edges are processed in lexicographic order, each absorber forbidden
-    from touching anything already used except its own roots. Q, budget
-    and min_order go to every :func:`find_rooted_absorber` call.
+    from touching anything already used except its own roots. Q (None: 2k),
+    budget and min_order go to every :func:`find_rooted_absorber` call.
     """
     embed_Z = tuple(sorted(embed_Z))
     if len(embed_Z) != T.r:

@@ -302,7 +302,7 @@ def test_find_rooted_absorber_single_edge_host():
 
 
 def test_find_rooted_absorber_empty_graph():
-    H = Hypergraph.empty(6, 3)
+    H = Hypergraph(6, 3, ())
     with pytest.raises(NotFound) as exc:
         find_rooted_absorber(H, (0, 1, 2), Q=6)
     assert exc.value.reason == "exhausted"
@@ -419,6 +419,16 @@ def test_rooted_search_falls_through_to_order_k():
     assert cases >= 20 and absent >= 5
 
 
+@pytest.mark.parametrize("k,n", [(3, 9), (4, 12)])
+def test_rooted_search_caps_the_order_at_2k_by_default(k, n):
+    H = Hypergraph.complete(n, k)
+    A = find_rooted_absorber(H, range(k), min_order=k + 1)
+    assert A.order == 2 * k
+    assert A == find_rooted_absorber(H, range(k), Q=2 * k, min_order=k + 1)
+    with pytest.raises(NotFound):
+        find_rooted_absorber(H, range(k), Q=2 * k - 1, min_order=k + 1)
+
+
 def test_rooted_search_avoids_forbidden_edges():
     for H, roots, _ in rooted_cases():
         for forbidden in ({6}, {3, 7}):
@@ -430,7 +440,8 @@ def test_rooted_search_avoids_forbidden_edges():
                 continue
             assert all(forbidden.isdisjoint(e) for e in A.edges)
             # same search as on the host with the forbidden vertices' edges gone
-            assert A == find_rooted_absorber(H.remove_vertices(forbidden), roots, Q=6, min_order=3)
+            kept = tuple(e for e in H.edges if forbidden.isdisjoint(e))
+            assert A == find_rooted_absorber(Hypergraph(H.n, H.k, kept), roots, Q=6, min_order=3)
 
 
 @pytest.mark.parametrize(
@@ -725,7 +736,7 @@ def test_sparse_absorber_validation():
 
 
 def test_sparse_absorber_empty_host_diagnostics():
-    H = Hypergraph.empty(30, 3)
+    H = Hypergraph(30, 3, ())
     with pytest.raises(NotFound) as exc:
         find_sparse_r_absorber(H, (0, 1, 2), K=4, q=3, trials=5)
     assert exc.value.reason == "trials"

@@ -5,11 +5,13 @@ module entry point.  Exit code contract: 0 success, 1 failed search or
 verification, 2 usage errors and unreadable inputs.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -221,7 +223,7 @@ class TestMdk:
 
     @pytest.mark.parametrize(
         "changed,why",
-        [({"m_value": 3}, "m values [2, 3]"), ({"extremal_witness": Hypergraph.empty(4, 2)}, "witnesses differ")],
+        [({"m_value": 3}, "m values [2, 3]"), ({"extremal_witness": Hypergraph(4, 2, ())}, "witnesses differ")],
         ids=["value", "witness"],
     )
     def test_route_disagreement_fails(self, tmp_path, capsys, monkeypatch, changed, why):
@@ -252,7 +254,7 @@ class TestTemplateAndAbsorber:
 
     def test_template_without_feasible_removals_verifies_in_both_modes(self, tmp_path, capsys):
         base = tmp_path / "bare"
-        T = ResilientTemplate(k=3, T=Hypergraph.empty(8, 3), Z=(0, 1, 2), provenance={})
+        T = ResilientTemplate(k=3, T=Hypergraph(8, 3, ()), Z=(0, 1, 2), provenance={})
         write_template(T, str(base))
         for mode in ("exhaustive", "sampled"):
             code, out, _ = run(capsys, "template", "verify", "--in", str(base), "--mode", mode)
@@ -444,6 +446,43 @@ class TestExperimentCommand:
         payload = json.loads(out)
         assert payload["summary"]["frequency"] == 1.0
         assert len(payload["rows"]) == 210
+
+    @pytest.mark.parametrize(
+        "argv, config, digest",
+        [
+            (
+                ["experiment", "resilience"],
+                dict(name="res", n=12, k=3, d=2, p=0.8, gamma=0.15, trials=6, master_seed=0),
+                "8dd4bfbdf648a3271f98b7f1d8bb1ff8813391baa2d9c8783601b3231c123cb5",
+            ),
+            (
+                ["experiment", "inheritance"],
+                dict(name="inh", n=10, k=3, d=1, Q=6, host="complete", trials=2),
+                "f671ab08c18e9e7ba301aa51df40650a79cf082c3bf593d163a684e32daf4a7d",
+            ),
+            (
+                ["experiment", "load"],
+                dict(name="load", n=12, k=3, p=0.5, lam=0.25, trials=5),
+                "91880160baa1b8008487461874a95013d92c0af02423273fe90f8220dad336cc",
+            ),
+            (
+                ["mdk", "--n", "4", "--k", "2", "--d", "1"],
+                None,
+                "9b2fac7d0ac4c5aeddc562c3f0da297f623983c9523cf7d1ecc9fb835eadafeb",
+            ),
+        ],
+    )
+    def test_json_tables_keep_their_bytes(self, tmp_path, capsys, monkeypatch, argv, config, digest):
+        # sha256 of each table as the two JSON builders, one for mdk and one
+        # for experiments, wrote it before they became one; mdk's clock is
+        # stopped so its seconds column reads 0.000
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        if config is not None:
+            write_config(tmp_path / "x.cfg", **config)
+            argv = argv + ["--config", str(tmp_path / "x.cfg")]
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_load_smoke(self, tmp_path, capsys):
         cfg = tmp_path / "l.cfg"

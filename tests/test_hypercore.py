@@ -338,7 +338,8 @@ def test_min_vertex_degree_matches_counter_loop():
             n, k, [e for e in combinations(range(n), k) if rng.random() < p]
         )
         if seed % 2:
-            H = H.remove_vertices(rng.sample(range(n), min(n, 2)))
+            gone = set(rng.sample(range(n), min(n, 2)))
+            H = Hypergraph(n, k, tuple(e for e in H.edges if gone.isdisjoint(e)))
         got = min_d_degree(H, 1)
         assert got == counter_min_vertex_degree(H)
         zeros += got[0] == 0 and any(H.incident[v] for v in range(got[1][0] + 1, n))
@@ -346,7 +347,7 @@ def test_min_vertex_degree_matches_counter_loop():
     assert zeros >= 5
     H = Hypergraph.from_edges(8, 3, [(0, 1, 2), (0, 3, 4), (5, 6, 7)])
     assert min_d_degree(H, 1) == (1, (1,))
-    assert min_d_degree(H.remove_vertices([3]), 1) == (0, (3,))
+    assert min_d_degree(Hypergraph(8, 3, ((0, 1, 2), (5, 6, 7))), 1) == (0, (3,))
 
 
 def test_min_d_degree_rejects_bad_d():
@@ -379,7 +380,7 @@ def test_girth_known_shapes():
     assert girth(Hypergraph.from_edges(5, 3, [(0, 1, 2), (2, 3, 4)])) == math.inf
     # single edge and empty graph: acyclic
     assert girth(Hypergraph.from_edges(3, 3, [(0, 1, 2)])) == math.inf
-    assert girth(Hypergraph.empty(4, 3)) == math.inf
+    assert girth(Hypergraph(4, 3, ())) == math.inf
 
 
 def test_girth_duplicate_edge_multiset():
@@ -504,7 +505,7 @@ def test_acyclic_graphs_are_vertex_rich(H):
 
 
 def test_k_density_few_edges_is_zero():
-    assert k_density(Hypergraph.empty(5, 3)).value == 0
+    assert k_density(Hypergraph(5, 3, ())).value == 0
     one = Hypergraph.from_edges(5, 3, [(0, 1, 2)])
     res = k_density(one)
     assert res.value == 0 and res.witness is None
@@ -590,7 +591,7 @@ def test_k_density_monotone_under_edge_addition(H, pick):
     if not missing:
         return
     extra = missing[pick % len(missing)]
-    bigger = H.add_edges([extra])
+    bigger = Hypergraph.from_edges(H.n, H.k, H.edges + (extra,))
     assert k_density(bigger).value >= k_density(H).value
 
 
@@ -789,6 +790,65 @@ def test_khg_comments_and_blanks():
 def test_khg_rejects_malformed(text, fragment):
     with pytest.raises(FormatError, match=fragment):
         parse_khg(text)
+
+
+def first_bad_line(lines, n, k, edges):
+    """The file line of the first edge whose prefix the constructor rejects."""
+    for j in range(len(edges)):
+        try:
+            Hypergraph(n, k, tuple(edges[: j + 1]))
+        except (SizeError, SpecError):
+            return lines[j]
+    raise AssertionError("no bad edge")
+
+
+@pytest.mark.parametrize("kind", _FAULTS)
+@pytest.mark.parametrize("n,k", [(6, 3), (7, 4), (5, 2)])
+def test_khg_names_the_line_and_the_constructors_reason(kind, n, k):
+    full = tuple(combinations(range(n), k))
+    rng = random.Random(len(full) * 31 + _FAULTS.index(kind))
+    for base in (full, tuple(sorted(rng.sample(full, len(full) // 3)))):
+        last = len(base) - (2 if kind == "swap" else 1)
+        for i in (0, len(base) // 2, last):
+            edges = _fault(base, i, kind)
+            with pytest.raises((SizeError, SpecError)) as info:
+                Hypergraph(n, k, edges)
+            # comments and blank lines between the edges, so a line number
+            # is not an edge index
+            out, lines = ["# faulty", "", f"khg 1 {k} {n} {len(edges)}"], []
+            for j, e in enumerate(edges):
+                if rng.random() < 0.3:
+                    out.append("# between" if j % 2 else "")
+                out.append(" ".join(map(str, e)) + ("  # edge" if j % 3 == 0 else ""))
+                lines.append(len(out))
+            text = "\n".join(out) + "\n"
+            want = f"line {first_bad_line(lines, n, k, edges)}: {info.value}"
+            for declared in (len(edges), len(edges) + 1):
+                header = f"khg 1 {k} {n} {declared}"
+                with pytest.raises(FormatError) as got:
+                    parse_khg(text.replace(out[2], header, 1))
+                assert str(got.value) == want
+
+
+def test_khg_reports_a_fault_above_a_non_integer_line():
+    text = "khg 1 3 5 3\n0 1 2\n0 2 1\n0 x 2\n"
+    with pytest.raises(FormatError, match="^line 3: edge \\(0, 2, 1\\) is not strictly ascending$"):
+        parse_khg(text)
+    with pytest.raises(FormatError, match="^line 4: non-integer vertex id$"):
+        parse_khg("khg 1 3 5 3\n0 1 2\n0 2 3\n0 x 2\n")
+
+
+def test_khg_validates_a_valid_file_once(monkeypatch):
+    calls = []
+    real = hypercore._edges_canonical
+    monkeypatch.setattr(
+        hypercore, "_edges_canonical", lambda *args: calls.append(args) or real(*args)
+    )
+    monkeypatch.setattr(hypercore, "_first_fault", lambda *args: calls.append(args))
+    H = Hypergraph.complete(7, 3)
+    calls.clear()
+    assert parse_khg(dumps_khg(H)) == H
+    assert len(calls) == 1
 
 
 def test_khg_write_read_file(tmp_path):

@@ -205,7 +205,7 @@ class TestDegrade:
 
     def test_target_infeasible(self):
         with pytest.raises(TargetInfeasible):
-            degrade_to_degree(Hypergraph.empty(6, 3), 1, 1)
+            degrade_to_degree(Hypergraph(6, 3, ()), 1, 1)
         with pytest.raises(TargetInfeasible):
             degrade_to_degree(Hypergraph.complete(6, 3), 1, 100)
 
@@ -223,19 +223,49 @@ class TestDegrade:
 
     def test_floor_breach_raises(self, monkeypatch):
         # the post-hoc floor check is an explicit raise, so it also runs
-        # under python -O; here the recount is made to report a breach
+        # under python -O; here the recount, the one min_d_degree call, is
+        # made to report a breach
         real = lab.min_d_degree
         calls = []
 
         def recount(H, d):
             calls.append(H)
-            value, witness = real(H, d)
-            return (value, witness) if len(calls) == 1 else (-1, witness)
+            return -1, real(H, d)[1]
 
         monkeypatch.setattr(lab, "min_d_degree", recount)
         with pytest.raises(DiracLabError, match="degradation broke the degree floor"):
             degrade_to_degree(Hypergraph.complete(6, 3), 1, 0, seed=1)
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("policy", ["random", "greedy"])
+    def test_one_degree_count_per_degradation(self, monkeypatch, policy, d):
+        # the start degree is read off the d-set index; min_d_degree runs
+        # only for the recount on the survivor
+        real = lab.min_d_degree
+        calls = []
+        monkeypatch.setattr(lab, "min_d_degree", lambda H, d: calls.append(H) or real(H, d))
+        # at n=9, p=0.3 some pairs lie in no edge; the empty host below has
+        # no vertex in an edge
+        for n, p, seed in ((9, 0.3, 1), (12, 0.8, 2), (21, 0.8, 3)):
+            G = sample_hk(n, 3, p, seed)
+            start = real(G, d)[0]
+            calls.clear()
+            r = degrade_to_degree(G, d, start // 2, policy=policy, seed=seed)
+            assert calls == [r.graph]
+            with pytest.raises(TargetInfeasible) as info:
+                degrade_to_degree(G, d, start + 1, policy=policy)
+            assert str(info.value) == f"minimum {d}-degree is {start}, already below target {start + 1}"
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_empty_host(self, d):
+        r = degrade_to_degree(Hypergraph(6, 3, ()), d, 0)
+        assert (r.graph, r.deleted, r.min_degree) == (Hypergraph(6, 3, ()), (), 0)
+        with pytest.raises(TargetInfeasible, match=f"minimum {d}-degree is 0, already below target 1"):
+            degrade_to_degree(Hypergraph(6, 3, ()), d, 1)
+        with pytest.raises(SizeError) as info:
+            degrade_to_degree(Hypergraph(d - 1, 3, ()), d, 0)
+        assert str(info.value) == f"need at least d={d} vertices, have {d - 1}"
 
     def test_validation(self):
         G = Hypergraph.complete(6, 3)
@@ -593,7 +623,7 @@ class TestInheritance:
 
 class TestLoad:
     def test_empty_graph_scores_zero(self):
-        rep = neighborhood_load_check(Hypergraph.empty(10, 3), 0.2, samples=10)
+        rep = neighborhood_load_check(Hypergraph(10, 3, ()), 0.2, samples=10)
         assert rep.max_ratio == 0.0
         assert rep.bound == 0
         assert rep.max_count == 0

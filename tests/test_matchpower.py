@@ -685,7 +685,7 @@ def test_sweep_outcomes_are_pinned():
                 reports.append(verify_montgomery(B, mode="exhaustive"))
                 reports.append(verify_montgomery(B, mode="sampled", samples=100, seed=seed))
     Ts = [build_resilient_template(r, 3, seed=0) for r in range(6, 10)]
-    Ts += [compact_template(6, 3), ResilientTemplate(3, Hypergraph.empty(6, 3), tuple(range(6)), {})]
+    Ts += [compact_template(6, 3), ResilientTemplate(3, Hypergraph(6, 3, ()), tuple(range(6)), {})]
     Ts += [ResilientTemplate(3, Hypergraph(T.T.n, 3, T.T.edges[::2]), T.Z, {}) for T in Ts[:4]]
     for T in Ts:
         reports.append(verify_resilient_template(T, mode="exhaustive"))
@@ -911,7 +911,7 @@ def test_blockwise_complete_host():
 
 
 def test_blockwise_empty_host():
-    H = Hypergraph.empty(12, 3)
+    H = Hypergraph(12, 3, ())
     rep = blockwise_almost_perfect(H, Q=6, seed=1)
     assert rep.matching.edges == ()
     assert len(rep.failed_blocks) == 2
@@ -1021,6 +1021,99 @@ def test_verify_matching_perfect_requirement():
     H = Hypergraph.complete(6, 3)
     ok, why = verify_matching(H, [(0, 1, 2)], require_perfect=True)
     assert not ok and "not covered" in why
+
+
+def set_based_verify_matching(H, matching, require_perfect=False):
+    """The checker as it was when it built a set of all host edges, kept
+    verbatim as the reference for the lookups by has_edge."""
+    edges = list(matching.edges) if isinstance(matching, Matching) else [
+        tuple(sorted(e)) for e in matching
+    ]
+    host_edges = set(H.edges)
+    seen: set[int] = set()
+    for e in edges:
+        if e not in host_edges:
+            return False, f"edge {e} is not an edge of the host"
+        for v in e:
+            if v in seen:
+                return False, f"vertex {v} covered twice"
+            seen.add(v)
+    if require_perfect and seen != set(range(H.n)):
+        missing = sorted(set(range(H.n)) - seen)
+        return False, f"vertices not covered: {missing[:8]}"
+    return True, None
+
+
+def verify_corpus():
+    """(host, make_input) pairs; make_input builds a fresh input each call,
+    since a generator input is used up by one check."""
+    rng = random.Random(2025)
+    hosts = [Hypergraph.complete(9, 3), Hypergraph.complete(8, 4), Hypergraph.complete(6, 2)]
+    hosts += [sample_hk(12, 3, 0.4, s) for s in range(4)] + [sample_hk(10, 2, 0.5, 7)]
+    cases = []
+    for H in hosts:
+        res = find_perfect_matching(H)
+        if res.status == "perfect":
+            pm = res.matching
+            cases += [
+                lambda pm=pm: pm,
+                lambda pm=pm: Matching(pm.edges[1:]),  # not perfect
+                lambda pm=pm: [list(reversed(e)) for e in pm.edges],  # plain lists
+                lambda pm=pm: (set(e) for e in pm.edges),  # a generator of sets
+                lambda pm=pm: Matching(pm.edges[:-1] + (pm.edges[-1][::-1],)),  # unsorted tuple
+                lambda pm=pm: [pm.edges[0], pm.edges[0]],  # a repeated vertex
+            ]
+        k = H.k
+        for _ in range(12):
+            verts = rng.sample(range(H.n + 2), k * rng.randint(1, (H.n + 2) // k))
+            edges = [tuple(verts[i:i + k]) for i in range(0, len(verts), k)]
+            if rng.random() < 0.3:
+                edges.append(edges[0][:-1] + (rng.randrange(H.n),))
+            sorted_edges = sorted(tuple(sorted(e)) for e in edges)
+            cases += [lambda e=edges: e, lambda e=edges: iter(e)]
+            if len({v for e in edges for v in e}) == k * len(edges):
+                cases += [
+                    lambda e=edges: Matching(tuple(sorted(e))),  # edges as drawn, unsorted
+                    lambda e=sorted_edges: Matching(tuple(e)),
+                ]
+        cases += [
+            lambda: [tuple(range(k - 1))],  # too short
+            lambda: [tuple(range(H.n - k + 1, H.n + 1))],  # out of range
+            lambda: [],
+        ]
+        yield from ((H, make) for make in cases)
+        cases = []
+
+
+def test_verify_matching_agrees_with_the_set_based_checker():
+    reasons = set()
+    count = 0
+    for H, make in verify_corpus():
+        for perfect in (False, True):
+            got = verify_matching(H, make(), require_perfect=perfect)
+            assert got == set_based_verify_matching(H, make(), require_perfect=perfect)
+            reasons.add(got[1].split()[0] if got[1] else None)
+            count += 1
+    assert count > 300
+    # a pass, a non-host edge, a twice-covered vertex and a missing vertex
+    assert reasons == {None, "edge", "vertex", "vertices"}
+    assert verify_matching(Hypergraph.complete(3, 3), Matching(((2, 1, 0),))) == (
+        False, "edge (2, 1, 0) is not an edge of the host"
+    )
+
+
+def test_verify_matching_builds_no_host_edge_set():
+    # 20 lookups by binary search, against a set of all 34,220 host edges
+    H = Hypergraph.complete(60, 3)
+    M = Matching.from_edges(range(i, i + 3) for i in range(0, 60, 3))
+    tracemalloc.start()
+    try:
+        got = verify_matching(H, M, require_perfect=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (True, None)
+    assert peak < 64 * 1024
 
 
 def test_matching_text_round_trip():

@@ -92,11 +92,12 @@ def _referenced_names(tree: ast.Module) -> set[str]:
 
 
 def test_public_functions_have_callers():
-    # a public function that only its own tests call is dead surface. The
-    # exceptions have only test callers today: criterion 8 checks the subset
-    # condition directly, the rest are the sandwich and barrier certificates,
-    # the load check, and the report reader and config writer, the halves of
-    # the two file formats that the CLI does not use
+    # a public function, or a public method of a class in __all__, that only
+    # its own tests call is dead surface. The exceptions have only test
+    # callers today: criterion 8 checks the subset condition directly, the
+    # rest are the sandwich and barrier certificates, the load check, and
+    # the report reader and config writer, the halves of the two file
+    # formats that the CLI does not use
     pkg = Path(diraclab.__file__).parent
     bench = sorted((Path(__file__).resolve().parents[1] / "diracbench").glob("*.py"))
     assert bench
@@ -109,12 +110,18 @@ def test_public_functions_have_callers():
     for path in sorted(pkg.glob("*.py")):
         tree = trees[path]
         functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
         for node in filter(_is_all, tree.body):
-            found.update(
-                f"{path.stem}.{name}"
-                for name in ast.literal_eval(node.value)
-                if name in functions and name not in used
-            )
+            for name in ast.literal_eval(node.value):
+                if name in functions and name not in used:
+                    found.add(f"{path.stem}.{name}")
+                found.update(
+                    f"{path.stem}.{name}.{item.name}"
+                    for item in getattr(classes.get(name), "body", ())
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and item.name not in used
+                )
     assert found == {
         "matchpower.aharoni_haxell_holds",
         "thresholds.verify_threshold_sandwich",

@@ -35,6 +35,7 @@ from diraclab.templates import (
     feasible_removals,
     find_independent_set,
     independent_free_overlay,
+    layered_template_size,
     lift_k_partite,
     read_template,
     search_montgomery,
@@ -429,6 +430,13 @@ class TestOverlay:
 # ---------------------------------------------------------------------------
 
 class TestResilientTemplate:
+    @pytest.mark.parametrize("r,k", [(6, 3), (7, 3), (8, 2), (9, 4)])
+    def test_size_is_the_lift_less_the_trim(self, r, k):
+        T = build_resilient_template(r, k, seed=0)
+        R = search_montgomery(T.provenance["s"], T.provenance["degree_cap"], seed=0)
+        lift = lift_k_partite(R, k)
+        assert T.T.n == layered_template_size(r, k) == lift.graph.n - T.provenance["trimmed"]
+
     def test_r6_build_and_exhaustive_verify(self):
         T = build_resilient_template(6, 3, seed=0)
         assert T.r == 6
@@ -535,7 +543,7 @@ class TestResilientTemplate:
             built.clear()
 
     def test_no_feasible_removal_is_vacuous_in_both_modes(self):
-        T = ResilientTemplate(k=3, T=Hypergraph.empty(8, 3), Z=(0, 1, 2), provenance={})
+        T = ResilientTemplate(k=3, T=Hypergraph(8, 3, ()), Z=(0, 1, 2), provenance={})
         assert feasible_removals(T) == []
         for mode in ("exhaustive", "sampled"):
             rep = verify_resilient_template(T, mode=mode)
@@ -703,6 +711,16 @@ class TestAbsorbingStructure:
         assert plain.placements[0][1].order == 0
         S = build_absorbing_structure(host, stub, embed_Z=(0, 1, 2), Q=6, min_order=3)
         assert S.placements[0][1].order >= 3
+
+    def test_default_order_cap_is_2k(self):
+        # at k=4 the orders are 0, 4, 8: from min_order 5 only order 8 is
+        # left, inside the default cap 2k = 8 and outside a cap of 6
+        stub = ResilientTemplate(k=4, T=Hypergraph(4, 4, ((0, 1, 2, 3),)), Z=(0, 1, 2, 3), provenance={})
+        host = Hypergraph.complete(12, 4)
+        S = build_absorbing_structure(host, stub, embed_Z=(0, 1, 2, 3), min_order=5)
+        assert S.placements[0][1].order == 8
+        with pytest.raises(PlacementFailed):
+            build_absorbing_structure(host, stub, embed_Z=(0, 1, 2, 3), Q=6, min_order=5)
 
 
 # ---------------------------------------------------------------------------

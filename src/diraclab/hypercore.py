@@ -600,6 +600,9 @@ def parse_khg(text: str) -> Hypergraph:
                 raise FormatError(f"line {lineno}: non-integer header field") from None
             if k < 2:
                 raise FormatError(f"line {lineno}: uniformity must be at least 2")
+            if n < 0 or m < 0:
+                what, value = ("vertex", n) if n < 0 else ("edge", m)
+                raise FormatError(f"line {lineno}: {what} count must be nonnegative, got {value}")
             header = (k, n, m)
             continue
         try:
@@ -614,10 +617,9 @@ def parse_khg(text: str) -> Hypergraph:
     try:
         H = Hypergraph(n, k, tuple(edges))
     except (SizeError, SpecError):
-        fault = _first_fault(edges, n, k)
-        if fault is None:  # n itself is bad, not an edge
-            raise
-        raise FormatError(f"line {linenos[fault[0]]}: {fault[1]}") from None
+        # the header is checked, so the constructor can only fault an edge
+        index, reason = _first_fault(edges, n, k)
+        raise FormatError(f"line {linenos[index]}: {reason}") from None
     if late is not None:
         raise late
     if len(edges) != m:

@@ -174,13 +174,29 @@ def _pm_searcher(
     mask is one. The nodes, ``best`` and budget stops are a visit's.
 
     ``avail`` holds the edges that avoid every covered column, and ``live``
-    lists the uncovered primary columns in ascending order; an empty
-    ``live`` is a cover. The counts ``popcount(avail & inc[v])`` for v in
+    lists uncovered primary columns in ascending order; an empty ``live``
+    is a cover. The counts ``(avail & inc[v]).bit_count()`` for v in
     ``live`` (the column sizes of Dancing Links) are the lengths of the
     available-edge lists of a scan over all vertices, and the set bits of
     ``avail & inc[v]``, low to high, are v's available edges in incidence
     order; so the column picked (fewest available edges, lowest id on
     ties), the edge order and every node count are those of that scan.
+    The counts are one list comprehension over ``live``: a chain of
+    bound-method ``map`` calls ran 1.7-2.2x slower on 15-40 columns of
+    160- to 500-bit masks (Python 3.11).
+
+    Primary columns with the same incidence int are twins: a vertex of a
+    layered template and its fresh-part copies, or columns on no edge.
+    Every edge holds all of a class or none of it, so an edge avoiding
+    ``start`` covers the class members outside ``start`` all at once, and
+    at every node the members outside ``covered`` are none or exactly
+    those. ``live`` keeps only the lowest of them. A twin left out has the
+    same count and the same candidate edges as the one kept and loses the
+    tie on id, so the pick, the edge order, every node count, ``best`` and
+    the memo are unchanged, and ``live`` is empty exactly at a cover. The
+    member kept is the lowest twin outside ``covered`` (a higher one only
+    when ``start`` covered the lowest), so ``live`` is still a function of
+    the covered mask alone and sharing the memo stays sound.
     """
     E = len(edges)
     cols = max(n, max((e[-1] + 1 for e in edges), default=0))
@@ -194,6 +210,15 @@ def _pm_searcher(
         emask.append(mask_of(e))
     inc = [int.from_bytes(row, "little") for row in rows]
     ninc = [~b for b in inc]
+    # lower[v] masks the primary twins below v; an edge avoiding the start
+    # holds whole twin classes, so the column it takes out of live is the
+    # one with no lower twin, rep
+    members: dict[int, int] = {}
+    lower = [0] * n
+    for v in range(n):
+        lower[v] = members.get(inc[v], 0)
+        members[inc[v]] = lower[v] | 1 << v
+    rep = [v < n and not lower[v] for v in range(cols)]
 
     def search(
         start: int, dead: set[int], budget: int | None = None
@@ -204,7 +229,8 @@ def _pm_searcher(
         for v in range(cols):
             if start >> v & 1:
                 avail &= ninc[v]
-        live = [v for v in range(n) if not start >> v & 1]
+        # of each twin class, its lowest member outside the start
+        live = [v for v in range(n) if not start >> v & 1 and lower[v] & start == lower[v]]
         stack: list[tuple[int, int, list[int], int]] = []
         while True:
             nodes += 1
@@ -215,7 +241,7 @@ def _pm_searcher(
             # a child was looked up in the memo before the descent; only the
             # start is visited with an empty stack
             if stack or covered not in dead:
-                cnts = list(map(int.bit_count, map(avail.__and__, map(inc.__getitem__, live))))
+                cnts = [(avail & inc[v]).bit_count() for v in live]
                 c = min(cnts)
                 if c:
                     stack.append((covered, avail, live, avail & inc[live[cnts.index(c)]]))
@@ -251,7 +277,7 @@ def _pm_searcher(
             live = live[:]
             for u in edges[i]:
                 avail &= ninc[u]
-                if u < n:
+                if rep[u]:
                     live.remove(u)
 
     return search

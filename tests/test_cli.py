@@ -102,6 +102,13 @@ class TestPm:
     def test_missing_file_is_usage_error(self, capsys):
         assert run(capsys, "pm", "--in", "/nonexistent/g.khg")[0] == 2
 
+    def test_negative_vertex_count_is_a_format_error(self, tmp_path, capsys):
+        bad = tmp_path / "neg.khg"
+        bad.write_text("khg 1 3 -5 0\n", encoding="ascii")
+        code, out, err = run(capsys, "pm", "--in", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: vertex count must be nonnegative, got -5\n"
+
 
 class TestVerify:
     def test_matching_ok_and_corrupted(self, k12, tmp_path, capsys):

@@ -792,6 +792,24 @@ def test_khg_rejects_malformed(text, fragment):
         parse_khg(text)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("khg 1 3 -5 0", "vertex count must be nonnegative, got -5"),
+        ("khg 1 3 5 -1", "edge count must be nonnegative, got -1"),
+        ("khg 1 3 -5 -1", "vertex count must be nonnegative, got -5"),
+    ],
+)
+def test_khg_header_rejects_negative_counts(header, message):
+    # the header check names the line, before the constructor or the edge
+    # count sees the value
+    for before, line in (("", 1), ("# comment\n\n", 3)):
+        for edges in ("", "0 1 2\n"):
+            with pytest.raises(FormatError) as info:
+                parse_khg(f"{before}{header}\n{edges}")
+            assert str(info.value) == f"line {line}: {message}"
+
+
 def first_bad_line(lines, n, k, edges):
     """The file line of the first edge whose prefix the constructor rejects."""
     for j in range(len(edges)):

@@ -172,6 +172,25 @@ def test_budgeted_loops_are_the_known_two():
     assert found == {"absorbing.find_rooted_absorber", "matchpower._pm_searcher"}
 
 
+def test_kernel_loop_maps_no_methods():
+    # on 160- to 500-bit masks, map(avail.__and__, map(inc.__getitem__,
+    # live)) and the like ran 1.7-2.2x slower than a list comprehension
+    # over the same columns; the kernel's search loop counts in bytecode
+    tree = ast.parse((Path(diraclab.__file__).parent / "matchpower.py").read_text(encoding="utf-8"))
+    kernel = next(n for n in tree.body if getattr(n, "name", None) == "_pm_searcher")
+    loops = [n for n in ast.walk(kernel) if isinstance(n, ast.While)]
+    assert loops
+    found = [
+        f"matchpower.py:{node.lineno}"
+        for loop in loops
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "map"
+        and isinstance(node.args[0], ast.Attribute)
+    ]
+    assert found == []
+
+
 def test_no_nested_function_calls_itself():
     # a nested function that names itself holds a cell pointing back at
     # itself, so every call leaves a reference cycle for the collector;

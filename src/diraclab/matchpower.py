@@ -187,16 +187,18 @@ def _pm_searcher(
 
     Primary columns with the same incidence int are twins: a vertex of a
     layered template and its fresh-part copies, or columns on no edge.
-    Every edge holds all of a class or none of it, so an edge avoiding
-    ``start`` covers the class members outside ``start`` all at once, and
-    at every node the members outside ``covered`` are none or exactly
-    those. ``live`` keeps only the lowest of them. A twin left out has the
-    same count and the same candidate edges as the one kept and loses the
-    tie on id, so the pick, the edge order, every node count, ``best`` and
-    the memo are unchanged, and ``live`` is empty exactly at a cover. The
-    member kept is the lowest twin outside ``covered`` (a higher one only
-    when ``start`` covered the lowest), so ``live`` is still a function of
-    the covered mask alone and sharing the memo stays sound.
+    Every edge holds all of a class or none of it. ``live`` leaves out
+    each twin above the lowest of its class, unless ``start`` covered the
+    lowest. A twin left out has the same count and the same candidate
+    edges as the lowest and loses the tie on id, and the edge that covers
+    one covers both; so the pick, the edge order, every node count,
+    ``best`` and the memo are unchanged, and ``live`` is empty exactly at
+    a cover. When ``start`` covered the lowest twin, the others kept have
+    no available edge and end the search at once, as they did before.
+    No edge covers the lowest twin while another stays uncovered, so
+    whether ``start`` covered it shows in the covered mask: ``live`` is
+    still a function of the covered mask alone, and sharing the memo
+    stays sound.
     """
     E = len(edges)
     cols = max(n, max((e[-1] + 1 for e in edges), default=0))
@@ -210,15 +212,8 @@ def _pm_searcher(
         emask.append(mask_of(e))
     inc = [int.from_bytes(row, "little") for row in rows]
     ninc = [~b for b in inc]
-    # lower[v] masks the primary twins below v; an edge avoiding the start
-    # holds whole twin classes, so the column it takes out of live is the
-    # one with no lower twin, rep
-    members: dict[int, int] = {}
-    lower = [0] * n
-    for v in range(n):
-        lower[v] = members.get(inc[v], 0)
-        members[inc[v]] = lower[v] | 1 << v
-    rep = [v < n and not lower[v] for v in range(cols)]
+    # twin[v]: the lowest primary column on the same edges as v
+    twin = [inc.index(b) for b in inc[:n]]
 
     def search(
         start: int, dead: set[int], budget: int | None = None
@@ -229,8 +224,7 @@ def _pm_searcher(
         for v in range(cols):
             if start >> v & 1:
                 avail &= ninc[v]
-        # of each twin class, its lowest member outside the start
-        live = [v for v in range(n) if not start >> v & 1 and lower[v] & start == lower[v]]
+        live = [v for v in range(n) if not start >> v & 1 and (twin[v] == v or start >> twin[v] & 1)]
         stack: list[tuple[int, int, list[int], int]] = []
         while True:
             nodes += 1
@@ -277,7 +271,7 @@ def _pm_searcher(
             live = live[:]
             for u in edges[i]:
                 avail &= ninc[u]
-                if rep[u]:
+                if u < n and twin[u] == u:
                     live.remove(u)
 
     return search

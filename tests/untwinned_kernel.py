@@ -3,9 +3,10 @@ verbatim.
 
 That kernel kept every uncovered primary column in ``live`` and counted
 column sizes through a chain of bound-method ``map`` calls. The library's
-``_pm_searcher`` now keeps one column per twin class and counts in a list
-comprehension; ``test_kernel_twins.py`` requires both to return the same
-status, edge indices and nodes, and to leave the same dead memo.
+``_pm_searcher`` now leaves twins above the lowest of their class out of
+``live`` and counts in a list comprehension; ``test_kernel_twins.py``
+requires both to return the same status, edge indices and nodes, and to
+leave the same dead memo.
 """
 
 from __future__ import annotations

@@ -174,7 +174,7 @@ def test_budgeted_loops_are_the_known_two():
 
 def test_kernel_loop_maps_no_methods():
     # on 160- to 500-bit masks, map(avail.__and__, map(inc.__getitem__,
-    # live)) and the like ran 1.7-2.2x slower than a list comprehension
+    # live)) and the like ran 1.6-1.8x slower than a list comprehension
     # over the same columns; the kernel's search loop counts in bytecode
     tree = ast.parse((Path(diraclab.__file__).parent / "matchpower.py").read_text(encoding="utf-8"))
     kernel = next(n for n in tree.body if getattr(n, "name", None) == "_pm_searcher")

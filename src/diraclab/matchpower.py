@@ -38,7 +38,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of pairwise vertex-disjoint edges, stored in lexicographic order."""
+    """A set of pairwise vertex-disjoint edges, each strictly ascending,
+    stored in lexicographic order."""
 
     edges: tuple[tuple[int, ...], ...]
 
@@ -46,6 +47,8 @@ class Matching:
         seen: set[int] = set()
         prev = None
         for e in self.edges:
+            if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
+                raise ShapeError(f"matching edge {tuple(e)} is not strictly ascending")
             if prev is not None and e < prev:
                 raise ShapeError("matching edges not in lexicographic order")
             prev = e

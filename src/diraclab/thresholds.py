@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .errors import CapacityError, DiracLabError, SizeError
 from .hypercore import Hypergraph, min_d_degree
 from .matchpower import find_perfect_matching
@@ -33,6 +31,8 @@ __all__ = [
 ]
 
 _SWEEP_CAP = 24
+# low edge bits per lane int of the unpruned scan: 2^16 masks per block
+_LANE_BITS = 16
 
 
 def _frac(x) -> Fraction:
@@ -145,35 +145,80 @@ def _sweep_pruned(total: int, pm_masks: list[int], inc: list[int]) -> tuple[int,
 
 
 def _sweep_unpruned(total: int, pm_masks: list[int], inc: list[int]) -> tuple[int, int]:
-    """Vectorized full scan: compute every graph's minimum degree, mask out
-    graphs containing a perfect matching afterwards. Independent of the
-    pruned loop by construction order.
+    """Bit-sliced full scan: every mask's minimum degree is tested, 2^16
+    masks per Python int, with no branch cut. Independent of the pruned walk
+    by construction order. Returns (best, witness).
 
-    The masks are walked 2^16 at a time, so each chunk's temporaries stay in
-    cache, and each d-set's degree is counted with ``np.bitwise_count``.
-    ``best`` moves only on a strict ``>`` across chunks and a chunk's first
-    maximal mask is taken, so the witness is the first maximal mask overall.
+    The low ``_LANE_BITS`` edge bits of a mask pick its lane, one bit of a
+    lane int, and the edge bits above them its block. Edge column i is the
+    lane int of the lanes whose low edge bit i is set. For each d-set, an
+    at-least table over its low edges holds ``at[u]``, the lanes whose low
+    edges give it degree >= u; in block b its high edges add
+    ``(b & high).bit_count()``. The lanes of a perfect matching's low edges
+    are the AND of their columns, and they count against block b only when
+    the matching's high edges all lie in b.
+
+    t runs down from the largest degree any d-set can have. For each t the
+    blocks run in ascending order, and each block's matching-free lanes are
+    ANDed with every d-set's ``at[t - high degree]``. The first lane hit
+    gives the largest t, then the lowest block, then the lowest lane: the
+    least mask attaining the maximum, which is the witness a scan of every
+    mask in order keeps. (-1, 0) means every mask holds a matching.
+
+    Blocks are what make it pay. At (6,3,1) and (6,3,2), lanes of 2^14 and
+    2^16 bits took 0.4-0.6 ms a sweep, against 8-19 ms for a numpy scan of
+    2^16-mask chunks; the whole 2^20-mask space as one int took 12.6 ms. The
+    columns are built by doubling a run of ones (``x |= x << p``): at 16 bits
+    that took 0.07 ms, against 6.3 ms for dividing by a repunit.
     """
-    best = -1
-    witness = 0
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        masks = np.arange(start, stop, dtype=np.uint32)
-        deltas = np.full(masks.shape, 255, dtype=np.uint8)
-        for s in inc:
-            np.minimum(deltas, np.bitwise_count(masks & np.uint32(s)), out=deltas)
-        pm_free = np.ones(masks.shape, dtype=bool)
-        for pm in pm_masks:
-            pm_free &= (masks & np.uint32(pm)) != np.uint32(pm)
-        if not pm_free.any():
-            continue
-        local = deltas[pm_free].max()
-        if int(local) > best:
-            best = int(local)
-            idx = np.nonzero(pm_free & (deltas == local))[0][0]
-            witness = start + int(idx)
-    return best, witness
+    e_total = total.bit_length() - 1
+    low = min(e_total, _LANE_BITS)
+    lanes = 1 << low
+    full = (1 << lanes) - 1
+    columns = []
+    for i in range(low):
+        run = 1 << i
+        x = ((1 << run) - 1) << run
+        period = run << 1
+        while period < lanes:
+            x |= x << period
+            period <<= 1
+        columns.append(x)
+    # per d-set: (its edge bits above the lanes, its at-least table)
+    tables = []
+    for s in inc:
+        at = [full]
+        for i in range(low):
+            if s >> i & 1:
+                col = columns[i]
+                at = [full] + [at[u] | at[u - 1] & col for u in range(1, len(at))] + [at[-1] & col]
+        tables.append((s >> low, at))
+    # per matching: (its edge bits above the lanes, the lanes holding its low edges)
+    holding = []
+    for pm in pm_masks:
+        held = full
+        for i in range(low):
+            if pm >> i & 1:
+                held &= columns[i]
+        holding.append((pm >> low, held))
+    free = []
+    for block in range(total >> low):
+        blocked = 0
+        for high, held in holding:
+            if block & high == high:
+                blocked |= held
+        free.append(full ^ blocked)
+    for t in range(min(s.bit_count() for s in inc), -1, -1):
+        for block, hit in enumerate(free):
+            for high, at in tables:
+                if not hit:
+                    break
+                u = t - (block & high).bit_count()
+                if u > 0:
+                    hit &= at[u] if u < len(at) else 0
+            if hit:
+                return t, block << low | (hit & -hit).bit_length() - 1
+    return -1, 0
 
 
 def exact_dirac_threshold(n: int, k: int, d: int, route: str = "pruned") -> ThresholdRecord:
@@ -191,16 +236,19 @@ def exact_dirac_threshold(n: int, k: int, d: int, route: str = "pruned") -> Thre
       of every graph below it is no better than the best so far. The best
       is replaced only on a strict improvement, so the witness is the
       first maximal mask, as in a full scan;
-    - "unpruned" evaluates every mask, vectorized: 2^16 masks at a time,
-      counting each d-set's degree with ``np.bitwise_count``. It masks out
-      the graphs holding a perfect matching afterwards.
+    - "unpruned" tests every mask, bit-sliced: one Python int holds a lane
+      per setting of the low 16 edge bits, and the edge bits above them are
+      walked block by block. For t from the largest possible degree down,
+      it ANDs each block's matching-free lanes with the lanes where every
+      d-set has degree >= t, and stops at the first lane hit: the largest
+      t, the lowest block and the lowest lane, so the least maximal mask.
 
     Both produce identical values and witnesses, which the acceptance suite
     asserts. ``graphs_enumerated`` is 2^C(n,k) on both routes: every graph
     is either visited or excluded by a cut. ``nodes_explored`` is the
-    pruned walk's node count, and the number of graphs evaluated on the
-    unpruned route. The witness is re-verified afterwards by a d-degree
-    recount and an exact perfect-matching search.
+    pruned walk's node count; the unpruned route cuts no branch, so it
+    reports 2^C(n,k) there too. The witness is re-verified afterwards by a
+    d-degree recount and an exact perfect-matching search.
     """
     if not 1 <= d < k:
         raise SizeError(f"need 1 <= d < k, got d={d}, k={k}")

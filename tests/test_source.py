@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import diraclab
@@ -308,4 +309,24 @@ def test_no_unused_imports():
                     for name in ((a.asname or a.name).split(".")[0] for a in node.names)
                     if name not in read
                 ]
+    assert found == []
+
+
+def test_imports_are_the_package_or_the_standard_library():
+    # the package runs on the standard library alone: every import is
+    # relative or names a standard module, so numpy stays a test dependency
+    found = []
+    for path in sorted(Path(diraclab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}:{name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
     assert found == []

@@ -198,21 +198,32 @@ def test_walk_matches_full_scan_on_synthetic_inputs():
     assert kinds == {(True, True), (False, True), (False, False)}
 
 
+# lane widths for the unpruned scan: one edge bit per lane up to past the
+# widest input, so the same masks split into many blocks, a few or one
+_LANE_WIDTHS = (1, 3, 8, thresholds._LANE_BITS, 20)
+
+
 @pytest.mark.parametrize("n,k,d", [c for c in _FEASIBLE if c[:2] != (6, 3)])
-def test_unpruned_scan_matches_full_scan_on_every_feasible_sweep(n, k, d):
+def test_unpruned_scan_matches_full_scan_on_every_feasible_sweep(n, k, d, monkeypatch):
     # (6, 3) is left to the slow frozen test, which runs both routes there
     all_edges = list(combinations(range(n), k))
     idx = {e: i for i, e in enumerate(all_edges)}
     pm_masks = _perfect_matching_masks(n, k, idx)
     inc = _incidence_masks(all_edges, n, d)
     total = 1 << len(all_edges)
-    assert _sweep_unpruned(total, pm_masks, inc) == scan_every_mask(total, pm_masks, inc)
+    expected = scan_every_mask(total, pm_masks, inc)
+    for width in _LANE_WIDTHS:
+        monkeypatch.setattr(thresholds, "_LANE_BITS", width)
+        assert _sweep_unpruned(total, pm_masks, inc) == expected, width
 
 
-def test_unpruned_scan_matches_full_scan_on_synthetic_inputs():
+def test_unpruned_scan_matches_full_scan_on_synthetic_inputs(monkeypatch):
     for seed in range(300):
         total, pm_masks, inc = _synthetic_sweep(seed)
-        assert _sweep_unpruned(total, pm_masks, inc) == scan_every_mask(total, pm_masks, inc), seed
+        expected = scan_every_mask(total, pm_masks, inc)
+        for width in _LANE_WIDTHS:
+            monkeypatch.setattr(thresholds, "_LANE_BITS", width)
+            assert _sweep_unpruned(total, pm_masks, inc) == expected, (seed, width)
 
 
 def _wide_sweep(seed):
@@ -231,7 +242,24 @@ def _last_maximal_mask(total, pm_masks, inc, best):
             return mask
 
 
-def test_unpruned_scan_matches_full_scan_across_chunks():
+_HIGH = 1 << 16 | 1 << 17  # two edge bits above the default lanes
+
+
+def _edge_case_sweeps():
+    """18-bit inputs, each with its expected (best, witness) shape checked
+    by the test: a d-set and a matching with no edge in the lanes, a degree
+    mask of 0, a matching in every graph, a best of 0, and a witness in the
+    last block with the block before it one short of the best."""
+    total = 1 << 18
+    low = [0b111, 0b111000, 0b1000001, 0b110000000]
+    yield "high only", total, [_HIGH, 0b11], [_HIGH, *low]
+    yield "empty d-set", total, [0b11], [0, *low]
+    yield "all hold a matching", total, [0b1, 0], low
+    yield "best 0", total, [1 << 17], [1 << 17, *low]
+    yield "last block", total, [0b1001, 0b100100], [_HIGH | s for s in low]
+
+
+def test_unpruned_scan_matches_full_scan_across_chunks(monkeypatch):
     # the witness must come from the right chunk, and a later chunk that
     # reaches the maximum again must not replace it
     late = again = 0
@@ -243,6 +271,20 @@ def test_unpruned_scan_matches_full_scan_across_chunks():
         late += witness >> 16 > 0
         again += last >> 16 > witness >> 16
     assert late >= 4 and again >= 2
+    found = {}
+    for name, total, pm_masks, inc in _edge_case_sweeps():
+        expected = scan_every_mask(total, pm_masks, inc)
+        for width in (12, thresholds._LANE_BITS, 20):
+            monkeypatch.setattr(thresholds, "_LANE_BITS", width)
+            assert _sweep_unpruned(total, pm_masks, inc) == expected, (name, width)
+        found[name] = expected, inc
+    assert found["high only"][0][0] > 0
+    assert found["empty d-set"][0] == found["best 0"][0] == (0, 0)
+    assert found["all hold a matching"][0] == (-1, 0)
+    (best, witness), inc = found["last block"]
+    # the witness needs both high edges; block 1, without bit 17, is one short
+    assert witness >> 16 == 3 and best > 0
+    assert min((witness & ~(1 << 17) & s).bit_count() for s in inc) == best - 1
 
 
 def test_threshold_rejects_fewer_vertices_than_k():

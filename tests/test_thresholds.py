@@ -228,7 +228,7 @@ def test_unpruned_scan_matches_full_scan_on_synthetic_inputs(monkeypatch):
 
 def _wide_sweep(seed):
     """17 or 18 edge bits, four matching masks of one or two bits and four
-    degree masks of three to nine bits: past the scan's 2^16-mask chunks."""
+    degree masks of three to nine bits: past the scan's 2^16-mask blocks."""
     rng = random.Random(seed)
     e_total = rng.randint(17, 18)
     pm_masks = [sum(1 << b for b in rng.sample(range(e_total), rng.randint(1, 2))) for _ in range(4)]
@@ -249,7 +249,7 @@ def _edge_case_sweeps():
     """18-bit inputs, each with its expected (best, witness) shape checked
     by the test: a d-set and a matching with no edge in the lanes, a degree
     mask of 0, a matching in every graph, a best of 0, and a witness in the
-    last block with the block before it one short of the best."""
+    last block with an earlier block one short of the best."""
     total = 1 << 18
     low = [0b111, 0b111000, 0b1000001, 0b110000000]
     yield "high only", total, [_HIGH, 0b11], [_HIGH, *low]
@@ -260,7 +260,7 @@ def _edge_case_sweeps():
 
 
 def test_unpruned_scan_matches_full_scan_across_chunks(monkeypatch):
-    # the witness must come from the right chunk, and a later chunk that
+    # the witness must come from the right block, and a later block that
     # reaches the maximum again must not replace it
     late = again = 0
     for seed in range(6):

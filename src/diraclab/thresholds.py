@@ -158,9 +158,10 @@ def _sweep_unpruned(total: int, pm_masks: list[int], inc: list[int]) -> tuple[in
     are the AND of their columns, and they count against block b only when
     the matching's high edges all lie in b.
 
-    t runs down from the largest degree any d-set can have. For each t the
-    blocks run in ascending order, and each block's matching-free lanes are
-    ANDed with every d-set's ``at[t - high degree]``. The first lane hit
+    t runs down from the size of the smallest degree mask, the largest
+    minimum degree any mask can reach. For each t the blocks run in
+    ascending order, and each block's matching-free lanes are ANDed with
+    every d-set's ``at[t - high degree]``. The first lane hit
     gives the largest t, then the lowest block, then the lowest lane: the
     least mask attaining the maximum, which is the witness a scan of every
     mask in order keeps. (-1, 0) means every mask holds a matching.

@@ -32,13 +32,9 @@ from .errors import (
     CapacityError,
     FormatError,
     NotFound,
-    PlacementFailed,
     ShapeError,
     SizeError,
     SpecError,
-    StageFailure,
-    TargetInfeasible,
-    TemplateMatchingFailed,
 )
 from .hypercore import Hypergraph, derived_seed, dumps_khg, girth, k_density, read_khg, write_khg
 from .lab import (
@@ -71,13 +67,6 @@ from .templates import (
 from .thresholds import exact_dirac_threshold
 
 _USAGE_ERRORS = (FormatError, SizeError, SpecError, ShapeError, CapacityError)
-_SEARCH_FAILURES = (
-    NotFound,
-    PlacementFailed,
-    TemplateMatchingFailed,
-    StageFailure,
-    TargetInfeasible,
-)
 
 MDK_COLUMNS = ("n", "k", "d", "m", "ratio", "witness_file", "graphs_enumerated", "seconds")
 
@@ -431,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _SEARCH_FAILURES as exc:
+    except NotFound as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
     except _USAGE_ERRORS as exc:

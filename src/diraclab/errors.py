@@ -1,7 +1,10 @@
 """Exception types shared across the toolkit.
 
 Everything raised on purpose derives from :class:`DiracLabError` so callers can
-catch toolkit failures without swallowing genuine bugs. A search that spends
+catch toolkit failures without swallowing genuine bugs. A search that comes
+back empty raises :class:`NotFound`, a broken precondition
+:class:`SizeError`, and a failed pipeline stage :class:`StageFailure`,
+which the pipeline turns into its report. A search that spends
 its node budget reports that itself: the exact-cover kernel returns a
 "partial" result, and the rooted-absorber walk raises ``NotFound("budget")``
 from its node charge. No private exception carries a budget stop.
@@ -17,10 +20,7 @@ __all__ = [
     "ShapeError",
     "FormatError",
     "NotFound",
-    "PlacementFailed",
-    "TemplateMatchingFailed",
     "StageFailure",
-    "TargetInfeasible",
 ]
 
 
@@ -37,7 +37,7 @@ class CapacityError(DiracLabError):
 
 
 class SpecError(DiracLabError, ValueError):
-    """A structured argument (an edge list, a method name) is malformed."""
+    """A structured argument, such as an edge list, is malformed."""
 
 
 class ShapeError(DiracLabError, ValueError):
@@ -64,25 +64,9 @@ class NotFound(DiracLabError):
         self.details = details
 
 
-class PlacementFailed(DiracLabError):
-    """No absorber could be placed on a template edge."""
-
-    def __init__(self, message: str, template_edge=None):
-        super().__init__(message)
-        self.template_edge = template_edge
-
-
-class TemplateMatchingFailed(DiracLabError):
-    """The template lost its matching property after a removal."""
-
-
 class StageFailure(DiracLabError):
     """A pipeline stage failed; ``stage`` names it for the report."""
 
     def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
-
-
-class TargetInfeasible(DiracLabError):
-    """The degradation target is below the graph's current minimum degree."""

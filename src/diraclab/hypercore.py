@@ -325,7 +325,6 @@ class DensityResult:
 
     value: Fraction
     witness: tuple[tuple[int, ...], ...] | None
-    method: str
 
 
 _ENUM_BUDGET = 20
@@ -457,20 +456,41 @@ def _density_enumerate(H: Hypergraph) -> DensityResult:
             i = chosen.pop() + 1
             unions.pop()
     witness = tuple(H.edges[i] for i in best_edges) if best_edges else None
-    return DensityResult(best, witness, "enumerate")
+    return DensityResult(best, witness)
 
 
-def _density_parametric(H: Hypergraph) -> DensityResult:
+def k_density(H: Hypergraph) -> DensityResult:
+    """Exact maximum of ``(e(H')-1)/(v(H')-k)`` over subgraphs with v(H') > k.
+
+    Returns 0 (witness ``None``) when no qualifying subgraph exists, which
+    happens exactly when the hypergraph has fewer than two edges. The value is
+    an exact :class:`~fractions.Fraction`.
+
+    It solves the maximization by ratio iteration over min-cuts, with no
+    size cap; :func:`_density_enumerate`, which checks every edge subset up
+    to 20 edges, is the independent oracle the tests hold it to.
+
+    Each step asks, for each anchor edge in turn, whether some
+    edge set holding it beats the current ratio lam, and moves to the ratio
+    of the minimal such set when one does. An anchor a is refuted once: if
+    no set holding a beats lam, none beats any higher ratio either, since
+    v' >= k. So moving past a sets a's source arc to 0 (its flow cancelled
+    along its own paths) and augments the flow from there; an improving
+    step at a rebuilds the network at the new ratio without the anchors
+    below a and resumes at a. Every maximizer of an improving step beats
+    lam, so it holds no refuted edge and scores the same without them; the
+    residual source side is the minimal maximizer for every maximum flow.
+    So the steps and witnesses are those of asking every anchor afresh.
+    """
     k = H.k
     edges = H.edges
     m = len(edges)
+    if m < 2:
+        return DensityResult(Fraction(0), None)
     support = sorted(H.support())
     vpos = {v: i for i, v in enumerate(support)}
     nv = len(support)
     s, t = m + nv, m + nv + 1
-
-    if m < 2:
-        return DensityResult(Fraction(0), None, "parametric")
 
     full_union = mask_of(v for e in edges for v in e)
     lam = Fraction(m - 1, full_union.bit_count() - k)
@@ -534,41 +554,7 @@ def _density_parametric(H: Hypergraph) -> DensityResult:
             break
         first = a
     witness = tuple(edges[i] for i in sorted(witness_idx))
-    return DensityResult(lam, witness, "parametric")
-
-
-def k_density(H: Hypergraph, method: str = "parametric") -> DensityResult:
-    """Exact maximum of ``(e(H')-1)/(v(H')-k)`` over subgraphs with v(H') > k.
-
-    Returns 0 (witness ``None``) when no qualifying subgraph exists, which
-    happens exactly when the hypergraph has fewer than two edges. The value is
-    an exact :class:`~fractions.Fraction`.
-
-    ``method="enumerate"`` checks every edge subset (independent oracle,
-    capped at 20 edges, :class:`CapacityError` above, since the walk doubles
-    per edge and takes seconds at 20). ``method="parametric"``
-    solves the same maximization by ratio iteration over min-cuts and has no
-    size cap; it is the default.
-
-    The parametric route asks, for each anchor edge in turn, whether some
-    edge set holding it beats the current ratio lam, and moves to the ratio
-    of the minimal such set when one does. An anchor a is refuted once: if
-    no set holding a beats lam, none beats any higher ratio either, since
-    v' >= k. So moving past a sets a's source arc to 0 (its flow cancelled
-    along its own paths) and augments the flow from there; an improving
-    step at a rebuilds the network at the new ratio without the anchors
-    below a and resumes at a. Every maximizer of an improving step beats
-    lam, so it holds no refuted edge and scores the same without them; the
-    residual source side is the minimal maximizer for every maximum flow.
-    So the steps and witnesses are those of asking every anchor afresh.
-    """
-    if method not in ("enumerate", "parametric"):
-        raise SpecError(f"unknown k_density method {method!r}")
-    if len(H.edges) < 2:
-        return DensityResult(Fraction(0), None, method)
-    if method == "enumerate":
-        return _density_enumerate(H)
-    return _density_parametric(H)
+    return DensityResult(lam, witness)
 
 
 # ---------------------------------------------------------------------------

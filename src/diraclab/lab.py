@@ -24,7 +24,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Sequence, TypeVar, get_args, get_type_hints
 
-from .errors import DiracLabError, FormatError, SizeError, TargetInfeasible
+from .errors import DiracLabError, FormatError, SizeError
 from .hypercore import Hypergraph, derived_seed, induced, min_d_degree
 from .matchpower import find_perfect_matching
 from .thresholds import _frac, conjectured_density, parity_barrier, space_barrier
@@ -137,7 +137,7 @@ def degrade_to_degree(
     deletion pushes a fresh entry for each listed holder whose key it
     lowers, and a pop skips entries that are stale or no longer listed.
 
-    Raises TargetInfeasible when the host already sits below the target.
+    Raises SizeError when the host already sits below the target.
     The returned minimum degree is recomputed from scratch on the survivor.
     """
     if not 1 <= d < G.k:
@@ -158,7 +158,7 @@ def degrade_to_degree(
     # a d-set in no edge is missing from the index and has degree 0
     start = min(deg.values()) if len(deg) == comb(G.n, d) else 0
     if start < target:
-        raise TargetInfeasible(
+        raise SizeError(
             f"minimum {d}-degree is {start}, already below target {target}"
         )
 

@@ -580,9 +580,10 @@ def verify_matching(
 ) -> tuple[bool, str | None]:
     """Independent matching checker, deliberately free of bitmask machinery.
 
-    Accepts a Matching (edges as stored, so an unsorted one is no host
-    edge) or any iterable of edges (each sorted first). Checks membership
-    by :meth:`Hypergraph.has_edge`, building no set of all host edges,
+    Accepts a Matching (edges as stored; its constructor refuses an
+    unsorted edge, and the ascent check here does not rely on that) or any
+    iterable of edges (each sorted first). Checks membership by
+    :meth:`Hypergraph.has_edge`, building no set of all host edges,
     pairwise disjointness, and (optionally) full coverage.
     """
     edges = list(matching.edges) if isinstance(matching, Matching) else [

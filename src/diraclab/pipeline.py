@@ -20,14 +20,7 @@ from itertools import chain, filterfalse
 from math import ceil, comb, isfinite
 from typing import Iterable
 
-from .errors import (
-    DiracLabError,
-    NotFound,
-    PlacementFailed,
-    SizeError,
-    StageFailure,
-    TemplateMatchingFailed,
-)
+from .errors import DiracLabError, NotFound, SizeError, StageFailure
 from .hypercore import Hypergraph, min_d_degree
 from .matchpower import (
     Matching,
@@ -246,7 +239,7 @@ def build_absorbing_set(
             Q=params.finder_Q,
             budget=params.finder_budget,
         )
-    except (PlacementFailed, SizeError) as exc:
+    except (NotFound, SizeError) as exc:
         raise StageFailure("structure", str(exc)) from exc
 
     cap = min(int(_frac(params.lam) * n), _removal_cap(r, k))
@@ -259,6 +252,10 @@ def absorb_and_complete(
     """Swallow the leftover W: match each of its vertices with k-1 flexible
     partners, then re-match the structure without the partners used. The
     result covers exactly X union W.
+
+    Raises SizeError when W meets X, exceeds lambda_cap or breaks
+    divisibility, and StageFailure("absorb") when either half finds no
+    matching; the message says which.
     """
     W = frozenset(W)
     if W & A.X:
@@ -274,13 +271,13 @@ def absorb_and_complete(
         M1 = match_into_flexible(G, W, A.Z)
     except NotFound as exc:
         raise StageFailure(
-            "absorb-m1", f"no flexible matching for the leftover: {exc}"
+            "absorb", f"no flexible matching for the leftover: {exc}"
         ) from exc
     used_Z = sorted(set(A.Z) & M1.covered)
     try:
         M2 = structure_matching_after_removal(A.structure, used_Z)
-    except TemplateMatchingFailed as exc:
-        raise StageFailure("absorb-m2", str(exc)) from exc
+    except NotFound as exc:
+        raise StageFailure("absorb", str(exc)) from exc
     out = Matching.from_edges(M1.edges + M2.edges)
     if out.covered != A.X | W:
         raise DiracLabError("absorption missed its target set")
@@ -326,8 +323,9 @@ def dirac_perfect_matching(
     """
     n, k = G.n, G.k
     gamma_f = _frac(gamma)
-    stages = {name: "skipped" for name in STAGES}
+    stages = dict.fromkeys(STAGES, "ok")
     counters: dict[str, object] = {}
+    failure_stage = matching = None
 
     if 1 <= d < k and n >= d:
         target = (conjectured_density(d, k) + gamma_f) * comb(n - d, k - d)
@@ -337,92 +335,81 @@ def dirac_perfect_matching(
         degree_measured = -1
     degree_ok = 1 <= d < k and Fraction(degree_measured) >= target
 
-    def report(status, failure_stage, matching=None):
-        return PipelineReport(
-            status=status,
-            failure_stage=failure_stage,
-            n=n,
-            k=k,
-            d=d,
-            gamma=float(gamma),
-            seed=seed,
-            params=asdict(params),
-            degree_measured=degree_measured,
-            degree_target=str(target),
-            degree_ok=degree_ok,
-            stages=stages,
-            counters=counters,
-            matching=matching,
-        )
-
-    if n == 0 or n % k != 0:
-        stages["precheck"] = f"failed: {k} does not divide {n}"
-        return report("failure", "precheck")
-    stages["precheck"] = "ok"
-
+    # Every stage raises StageFailure, caught once below. The absorb stage's
+    # SizeError preconditions hold by construction: W lies outside X, its
+    # size is capped at almost_perfect, and the blocks cover multiples of k.
     try:
+        if n == 0 or n % k != 0:
+            raise StageFailure("precheck", f"{k} does not divide {n}")
         A = build_absorbing_set(G, params, seed)
-    except StageFailure as exc:
-        for name in ("rich_set", "template", "structure"):
-            stages[name] = "ok" if STAGES.index(name) < STAGES.index(exc.stage) else stages[name]
-        stages[exc.stage] = f"failed: {exc}"
-        return report("failure", exc.stage)
-    stages["rich_set"] = stages["template"] = stages["structure"] = "ok"
-    counters["r"] = len(A.Z)
-    counters["x_size"] = len(A.X)
-    counters["lambda_cap"] = A.lambda_cap
-    counters["template_mode"] = A.structure.template.provenance.get("layers")
-    counters["template_v"] = A.structure.template.T.n
-    counters["template_e"] = A.structure.template.T.edge_count()
-    advisory = (gamma_f / 2) ** k * n
-    counters["advisory_x_bound"] = str(advisory)
-    counters["advisory_x_ok"] = Fraction(len(A.X)) <= advisory
+        counters["r"] = len(A.Z)
+        counters["x_size"] = len(A.X)
+        counters["lambda_cap"] = A.lambda_cap
+        counters["template_mode"] = A.structure.template.provenance.get("layers")
+        counters["template_v"] = A.structure.template.T.n
+        counters["template_e"] = A.structure.template.T.edge_count()
+        advisory = (gamma_f / 2) ** k * n
+        counters["advisory_x_bound"] = str(advisory)
+        counters["advisory_x_ok"] = Fraction(len(A.X)) <= advisory
 
-    rest = sorted(set(range(n)) - A.X)
-    Q = params.block_size(k)
-    block_edges: list[tuple[int, ...]] = []
-    W: list[int] = []
-    # with too few vertices for even one block everything is leftover, and
-    # reshuffling cannot change that
-    for attempt in range(params.partition_attempts if len(rest) >= Q else 1):
-        if len(rest) < Q:
-            block_edges, W = [], rest
-            counters["blocks_total"] = 0
-            counters["failed_blocks"] = 0
-        else:
-            rep = blockwise_almost_perfect(G, Q, seed + attempt, verts=rest)
-            block_edges, W = list(rep.matching.edges), list(rep.uncovered)
-            counters["blocks_total"] = rep.blocks_total
-            counters["failed_blocks"] = len(rep.failed_blocks)
-        # partition remainders and failed blocks together form a k-divisible
-        # set; one exact attempt on it often clears the leftover outright
-        if 0 < len(W) <= 3 * Q and len(W) % k == 0:
-            status, found, _ = _pm_within(G, W, budget=50_000)
-            if status == "perfect":
-                block_edges.extend(found)
-                W = []
-        if len(W) <= A.lambda_cap:
-            break
-    counters["retries"] = attempt
-    counters["leftover"] = len(W)
-    if len(W) > A.lambda_cap:
-        stages["almost_perfect"] = (
-            f"failed: leftover {len(W)} exceeds capacity {A.lambda_cap}"
-        )
-        return report("failure", "almost_perfect")
-    stages["almost_perfect"] = "ok"
+        rest = sorted(set(range(n)) - A.X)
+        Q = params.block_size(k)
+        block_edges: list[tuple[int, ...]] = []
+        W: list[int] = []
+        # with too few vertices for even one block everything is leftover,
+        # and reshuffling cannot change that
+        for attempt in range(params.partition_attempts if len(rest) >= Q else 1):
+            if len(rest) < Q:
+                block_edges, W = [], rest
+                counters["blocks_total"] = 0
+                counters["failed_blocks"] = 0
+            else:
+                rep = blockwise_almost_perfect(G, Q, seed + attempt, verts=rest)
+                block_edges, W = list(rep.matching.edges), list(rep.uncovered)
+                counters["blocks_total"] = rep.blocks_total
+                counters["failed_blocks"] = len(rep.failed_blocks)
+            # partition remainders and failed blocks together form a
+            # k-divisible set; one exact attempt on it often clears the
+            # leftover outright
+            if 0 < len(W) <= 3 * Q and len(W) % k == 0:
+                status, found, _ = _pm_within(G, W, budget=50_000)
+                if status == "perfect":
+                    block_edges.extend(found)
+                    W = []
+            if len(W) <= A.lambda_cap:
+                break
+        counters["retries"] = attempt
+        counters["leftover"] = len(W)
+        if len(W) > A.lambda_cap:
+            raise StageFailure(
+                "almost_perfect", f"leftover {len(W)} exceeds capacity {A.lambda_cap}"
+            )
 
-    try:
         absorbed = absorb_and_complete(G, A, W)
-    except (StageFailure, SizeError) as exc:
-        stages["absorb"] = f"failed: {exc}"
-        return report("failure", "absorb")
-    stages["absorb"] = "ok"
+        total = Matching.from_edges(tuple(block_edges) + absorbed.edges)
+        ok, why = verify_matching(G, total, require_perfect=True)
+        if not ok:
+            raise StageFailure("verify", why)
+        matching = total.edges
+    except StageFailure as exc:
+        failure_stage = exc.stage
+        failed = STAGES.index(failure_stage)
+        stages.update(dict.fromkeys(STAGES[failed + 1 :], "skipped"))
+        stages[failure_stage] = f"failed: {exc}"
 
-    total = Matching.from_edges(tuple(block_edges) + absorbed.edges)
-    ok, why = verify_matching(G, total, require_perfect=True)
-    if not ok:
-        stages["verify"] = f"failed: {why}"
-        return report("failure", "verify")
-    stages["verify"] = "ok"
-    return report("success", None, matching=total.edges)
+    return PipelineReport(
+        status="failure" if failure_stage else "success",
+        failure_stage=failure_stage,
+        n=n,
+        k=k,
+        d=d,
+        gamma=float(gamma),
+        seed=seed,
+        params=asdict(params),
+        degree_measured=degree_measured,
+        degree_target=str(target),
+        degree_ok=degree_ok,
+        stages=stages,
+        counters=counters,
+        matching=matching,
+    )

@@ -22,15 +22,7 @@ from math import ceil, comb
 from typing import Iterable, Mapping, Sequence
 
 from .absorbing import Absorber, find_rooted_absorber
-from .errors import (
-    DiracLabError,
-    FormatError,
-    NotFound,
-    PlacementFailed,
-    ShapeError,
-    SizeError,
-    TemplateMatchingFailed,
-)
+from .errors import DiracLabError, FormatError, NotFound, ShapeError, SizeError
 from .hypercore import Hypergraph, derived_seed, json_int, mask_of, read_khg, write_khg
 from .matchpower import Matching, SweepReport, _augment_all, _pm_searcher, _sweep
 
@@ -498,6 +490,11 @@ def build_absorbing_structure(
     edges are processed in lexicographic order, each absorber forbidden
     from touching anything already used except its own roots. Q (None: 2k),
     budget and min_order go to every :func:`find_rooted_absorber` call.
+
+    Raises SizeError when embed_Z does not fit the template or the host is
+    too small for it, and NotFound when some template edge gets no
+    absorber: the finder's reason ("exhausted" or "budget") is kept, and
+    ``details["template_edge"]`` names the edge in template ids.
     """
     embed_Z = tuple(sorted(embed_Z))
     if len(embed_Z) != T.r:
@@ -525,9 +522,10 @@ def build_absorbing_structure(
                 host, roots, Q, used - set(roots), budget=budget, min_order=min_order
             )
         except NotFound as exc:
-            raise PlacementFailed(
+            raise NotFound(
                 f"no absorber for template edge {edge} on roots {roots}: {exc}",
-                template_edge=edge,
+                exc.reason,
+                details={"template_edge": edge},
             ) from None
         used.update(A.vertices)
         placements.append((edge, A))
@@ -546,7 +544,9 @@ def structure_matching_after_removal(
     """Matching covering exactly the structure minus the removed flexible
     vertices: find a perfect matching of the template without them, then
     take covering matchings on its edges and noncovering matchings on the
-    rest.
+    rest. Raises SizeError for a removal the guarantee does not cover, and
+    NotFound("exhausted") when the template has no perfect matching without
+    the removed vertices; the search has no budget.
     """
     W = frozenset(W_removed)
     vmap = dict(S.vertex_map)
@@ -566,8 +566,8 @@ def structure_matching_after_removal(
     W_mask = mask_of(back[h] for h in W)
     status, picked, _ = _pm_searcher(G.edges, G.n)(W_mask, set())
     if status != "perfect":
-        raise TemplateMatchingFailed(
-            f"template lost its matching after removing {tuple(sorted(W))}"
+        raise NotFound(
+            f"template lost its matching after removing {tuple(sorted(W))}", "exhausted"
         )
     in_matching = {G.edges[i] for i in picked}
     pieces: list[tuple[int, ...]] = []

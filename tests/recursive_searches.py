@@ -168,7 +168,7 @@ def _density_enumerate(H: Hypergraph) -> DensityResult:
 
     rec(0, 0, 0)
     witness = tuple(H.edges[i] for i in best_edges) if best_edges else None
-    return DensityResult(best, witness, "enumerate")
+    return DensityResult(best, witness)
 
 
 def _perfect_matching_masks(n: int, k: int, edge_index: dict) -> list[int]:

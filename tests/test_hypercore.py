@@ -16,6 +16,7 @@ from diraclab.errors import CapacityError, DiracLabError, FormatError, SizeError
 from diraclab.hypercore import (
     DensityResult,
     Hypergraph,
+    _density_enumerate,
     _Dinic,
     berge_girth_of,
     dumps_khg,
@@ -537,15 +538,15 @@ def test_k_density_methods_agree_on_named_cases():
         Hypergraph.from_edges(6, 2, [(0, 1), (1, 2), (2, 0), (3, 4)]),
         Hypergraph.from_edges(7, 3, [(0, 1, 2), (0, 1, 3), (0, 4, 5), (2, 3, 6)]),
     ):
-        a = k_density(H, method="enumerate")
-        b = k_density(H, method="parametric")
+        a = _density_enumerate(H)
+        b = k_density(H)
         assert a.value == b.value
 
 
 def test_k_density_enumerate_budget():
     big = Hypergraph.complete(7, 3)  # 35 edges
     with pytest.raises(CapacityError):
-        k_density(big, method="enumerate")
+        _density_enumerate(big)
     # parametric route has no cap and knows the complete-graph value
     assert k_density(big).value == Fraction(34, 4)
 
@@ -554,11 +555,7 @@ def test_k_density_enumerate_cap_is_20_edges():
     # the walk doubles per edge (about 5 s at 20 edges), so 21 is refused
     H = Hypergraph(7, 3, Hypergraph.complete(7, 3).edges[:21])
     with pytest.raises(CapacityError, match="limited to 20 edges, got 21"):
-        k_density(H, method="enumerate")
-    assert k_density(H).method == "parametric"
-    for bogus in ("auto", "exact"):
-        with pytest.raises(SpecError, match="unknown k_density method"):
-            k_density(H, method=bogus)
+        _density_enumerate(H)
 
 
 @settings(max_examples=60)
@@ -566,15 +563,15 @@ def test_k_density_enumerate_cap_is_20_edges():
 def test_k_density_routes_and_oracle_agree(H):
     if len(H.edges) > 10:
         H = Hypergraph(H.n, H.k, H.edges[:10])
-    enum = k_density(H, method="enumerate")
-    para = k_density(H, method="parametric")
+    enum = _density_enumerate(H)
+    para = k_density(H)
     assert enum.value == oracle_k_density(H)
     assert para.value == enum.value
 
 
 @given(small_hypergraph(max_n=7))
 def test_k_density_witness_attains_value(H):
-    res = k_density(H, method="parametric")
+    res = k_density(H)
     if res.witness is not None:
         cnt = len(res.witness)
         verts = set()
@@ -637,7 +634,7 @@ def rebuild_density(H: Hypergraph) -> tuple[DensityResult, list[int]]:
                 improved = True
                 break
     witness = tuple(edges[i] for i in sorted(witness_idx))
-    return DensityResult(lam, witness, "parametric"), anchors
+    return DensityResult(lam, witness), anchors
 
 
 def density_hosts() -> list[Hypergraph]:
@@ -684,7 +681,7 @@ def test_k_density_reused_network_matches_rebuilt_networks():
         assert k_density(H) == want
         # the oracle doubles its time per edge (about 5 s at 20 edges)
         if len(H.edges) <= 16:
-            assert k_density(H, method="enumerate").value == want.value
+            assert _density_enumerate(H).value == want.value
             enumerated.append(steps)
     # the improving branch and the rebuild at a new ratio both ran, and the
     # oracle saw graphs of both kinds
@@ -725,7 +722,7 @@ def test_k_density_contracted_absorbers_pinned():
         for seed in range(3):
             C = make_contracted(K, seed)
             res = k_density(C.graph)
-            assert res == DensityResult(value, C.graph.edges, "parametric")
+            assert res == DensityResult(value, C.graph.edges)
     assert k_density(make_contracted(4, 0).graph).witness == (
         (0, 1, 11), (0, 9, 14), (1, 6, 13), (2, 4, 8), (2, 7, 13),
         (3, 4, 14), (3, 5, 7), (5, 8, 12), (6, 9, 10), (10, 11, 12),

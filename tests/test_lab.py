@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab import lab
-from diraclab.errors import DiracLabError, FormatError, SizeError, TargetInfeasible
+from diraclab.errors import DiracLabError, FormatError, SizeError
 from diraclab.hypercore import Hypergraph, induced, min_d_degree
 from diraclab.lab import (
     INHERITANCE_COLUMNS,
@@ -204,9 +204,9 @@ class TestDegrade:
         assert a.deleted != c.deleted
 
     def test_target_infeasible(self):
-        with pytest.raises(TargetInfeasible):
+        with pytest.raises(SizeError):
             degrade_to_degree(Hypergraph(6, 3, ()), 1, 1)
-        with pytest.raises(TargetInfeasible):
+        with pytest.raises(SizeError):
             degrade_to_degree(Hypergraph.complete(6, 3), 1, 100)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -253,7 +253,7 @@ class TestDegrade:
             calls.clear()
             r = degrade_to_degree(G, d, start // 2, policy=policy, seed=seed)
             assert calls == [r.graph]
-            with pytest.raises(TargetInfeasible) as info:
+            with pytest.raises(SizeError) as info:
                 degrade_to_degree(G, d, start + 1, policy=policy)
             assert str(info.value) == f"minimum {d}-degree is {start}, already below target {start + 1}"
 
@@ -261,7 +261,7 @@ class TestDegrade:
     def test_empty_host(self, d):
         r = degrade_to_degree(Hypergraph(6, 3, ()), d, 0)
         assert (r.graph, r.deleted, r.min_degree) == (Hypergraph(6, 3, ()), (), 0)
-        with pytest.raises(TargetInfeasible, match=f"minimum {d}-degree is 0, already below target 1"):
+        with pytest.raises(SizeError, match=f"minimum {d}-degree is 0, already below target 1"):
             degrade_to_degree(Hypergraph(6, 3, ()), d, 1)
         with pytest.raises(SizeError) as info:
             degrade_to_degree(Hypergraph(d - 1, 3, ()), d, 0)

@@ -48,6 +48,10 @@ def oracle_is_perfect_matching(H, edges):
 K18 = Hypergraph.complete(18, 3)
 
 
+def _raise(exc):
+    raise exc
+
+
 # ---------------------------------------------------------------------------
 # Rich set selection
 # ---------------------------------------------------------------------------
@@ -316,7 +320,8 @@ class TestAbsorbAndComplete:
         )
         with pytest.raises(StageFailure) as exc:
             absorb_and_complete(pruned, A, (w0, outside[1]))
-        assert exc.value.stage == "absorb-m1"
+        assert exc.value.stage == "absorb"
+        assert str(exc.value).startswith("no flexible matching for the leftover: ")
 
     def test_more_edges_never_hurt(self):
         # absorbing set built on a subgraph keeps working on any superset:
@@ -451,6 +456,48 @@ class TestDiracPerfectMatching:
         rep = dirac_perfect_matching(G, d=2, gamma=0.2, seed=2)
         assert len(rep.matching) == 6
         assert all(e in set(G.edges) for e in rep.matching)
+
+    @pytest.mark.parametrize(
+        "stage, target, replacement, params, message",
+        [
+            (
+                "template",
+                "build_resilient_template",
+                lambda *a, **kw: _raise(NotFound("no template here", "trials")),
+                PipelineParams(template_mode="montgomery"),
+                "no template here",
+            ),
+            (
+                "absorb",
+                "match_into_flexible",
+                lambda *a, **kw: _raise(NotFound("nobody to match")),
+                PipelineParams(),
+                "no flexible matching for the leftover: nobody to match",
+            ),
+            (
+                "verify",
+                "verify_matching",
+                lambda *a, **kw: (False, "vertex 3 is covered twice"),
+                PipelineParams(),
+                "vertex 3 is covered twice",
+            ),
+        ],
+    )
+    def test_unpinned_stage_failures_are_reported(
+        self, monkeypatch, stage, target, replacement, params, message
+    ):
+        # no pinned host fails at these stages, so each is forced here
+        monkeypatch.setattr(pipeline, target, replacement)
+        rep = dirac_perfect_matching(K18, d=2, gamma=0.2, params=params, seed=1)
+        failed = pipeline.STAGES.index(stage)
+        assert rep.status == "failure"
+        assert rep.failure_stage == stage
+        assert rep.matching is None
+        assert rep.stages == {
+            name: "ok" if i < failed else "skipped"
+            for i, name in enumerate(pipeline.STAGES)
+        } | {stage: f"failed: {message}"}
+        assert (rep.counters == {}) == (stage == "template")
 
     def test_dense_subgraph_usually_succeeds(self):
         wins = 0

@@ -15,7 +15,7 @@ import recursive_searches as old
 from conftest import seeded_subgraph
 
 from diraclab.errors import SizeError
-from diraclab.hypercore import Hypergraph, _density_enumerate, k_density
+from diraclab.hypercore import Hypergraph, _density_enumerate
 from diraclab.matchpower import _max_matching, aharoni_haxell_holds, bipartite_matching
 from diraclab.templates import find_independent_set, search_montgomery, verify_montgomery
 from diraclab.thresholds import _perfect_matching_masks
@@ -100,7 +100,7 @@ def test_search_loops_leave_no_cycles_for_the_collector():
         "pm masks": lambda: len(_perfect_matching_masks(6, 3, edge_index)) == 10,
         "max matching": lambda: len(_max_matching(K7.edges, K7.n)[0]) == 2,
         "aharoni-haxell": lambda: aharoni_haxell_holds(links).violating == (0, 1, 2),
-        "enumerated density": lambda: k_density(K5, method="enumerate").witness is not None,
+        "enumerated density": lambda: _density_enumerate(K5).witness is not None,
         "independent set": lambda: find_independent_set(K7, 2) == (0, 1),
         "bipartite matching": lambda: bipartite_matching(adj, range(3), frozenset()) is not None,
         "montgomery": lambda: verify_montgomery(R).ok,

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import diraclab
+from diraclab import errors, pipeline
 from diraclab.hypercore import Hypergraph
 
 
@@ -330,3 +331,31 @@ def test_imports_are_the_package_or_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert found == []
+
+
+def test_one_failure_vocabulary():
+    # a search that comes back empty raises NotFound, a broken precondition
+    # SizeError, and a pipeline stage StageFailure, which the pipeline's one
+    # handler records; no per-site failure type returns beside them, and
+    # every stage named is a report key, given as a constant
+    assert errors.__all__ == [
+        "DiracLabError",
+        "SizeError",
+        "CapacityError",
+        "SpecError",
+        "ShapeError",
+        "FormatError",
+        "NotFound",
+        "StageFailure",
+    ]
+    stages, found = set(), []
+    for path in sorted(Path(diraclab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "StageFailure":
+                stage = node.args[0] if node.args else None
+                if isinstance(stage, ast.Constant) and stage.value in pipeline.STAGES:
+                    stages.add(stage.value)
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert stages == set(pipeline.STAGES)

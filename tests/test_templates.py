@@ -17,10 +17,8 @@ import pytest
 from diraclab.errors import (
     FormatError,
     NotFound,
-    PlacementFailed,
     ShapeError,
     SizeError,
-    TemplateMatchingFailed,
 )
 from diraclab import templates
 from diraclab.hypercore import Hypergraph, induced
@@ -605,9 +603,9 @@ class TestAbsorbingStructure:
     def test_empty_host_placement_fails(self):
         T = build_resilient_template(6, 3, seed=0)
         bare = Hypergraph(36, 3, ())
-        with pytest.raises(PlacementFailed) as exc:
+        with pytest.raises(NotFound) as exc:
             build_absorbing_structure(bare, T, embed_Z=range(30, 36))
-        assert exc.value.template_edge in T.T.edges
+        assert exc.value.details["template_edge"] in T.T.edges
 
     def test_host_too_small(self):
         T = build_resilient_template(6, 3, seed=0)
@@ -660,7 +658,7 @@ class TestAbsorbingStructure:
                     sub, old = induced(template.T, [v for v in range(T.T.n) if v not in W_T])
                     res = find_perfect_matching(sub)
                     if res.status != "perfect":
-                        with pytest.raises(TemplateMatchingFailed):
+                        with pytest.raises(NotFound):
                             structure_matching_after_removal(S_t, W)
                         outcomes.add("failed")
                         continue
@@ -698,8 +696,10 @@ class TestAbsorbingStructure:
             X=S.X,
             vertex_map=S.vertex_map,
         )
-        with pytest.raises(TemplateMatchingFailed):
+        # the template search has no budget, so an empty result is exhausted
+        with pytest.raises(NotFound, match=r"^template lost its matching after removing \(\)$") as exc:
             structure_matching_after_removal(broken, ())
+        assert exc.value.reason == "exhausted"
 
     def test_finder_config_is_forwarded(self):
         # a one-edge stand-in template keeps the forwarding check cheap
@@ -712,6 +712,20 @@ class TestAbsorbingStructure:
         S = build_absorbing_structure(host, stub, embed_Z=(0, 1, 2), Q=6, min_order=3)
         assert S.placements[0][1].order >= 3
 
+    def test_placement_failure_keeps_the_finder_reason(self):
+        stub = ResilientTemplate(
+            k=3, T=Hypergraph(3, 3, ((0, 1, 2),)), Z=(0, 1, 2), provenance={}
+        )
+        for host, budget, reason, cause in (
+            (Hypergraph.complete(12, 3), 5, "budget", "budget of 5 nodes exhausted searching order <= 6"),
+            (Hypergraph(12, 3, ()), None, "exhausted", "no absorber of order <= 6 rooted at (0, 1, 2)"),
+        ):
+            with pytest.raises(NotFound) as exc:
+                build_absorbing_structure(host, stub, embed_Z=(0, 1, 2), budget=budget, min_order=3)
+            assert exc.value.reason == reason
+            assert exc.value.details == {"template_edge": (0, 1, 2)}
+            assert str(exc.value) == f"no absorber for template edge (0, 1, 2) on roots (0, 1, 2): {cause}"
+
     def test_default_order_cap_is_2k(self):
         # at k=4 the orders are 0, 4, 8: from min_order 5 only order 8 is
         # left, inside the default cap 2k = 8 and outside a cap of 6
@@ -719,7 +733,7 @@ class TestAbsorbingStructure:
         host = Hypergraph.complete(12, 4)
         S = build_absorbing_structure(host, stub, embed_Z=(0, 1, 2, 3), min_order=5)
         assert S.placements[0][1].order == 8
-        with pytest.raises(PlacementFailed):
+        with pytest.raises(NotFound):
             build_absorbing_structure(host, stub, embed_Z=(0, 1, 2, 3), Q=6, min_order=5)
 
 

@@ -28,14 +28,7 @@ from .absorbing import (
     pattern_for,
     verify_absorber,
 )
-from .errors import (
-    CapacityError,
-    FormatError,
-    NotFound,
-    ShapeError,
-    SizeError,
-    SpecError,
-)
+from .errors import CapacityError, FormatError, NotFound, ShapeError, SizeError, SpecError
 from .hypercore import Hypergraph, derived_seed, dumps_khg, girth, k_density, read_khg, write_khg
 from .lab import (
     EXPERIMENTS,

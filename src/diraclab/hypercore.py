@@ -470,8 +470,8 @@ def k_density(H: Hypergraph) -> DensityResult:
     size cap; :func:`_density_enumerate`, which checks every edge subset up
     to 20 edges, is the independent oracle the tests hold it to.
 
-    Each step asks, for each anchor edge in turn, whether some
-    edge set holding it beats the current ratio lam, and moves to the ratio
+    The iteration asks, for each anchor edge in turn, whether some edge
+    set holding it beats the current ratio lam, and moves to the ratio
     of the minimal such set when one does. An anchor a is refuted once: if
     no set holding a beats lam, none beats any higher ratio either, since
     v' >= k. So moving past a sets a's source arc to 0 (its flow cancelled

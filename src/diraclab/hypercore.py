@@ -24,7 +24,7 @@ from itertools import combinations, islice, repeat
 from operator import contains, itemgetter, lt
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, DiracLabError, FormatError, SizeError, SpecError
+from .errors import DiracLabError, FormatError, SizeError, SpecError
 
 __all__ = [
     "Hypergraph",
@@ -177,8 +177,6 @@ class Hypergraph:
     @classmethod
     def complete(cls, n: int, k: int) -> "Hypergraph":
         """Every k-subset of ``0..n-1`` is an edge."""
-        if k > n:
-            return cls(n, k, ())
         return cls(n, k, tuple(combinations(range(n), k)))
 
     @cached_property
@@ -327,16 +325,15 @@ class DensityResult:
     witness: tuple[tuple[int, ...], ...] | None
 
 
-_ENUM_BUDGET = 20
-
-
 class _Dinic:
     """Small integer max-flow solver (enough for the density networks).
 
     ``max_flow`` augments from whatever flow the arcs already carry, so a
     caller may change capacities between calls. Blocking flows are found by
     an iterative search, since augmenting paths in a residual network can
-    be as long as the network has nodes.
+    be as long as the network has nodes. One residual search, ``_levels``,
+    gives both the level graph and the source side of a minimum cut. Its
+    cuts are checked through :func:`k_density` against the tests' oracle.
     """
 
     def __init__(self, n: int):
@@ -410,53 +407,9 @@ class _Dinic:
                 it[u] += 1
 
     def source_side(self, s: int) -> set[int]:
-        """Nodes reachable from ``s`` in the residual graph (call after max_flow)."""
-        seen = {s}
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for a in self.adj[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
-
-def _density_enumerate(H: Hypergraph) -> DensityResult:
-    """The k-density over every edge subset of at least two edges, walked
-    in the depth-first preorder of include/exclude branching on the edges
-    in order, include first. An exclude step repeats its parent's subset,
-    so only include steps are scored; the best moves on a strict gain only,
-    so the witness is the first best subset in that preorder."""
-    masks = H.edge_masks
-    m = len(masks)
-    if m > _ENUM_BUDGET:
-        raise CapacityError(
-            f"exhaustive k-density enumeration limited to {_ENUM_BUDGET} edges, got {m}"
-        )
-    k = H.k
-    best = Fraction(0)
-    best_edges: tuple[int, ...] = ()
-    chosen: list[int] = []
-    unions, i = [0], 0
-    while i < m or chosen:
-        if i < m:
-            chosen.append(i)
-            unions.append(unions[-1] | masks[i])
-            i += 1
-            if len(chosen) >= 2:
-                val = Fraction(len(chosen) - 1, unions[-1].bit_count() - k)
-                if val > best:
-                    best = val
-                    best_edges = tuple(chosen)
-        else:
-            i = chosen.pop() + 1
-            unions.pop()
-    witness = tuple(H.edges[i] for i in best_edges) if best_edges else None
-    return DensityResult(best, witness)
+        """Nodes reachable from ``s`` in the residual graph (call after
+        max_flow): the nodes that a level search with no sink reaches."""
+        return {v for v, lv in enumerate(self._levels(s, -1)) if lv >= 0}
 
 
 def k_density(H: Hypergraph) -> DensityResult:
@@ -467,8 +420,10 @@ def k_density(H: Hypergraph) -> DensityResult:
     an exact :class:`~fractions.Fraction`.
 
     It solves the maximization by ratio iteration over min-cuts, with no
-    size cap; :func:`_density_enumerate`, which checks every edge subset up
-    to 20 edges, is the independent oracle the tests hold it to.
+    size cap. The tests hold its values to an independent oracle that
+    scores every edge subset of up to 20 edges (``_density_enumerate`` in
+    ``tests/recursive_searches.py``), and its values and witnesses to a
+    route that builds a fresh network per anchor.
 
     The iteration asks, for each anchor edge in turn, whether some edge
     set holding it beats the current ratio lam, and moves to the ratio

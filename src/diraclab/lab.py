@@ -705,6 +705,8 @@ def _load_pairs(
     behind it, each as ``(seed, vertex, set, load)`` in sample order."""
     if G.k < 2:
         raise SizeError(f"needs uniformity at least 2, got k={G.k}")
+    if G.n < 2:
+        raise SizeError(f"needs at least 2 vertices, got n={G.n}")
     if not 0.0 <= lam <= 1.0:
         raise SizeError(f"lam must be in [0, 1], got {lam}")
     if samples < 1:
@@ -769,14 +771,14 @@ def load_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, LOAD_COLUMNS, records, summary, summary_row)
 
 
-EXPERIMENTS = ("resilience", "inheritance", "load")
+EXPERIMENTS = {
+    "resilience": resilience_experiment,
+    "inheritance": inheritance_experiment,
+    "load": load_experiment,
+}
 
 
 def run_experiment(kind: str, cfg: ExperimentConfig) -> ExperimentResult:
-    if kind == "resilience":
-        return resilience_experiment(cfg)
-    if kind == "inheritance":
-        return inheritance_experiment(cfg)
-    if kind == "load":
-        return load_experiment(cfg)
-    raise SizeError(f"unknown experiment {kind!r}; expected one of {EXPERIMENTS}")
+    if kind not in EXPERIMENTS:
+        raise SizeError(f"unknown experiment {kind!r}; expected one of {tuple(EXPERIMENTS)}")
+    return EXPERIMENTS[kind](cfg)

@@ -1,11 +1,13 @@
 """The absorbing-method perfect-matching pipeline.
 
-Four stages run in sequence: pick a rich flexible set Z (every outside
-vertex sees many edges into it), build a resilient template on Z and plant
-it as an absorbing structure X, cover G - X blockwise leaving a small
-leftover W, then absorb W by matching it into Z and re-matching the
-structure without the used flexible vertices. Every success is gated by an
-independent matching verifier; failures come back as a staged report, not
+Seven stages run in sequence, and reports are keyed by their names in
+``STAGES``: ``precheck`` (k divides n), ``rich_set`` (pick a flexible set Z
+that every outside vertex sees many edges into), ``template`` (build a
+resilient template on Z), ``structure`` (plant it as an absorbing
+structure X), ``almost_perfect`` (cover G - X blockwise, leaving a small
+leftover W), ``absorb`` (match W into Z and re-match the structure without
+the used flexible vertices) and ``verify`` (the independent matching
+verifier gates every success). Failures come back as a staged report, not
 an exception.
 """
 
@@ -135,7 +137,7 @@ def choose_rich_set(
     least (delta_hat/2)*C(|Z|-1, k-1) into the sample, where delta_hat is
     the graph's relative minimum vertex degree, read off its incidence
     lists. The comparison is exact (no floats), with a floor of one edge so
-    an empty graph never qualifies. Needs k >= 2.
+    an empty graph never qualifies. Needs k >= 2 and at least k vertices.
 
     A vertex v outside Z has one edge into Z for each edge whose only
     vertex outside Z is v, that is each edge with k-1 vertices in Z. An
@@ -150,6 +152,8 @@ def choose_rich_set(
     n, k = G.n, G.k
     if k < 2:
         raise SizeError(f"a rich set needs uniformity at least 2, got k={k}")
+    if n < k:
+        raise SizeError(f"a rich set needs at least k={k} vertices, got n={n}")
     r = ceil(_frac(rho) * n)
     if not 0 < r <= n:
         raise SizeError(f"rho={rho} asks for {r} of {n} vertices")

@@ -4,6 +4,10 @@ Each search below called itself through a nested closure. The library now
 runs them as loops (``bipartite_matching`` through a module-level helper);
 ``test_search_loops.py`` requires both to return the same results, node
 counts and witnesses on seeded inputs.
+
+``_density_enumerate`` has no loop twin in the library any more: it is the
+exhaustive k-density oracle that ``test_hypercore.py`` holds
+``hypercore.k_density`` to.
 """
 
 from __future__ import annotations
@@ -13,7 +17,10 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from diraclab.errors import CapacityError
-from diraclab.hypercore import _ENUM_BUDGET, DensityResult, Hypergraph, mask_of
+from diraclab.hypercore import DensityResult, Hypergraph, mask_of
+
+# the walk doubles its time per edge (a few seconds at 20 edges)
+_ENUM_BUDGET = 20
 
 
 def _max_matching(
@@ -140,6 +147,9 @@ def find_independent_set(H: Hypergraph, t: int) -> tuple[int, ...] | None:
 
 
 def _density_enumerate(H: Hypergraph) -> DensityResult:
+    """The k-density over every edge subset of at least two edges, with the
+    first best subset in include-first preorder as witness; more than
+    ``_ENUM_BUDGET`` edges is a CapacityError."""
     masks = H.edge_masks
     m = len(masks)
     if m > _ENUM_BUDGET:

@@ -498,6 +498,18 @@ class TestExperimentCommand:
         assert code == 0
         assert parse_table(out).columns[2] == "vertex"
 
+    def test_one_vertex_load_host_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "l.cfg"
+        write_config(cfg, name="x", n=1, k=2, host="complete", lam=0.5, trials=3)
+        code, out, err = run(capsys, "experiment", "load", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: needs at least 2 vertices, got n=1\n")
+
+    def test_experiment_kinds_in_usage(self, capsys):
+        code, out, err = run(capsys, "experiment", "astrology")
+        assert (code, out) == (2, "")
+        assert "{resilience,inheritance,load}" in err
+        assert "(choose from 'resilience', 'inheritance', 'load')" in err
+
     def test_non_finite_gamma_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "r.cfg"
         write_config(cfg, name="res", n=12, k=3, d=2, p=0.8, gamma="inf", trials=2)

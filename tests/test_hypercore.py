@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab import hypercore
-from diraclab.errors import CapacityError, DiracLabError, FormatError, SizeError, SpecError
+from diraclab.errors import DiracLabError, FormatError, SizeError, SpecError
 from diraclab.hypercore import (
     DensityResult,
     Hypergraph,
-    _density_enumerate,
     _Dinic,
     berge_girth_of,
     dumps_khg,
@@ -28,9 +27,11 @@ from diraclab.hypercore import (
 )
 
 from conftest import make_contracted, small_hypergraph
+from recursive_searches import _density_enumerate as oracle_k_density
 
 # ---------------------------------------------------------------------------
 # Oracles. Deliberately dumb and independent of the implementations they check.
+# The k-density oracle, which scores every edge subset, is imported above.
 # ---------------------------------------------------------------------------
 
 
@@ -65,18 +66,6 @@ def oracle_berge_girth(edge_sets):
     for i in range(m):
         extend([i], set(), i)
     return best[0]
-
-
-def oracle_k_density(H: Hypergraph) -> Fraction:
-    best = Fraction(0)
-    m = len(H.edges)
-    for r in range(2, m + 1):
-        for sub in combinations(range(m), r):
-            verts = set()
-            for i in sub:
-                verts.update(H.edges[i])
-            best = max(best, Fraction(r - 1, len(verts) - H.k))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +512,8 @@ def test_k_density_known_values():
 
     k4 = Hypergraph.complete(4, 3)
     assert k_density(k4).value == 3
+    # the whole graph is densest, with no cap on the edge count
+    assert k_density(Hypergraph.complete(7, 3)).value == Fraction(34, 4)
 
     theta = Hypergraph.from_edges(
         9, 3, [(0, 3, 4), (1, 5, 6), (2, 7, 8), (3, 5, 7), (4, 6, 8)]
@@ -538,24 +529,9 @@ def test_k_density_methods_agree_on_named_cases():
         Hypergraph.from_edges(6, 2, [(0, 1), (1, 2), (2, 0), (3, 4)]),
         Hypergraph.from_edges(7, 3, [(0, 1, 2), (0, 1, 3), (0, 4, 5), (2, 3, 6)]),
     ):
-        a = _density_enumerate(H)
+        a = oracle_k_density(H)
         b = k_density(H)
         assert a.value == b.value
-
-
-def test_k_density_enumerate_budget():
-    big = Hypergraph.complete(7, 3)  # 35 edges
-    with pytest.raises(CapacityError):
-        _density_enumerate(big)
-    # parametric route has no cap and knows the complete-graph value
-    assert k_density(big).value == Fraction(34, 4)
-
-
-def test_k_density_enumerate_cap_is_20_edges():
-    # the walk doubles per edge (about 5 s at 20 edges), so 21 is refused
-    H = Hypergraph(7, 3, Hypergraph.complete(7, 3).edges[:21])
-    with pytest.raises(CapacityError, match="limited to 20 edges, got 21"):
-        _density_enumerate(H)
 
 
 @settings(max_examples=60)
@@ -563,10 +539,7 @@ def test_k_density_enumerate_cap_is_20_edges():
 def test_k_density_routes_and_oracle_agree(H):
     if len(H.edges) > 10:
         H = Hypergraph(H.n, H.k, H.edges[:10])
-    enum = _density_enumerate(H)
-    para = k_density(H)
-    assert enum.value == oracle_k_density(H)
-    assert para.value == enum.value
+    assert k_density(H).value == oracle_k_density(H).value
 
 
 @given(small_hypergraph(max_n=7))
@@ -681,7 +654,7 @@ def test_k_density_reused_network_matches_rebuilt_networks():
         assert k_density(H) == want
         # the oracle doubles its time per edge (about 5 s at 20 edges)
         if len(H.edges) <= 16:
-            assert _density_enumerate(H).value == want.value
+            assert oracle_k_density(H).value == want.value
             enumerated.append(steps)
     # the improving branch and the rebuild at a new ratio both ran, and the
     # oracle saw graphs of both kinds

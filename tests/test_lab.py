@@ -696,14 +696,25 @@ class TestLoad:
             neighborhood_load_check(Hypergraph.complete(6, 3), 1.2)
         with pytest.raises(SizeError):
             neighborhood_load_check(Hypergraph.complete(6, 3), 0.2, samples=0)
+        # C(n-2, k-2) has no value below two vertices
+        for n in (0, 1):
+            with pytest.raises(SizeError, match=f"^needs at least 2 vertices, got n={n}$"):
+                neighborhood_load_check(Hypergraph.complete(n, 2), 0.5, samples=3)
+
+    def test_two_vertices_below_uniformity_load_nothing(self):
+        rep = neighborhood_load_check(Hypergraph.complete(2, 3), 0.5, samples=3)
+        assert (rep.max_count, rep.bound, rep.max_ratio) == (0, 0, 0.0)
 
 
 class TestDispatchAndOutput:
     def test_run_experiment_dispatch(self):
         cfg = ExperimentConfig(name="x", n=10, k=3, d=1, Q=6, host="complete", trials=2)
         assert run_experiment("inheritance", cfg).summary["frequency"] == 1.0
-        with pytest.raises(SizeError):
+        with pytest.raises(SizeError) as info:
             run_experiment("astrology", cfg)
+        assert str(info.value) == (
+            "unknown experiment 'astrology'; expected one of ('resilience', 'inheritance', 'load')"
+        )
 
     def test_write_experiment(self, tmp_path):
         cfg = ExperimentConfig(name="x", n=10, k=3, d=1, Q=6, host="complete", trials=2)

@@ -97,6 +97,11 @@ class TestChooseRichSet:
         with pytest.raises(SizeError):
             choose_rich_set(Hypergraph.complete(6, 1), rho=0.5)
 
+    def test_fewer_vertices_than_uniformity_rejected(self):
+        # C(n-1, k-1) is 0 there, so the relative degree has no value
+        with pytest.raises(SizeError, match="^a rich set needs at least k=3 vertices, got n=2$"):
+            choose_rich_set(Hypergraph(2, 3, ()), rho=0.5)
+
     def test_determinism(self):
         a = choose_rich_set(K18, rho=0.4, seed=9)
         b = choose_rich_set(K18, rho=0.4, seed=9)

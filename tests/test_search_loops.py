@@ -15,7 +15,7 @@ import recursive_searches as old
 from conftest import seeded_subgraph
 
 from diraclab.errors import SizeError
-from diraclab.hypercore import Hypergraph, _density_enumerate
+from diraclab.hypercore import Hypergraph
 from diraclab.matchpower import _max_matching, aharoni_haxell_holds, bipartite_matching
 from diraclab.templates import find_independent_set, search_montgomery, verify_montgomery
 from diraclab.thresholds import _perfect_matching_masks
@@ -58,13 +58,6 @@ def test_independent_set_rejects_negative_size():
         find_independent_set(HOSTS[0], -1)
 
 
-def test_enumerated_density_matches_the_recursion():
-    hosts = [H for H in HOSTS if len(H.edges) <= 12]
-    assert len(hosts) >= 15
-    for H in hosts:
-        assert _density_enumerate(H) == old._density_enumerate(H), H
-
-
 @pytest.mark.parametrize("n, k", [(0, 2), (2, 2), (5, 2), (6, 2), (8, 2), (3, 3), (7, 3), (9, 3), (8, 4)])
 def test_perfect_matching_masks_match_the_recursion(n, k):
     edge_index = {e: i for i, e in enumerate(combinations(range(n), k))}
@@ -91,7 +84,7 @@ def test_bipartite_matching_matches_the_recursion():
 def test_search_loops_leave_no_cycles_for_the_collector():
     # with the collector off, each search must be freed by reference
     # counting alone
-    K5, K7 = Hypergraph.complete(5, 3), Hypergraph.complete(7, 3)
+    K7 = Hypergraph.complete(7, 3)
     edge_index = {e: i for i, e in enumerate(combinations(range(6), 3))}
     links = [Hypergraph.complete(6, 2)] * 3
     adj = [[1, 2], [0, 2], [0, 1, 3]]
@@ -100,7 +93,6 @@ def test_search_loops_leave_no_cycles_for_the_collector():
         "pm masks": lambda: len(_perfect_matching_masks(6, 3, edge_index)) == 10,
         "max matching": lambda: len(_max_matching(K7.edges, K7.n)[0]) == 2,
         "aharoni-haxell": lambda: aharoni_haxell_holds(links).violating == (0, 1, 2),
-        "enumerated density": lambda: _density_enumerate(K5).witness is not None,
         "independent set": lambda: find_independent_set(K7, 2) == (0, 1),
         "bipartite matching": lambda: bipartite_matching(adj, range(3), frozenset()) is not None,
         "montgomery": lambda: verify_montgomery(R).ok,

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -93,6 +94,20 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return found
 
 
+BENCH = Path(__file__).resolve().parents[1] / "diracbench"
+
+
+def _package_trees_and_used_names() -> tuple[dict[Path, ast.Module], set[str]]:
+    """The package's parsed modules, and every name that the package or the
+    bench references."""
+    package = sorted(Path(diraclab.__file__).parent.glob("*.py"))
+    bench = sorted(BENCH.glob("*.py"))
+    assert bench
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package + bench}
+    used = set().union(*map(_referenced_names, trees.values()))
+    return {path: trees[path] for path in package}, used
+
+
 def test_public_functions_have_callers():
     # a public function, or a public method of a class in __all__, that only
     # its own tests call is dead surface. The exceptions have only test
@@ -100,17 +115,9 @@ def test_public_functions_have_callers():
     # rest are the sandwich and barrier certificates, the load check, and
     # the report reader and config writer, the halves of the two file
     # formats that the CLI does not use
-    pkg = Path(diraclab.__file__).parent
-    bench = sorted((Path(__file__).resolve().parents[1] / "diracbench").glob("*.py"))
-    assert bench
-    trees = {
-        path: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(pkg.glob("*.py")) + bench
-    }
-    used = set().union(*map(_referenced_names, trees.values()))
+    trees, used = _package_trees_and_used_names()
     found = set()
-    for path in sorted(pkg.glob("*.py")):
-        tree = trees[path]
+    for path, tree in trees.items():
         functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
         for node in filter(_is_all, tree.body):
@@ -132,6 +139,41 @@ def test_public_functions_have_callers():
         "lab.dumps_config",
         "lab.parse_table",
     }
+
+
+def test_private_definitions_have_callers():
+    # a private function or class that only the tests call is test code:
+    # it belongs under tests/, not in the package
+    trees, used = _package_trees_and_used_names()
+    found = [
+        f"{path.stem}.{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert found == []
+
+
+def test_bench_span_targets_exist():
+    # the bench tracer wraps each (module, function) pair by getattr, so a
+    # renamed or moved target would crash every traced run
+    tree = ast.parse((BENCH / "spans.py").read_text(encoding="utf-8"))
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    assert pairs
+    missing = [
+        f"{module}.{name}"
+        for module, name in pairs
+        if not callable(getattr(importlib.import_module(f"diraclab.{module}"), name, None))
+    ]
+    assert missing == []
 
 
 def test_host_stages_do_not_import_induced():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from hashlib import sha256
-from itertools import combinations, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from operator import contains, itemgetter, lt
 from typing import Iterable, Sequence
 
@@ -224,7 +224,7 @@ def min_d_degree(H: Hypergraph, d: int) -> tuple[int, tuple[int, ...]]:
         degs = list(map(len, H.incident))
         low = min(degs)
         return low, (degs.index(low),)
-    counts = Counter(S for e in H.edges for S in combinations(e, d))
+    counts = Counter(chain.from_iterable(map(combinations, H.edges, repeat(d))))
     best = None
     best_set: tuple[int, ...] = ()
     for S in combinations(range(H.n), d):
@@ -332,8 +332,10 @@ class _Dinic:
     caller may change capacities between calls. Blocking flows are found by
     an iterative search, since augmenting paths in a residual network can
     be as long as the network has nodes. One residual search, ``_levels``,
-    gives both the level graph and the source side of a minimum cut. Its
-    cuts are checked through :func:`k_density` against the tests' oracle.
+    gives both the level graph and the source side of a minimum cut: the
+    last search of ``max_flow`` misses the sink, so it walks every node the
+    source reaches, and the network keeps its levels. Its cuts are checked
+    through :func:`k_density` against the tests' oracle.
     """
 
     def __init__(self, n: int):
@@ -341,6 +343,7 @@ class _Dinic:
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[int] = []
+        self.level: list[int] = []
 
     def add(self, u: int, v: int, c: int) -> None:
         self.adj[u].append(len(self.to))
@@ -373,6 +376,7 @@ class _Dinic:
         while True:
             level = self._levels(s, t)
             if level[t] < 0:
+                self.level = level
                 return flow
             it = [0] * self.n
             path: list[int] = []
@@ -406,10 +410,10 @@ class _Dinic:
                 u = to[path.pop() ^ 1]
                 it[u] += 1
 
-    def source_side(self, s: int) -> set[int]:
-        """Nodes reachable from ``s`` in the residual graph (call after
-        max_flow): the nodes that a level search with no sink reaches."""
-        return {v for v, lv in enumerate(self._levels(s, -1)) if lv >= 0}
+    def source_side(self) -> set[int]:
+        """Nodes reachable from the source in the residual graph (call after
+        max_flow): the nodes that its last level search reached."""
+        return {v for v, lv in enumerate(self.level) if lv >= 0}
 
 
 def k_density(H: Hypergraph) -> DensityResult:
@@ -494,7 +498,7 @@ def k_density(H: Hypergraph) -> DensityResult:
             if q * (m - a) - flow > q - p * k:
                 # The residual source side of any maximum flow is the minimal
                 # min cut, so the selection does not depend on the warm start.
-                side = net.source_side(s)
+                side = net.source_side()
                 sel = [i for i in range(a, m) if i in side]
                 um = 0
                 for i in sel:

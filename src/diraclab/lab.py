@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, compress
 from math import ceil, comb, isfinite, sqrt
 from pathlib import Path
 from random import Random
@@ -127,15 +127,22 @@ def degrade_to_degree(
     anywhere (the adversarial schedule), breaking ties by lexicographic edge
     order.  Stops when nothing is deletable.
 
-    Degrees only go down, so the deletable set only shrinks: it is built
-    once, in edge order, and a deletion drops from it just the edges holding
-    a d-subset whose degree has fallen to the target, found through an index
-    from each d-subset to its edges.  Over a whole "random" run on m edges
-    that is O(m C(k,d)) Python steps for the bookkeeping, plus one list shift
-    per removal from the deletable list.  "greedy" keeps a heap of (key,
-    edge index) instead, where an edge's key is its least d-degree: a
-    deletion pushes a fresh entry for each listed holder whose key it
-    lowers, and a pop skips entries that are stale or no longer listed.
+    Degrees only go down, so the deletable set only shrinks.  The d-sets
+    get dense ids: at d = 1 the ids are the vertices, each edge's ids are
+    its own vertices and a vertex's holders are its ``G.incident`` list
+    (read, never written); at d >= 2 a dict numbers each d-subset the first
+    time an edge holds it, each edge keeps the tuple of its ids, and each
+    id has a list of its holders.  Degrees are a list indexed by id.  The
+    deletable list is built from the tight d-sets alone, those at degree
+    exactly target: their holders are unlisted and the rest, in edge order,
+    are deletable.  A deletion walks the edge's ids and drops from the list
+    just the holders of an id whose degree falls to the target.  Over a
+    whole "random" run on m edges that is O(m C(k,d)) Python steps for the
+    bookkeeping, plus one list shift per removal from the deletable list.
+    "greedy" keeps a heap of (key, edge index) instead, where an edge's key
+    is its least d-degree: a deletion pushes a fresh entry for each listed
+    holder whose key it lowers, and a pop skips entries that are stale or
+    no longer listed.
 
     Raises SizeError when the host already sits below the target.
     The returned minimum degree is recomputed from scratch on the survivor.
@@ -150,35 +157,46 @@ def degrade_to_degree(
         raise SizeError(f"need at least d={d} vertices, have {G.n}")
 
     edges = G.edges
-    holders: dict[tuple[int, ...], list[int]] = {}
-    for i, e in enumerate(edges):
-        for S in combinations(e, d):
-            holders.setdefault(S, []).append(i)
-    deg = {S: len(ids) for S, ids in holders.items()}
-    # a d-set in no edge is missing from the index and has degree 0
-    start = min(deg.values()) if len(deg) == comb(G.n, d) else 0
+    m = len(edges)
+    if d == 1:
+        ids, holders = edges, G.incident
+    else:
+        index: dict[tuple[int, ...], int] = {}
+        ids, holders = [], []
+        for i, e in enumerate(edges):
+            own = []
+            for S in combinations(e, d):
+                j = index.get(S)
+                if j is None:
+                    index[S] = j = len(holders)
+                    holders.append([i])
+                else:
+                    holders[j].append(i)
+                own.append(j)
+            ids.append(tuple(own))
+    deg = list(map(len, holders))
+    # at d >= 2 a d-set in no edge has no id; its degree is 0
+    start = min(deg) if len(deg) == comb(G.n, d) else 0
     if start < target:
         raise SizeError(
             f"minimum {d}-degree is {start}, already below target {target}"
         )
 
-    # edge indices, ascending, so the list stays in the order of G.edges
-    deletable = [
-        i
-        for i, e in enumerate(edges)
-        if all(deg[S] > target for S in combinations(e, d))
-    ]
-    listed = bytearray(len(edges))
-    for i in deletable:
-        listed[i] = 1
-    alive = bytearray(b"\x01") * len(edges)
+    # unlist the holders of the tight d-sets; the rest are deletable, in
+    # ascending edge index, so the list stays in the order of G.edges
+    listed = bytearray(b"\x01") * m
+    for tight in compress(holders, map(target.__eq__, deg)):
+        for i in tight:
+            listed[i] = 0
+    deletable = list(compress(range(m), listed))
+    alive = bytearray(b"\x01") * m
     greedy = policy == "greedy"
     if greedy:
         # an edge's key is the least degree among its d-subsets; ties go to
         # the lower index, the lexicographically first edge
-        key = [0] * len(edges)
+        key = [0] * m
         for i in deletable:
-            key[i] = min(deg[S] for S in combinations(edges[i], d))
+            key[i] = min(map(deg.__getitem__, ids[i]))
         heap = [(key[i], i) for i in deletable]
         heapify(heap)
 
@@ -197,22 +215,22 @@ def degrade_to_degree(
             i = deletable.pop(rng.randrange(len(deletable)))
         listed[i] = alive[i] = 0
         deleted.append(edges[i])
-        for S in combinations(edges[i], d):
-            deg[S] -= 1
-            low = deg[S]
+        for x in ids[i]:
+            deg[x] -= 1
+            low = deg[x]
             if low == target:
-                for j in holders[S]:
+                for j in holders[x]:
                     if listed[j]:
                         listed[j] = 0
                         if not greedy:
                             del deletable[bisect_left(deletable, j)]
             elif greedy:
-                for j in holders[S]:
+                for j in holders[x]:
                     if listed[j] and low < key[j]:
                         key[j] = low
                         heappush(heap, (low, j))
 
-    out = Hypergraph(G.n, G.k, tuple(e for e, a in zip(edges, alive) if a))
+    out = Hypergraph(G.n, G.k, tuple(compress(edges, alive)))
     final, _ = min_d_degree(out, d)
     if final < target:
         raise DiracLabError("degradation broke the degree floor")

@@ -587,7 +587,7 @@ def rebuild_density(H: Hypergraph) -> tuple[DensityResult, list[int]]:
         for j in range(nv):
             net.add(m + j, t, p)
         cut = net.max_flow(s, t)
-        side = net.source_side(s)
+        side = net.source_side()
         return q * m - cut, [i for i in range(m) if i in side]
 
     lam = Fraction(m - 1, len(support) - k)
@@ -709,7 +709,7 @@ def test_k_density_failed_step_raises(monkeypatch):
         9, 3, list(combinations(range(5), 3)) + [(4, 5, 6), (6, 7, 8)]
     )
     assert k_density(H).value > Fraction(len(H.edges) - 1, H.n - 3)
-    monkeypatch.setattr(_Dinic, "source_side", lambda self, s: set(range(self.n)))
+    monkeypatch.setattr(_Dinic, "source_side", lambda self: set(range(self.n)))
     with pytest.raises(DiracLabError, match="failed to improve"):
         k_density(H)
 

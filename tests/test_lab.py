@@ -257,6 +257,48 @@ class TestDegrade:
                 degrade_to_degree(G, d, start + 1, policy=policy)
             assert str(info.value) == f"minimum {d}-degree is {start}, already below target {start + 1}"
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("policy", ["random", "greedy"])
+    def test_four_uniform_matches_rescan_reference(self, policy, d):
+        for host_seed in range(8):
+            G = sample_hk(7 + host_seed % 4, 4, 0.7, host_seed)
+            low = min_d_degree(G, d)[0]
+            for target in (low // 2, low):
+                r = degrade_to_degree(G, d, target, policy=policy, seed=host_seed)
+                deleted, remaining = rescan_degrade(G, d, target, policy, host_seed)
+                assert r.deleted == deleted
+                assert r.graph.edges == remaining
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("policy", ["random", "greedy"])
+    def test_uncovered_d_set_at_target_zero(self, policy, d):
+        # vertex 7 lies in no edge, and neither do the pair {0, 1} and the
+        # pairs holding 7, so some d-set of either size has degree 0
+        G = Hypergraph(8, 3, tuple(e for e in combinations(range(7), 3) if e[:2] != (0, 1)))
+        assert min_d_degree(G, d)[0] == 0
+        r = degrade_to_degree(G, d, 0, policy=policy, seed=4)
+        deleted, remaining = rescan_degrade(G, d, 0, policy, 4)
+        assert (r.deleted, r.graph.edges, r.min_degree) == (deleted, remaining, 0)
+        assert len(r.deleted) == len(G.edges)
+        with pytest.raises(SizeError, match=f"minimum {d}-degree is 0, already below target 1"):
+            degrade_to_degree(G, d, 1, policy=policy)
+
+    @pytest.mark.parametrize("policy", ["random", "greedy"])
+    def test_vertex_index_reads_incidence_lists(self, policy):
+        # at d = 1 the holders are G.incident itself: the call must leave it
+        # and the edges as they were, and must not need it built beforehand
+        G = sample_hk(13, 3, 0.7, 6)
+        target = min_d_degree(G, 1)[0] // 2
+        edges, incident = G.edges, G.incident
+        before = [list(ids) for ids in incident]
+        r = degrade_to_degree(G, 1, target, policy=policy, seed=6)
+        assert G.edges is edges and G.incident is incident
+        assert [list(ids) for ids in G.incident] == before
+        assert (r.deleted, r.graph.edges) == rescan_degrade(G, 1, target, policy, 6)
+        fresh = Hypergraph(G.n, G.k, G.edges)
+        assert "incident" not in vars(fresh)
+        assert degrade_to_degree(fresh, 1, target, policy=policy, seed=6) == r
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_empty_host(self, d):
         r = degrade_to_degree(Hypergraph(6, 3, ()), d, 0)

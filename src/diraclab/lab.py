@@ -129,7 +129,7 @@ def degrade_to_degree(
 
     Degrees only go down, so the deletable set only shrinks.  The d-sets
     get dense ids: at d = 1 the ids are the vertices, each edge's ids are
-    its own vertices and a vertex's holders are its ``G.incident`` list
+    its own vertices and a vertex's holders are its ``G.incident`` entry
     (read, never written); at d >= 2 a dict numbers each d-subset the first
     time an edge holds it, each edge keeps the tuple of its ids, and each
     id has a list of its holders.  Degrees are a list indexed by id.  The

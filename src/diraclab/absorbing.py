@@ -343,7 +343,7 @@ def find_rooted_absorber(
     non-root searches alike (plus the one node of the order-0 lookup).
     Raises NotFound("exhausted") when the whole space is empty,
     NotFound("budget") when the budget runs out first, and SizeError for a
-    negative Q.
+    negative Q or min_order.
     """
     k = G.k
     roots = tuple(roots)
@@ -357,6 +357,8 @@ def find_rooted_absorber(
     Q = 2 * k if Q is None else Q
     if Q < 0:
         raise SizeError(f"order cap must be nonnegative, got {Q}")
+    if min_order < 0:
+        raise SizeError(f"min_order must be nonnegative, got {min_order}")
     root_set = frozenset(roots)
     nodes = 0
 
@@ -377,7 +379,7 @@ def find_rooted_absorber(
     # host edges avoiding `forbidden`, listed on first need: coverings that
     # stay on the roots' incidence lists never use them
     free: list[tuple[int, ...]] = []
-    for order in range(max(0, min_order), Q + 1):
+    for order in range(min_order, Q + 1):
         if order % k:
             continue
         if order == 0:
@@ -603,7 +605,7 @@ def find_sparse_r_absorber(
     The pattern is peeled with the plain seed, and trial t's injection is
     drawn from ``Random(derived_seed(seed, t))``; the first success (lowest
     trial index) wins. NotFound("trials") carries per-trial diagnostics
-    naming the star that failed.
+    under ``details["failures"]``, naming the star that failed.
     """
     k = G.k
     roots = tuple(roots)
@@ -684,7 +686,7 @@ def find_sparse_r_absorber(
     raise NotFound(
         f"no {K}-sparse {r}-absorber found in {trials} trials",
         "trials",
-        details=tuple(failures),
+        details={"failures": tuple(failures)},
     )
 
 

@@ -28,7 +28,7 @@ from .absorbing import (
     pattern_for,
     verify_absorber,
 )
-from .errors import CapacityError, FormatError, NotFound, ShapeError, SizeError, SpecError
+from .errors import FormatError, NotFound, ShapeError, SizeError
 from .hypercore import Hypergraph, derived_seed, dumps_khg, girth, k_density, read_khg, write_khg
 from .lab import (
     EXPERIMENTS,
@@ -59,7 +59,10 @@ from .templates import (
 )
 from .thresholds import exact_dirac_threshold
 
-_USAGE_ERRORS = (FormatError, SizeError, SpecError, ShapeError, CapacityError)
+# Malformed input: a usage error (exit 2) from main, but a verification
+# failure (exit 1) where it is the artifact a verify command checks, even
+# when the corruption already trips the parser.
+_INPUT_ERRORS = (FormatError, ShapeError, SizeError)
 
 MDK_COLUMNS = ("n", "k", "d", "m", "ratio", "witness_file", "graphs_enumerated", "seconds")
 
@@ -161,18 +164,12 @@ def _cmd_mdk(args) -> int:
     return 0
 
 
-# A corrupted artifact is a verification failure (exit 1), even when the
-# corruption already trips the parser; only the context graph and the file
-# system stay usage errors.
-_ARTIFACT_ERRORS = (FormatError, ShapeError, SpecError, SizeError)
-
-
 def _cmd_verify(args) -> int:
     H = read_khg(args.input)
     try:
         m = parse_matching(Path(args.matching).read_text(encoding="ascii"))
         ok, why = verify_matching(H, m, require_perfect=args.perfect)
-    except _ARTIFACT_ERRORS as exc:
+    except _INPUT_ERRORS as exc:
         ok, why = False, str(exc)
     if ok:
         print(f"ok: {len(m.edges)} edges, {len(m.covered)} vertices covered")
@@ -202,7 +199,7 @@ def _cmd_absorber(args) -> int:
             ok, why = verify_absorber(A, host)
             if ok and args.sparsity is not None and not is_k_sparse(A, args.sparsity):
                 ok, why = False, f"not {args.sparsity}-sparse"
-        except _ARTIFACT_ERRORS as exc:
+        except _INPUT_ERRORS as exc:
             ok, why = False, str(exc)
         if ok:
             print(f"ok: order {A.order} on roots {' '.join(map(str, A.roots))}")
@@ -259,7 +256,7 @@ def _cmd_template(args) -> int:
     try:
         T = read_template(args.input)
         rep = verify_resilient_template(T, mode=args.mode, samples=args.samples, seed=args.seed)
-    except _ARTIFACT_ERRORS as exc:
+    except _INPUT_ERRORS as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
     if rep.ok:
@@ -355,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     abf.add_argument("--roots", required=True, help="space-separated vertex ids")
     abf.add_argument("--forbidden", default="", help="space-separated vertex ids to avoid")
     abf.add_argument("--order-cap", type=int, default=None, help="largest absorber order (default 2k)")
-    abf.add_argument("--min-order", type=int, default=0)
+    abf.add_argument("--min-order", type=_count, default=0)
     abv = absub.add_parser("verify", help="check a stored absorber record")
     abv.add_argument("--in", dest="input", required=True)
     abv.add_argument("--host", default=None, help="optional .khg whose edges must contain the absorber")
@@ -416,10 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotFound as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (*_INPUT_ERRORS, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

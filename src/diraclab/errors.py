@@ -1,11 +1,13 @@
 """Exception types shared across the toolkit.
 
 Everything raised on purpose derives from :class:`DiracLabError` so callers can
-catch toolkit failures without swallowing genuine bugs. A search that comes
-back empty raises :class:`NotFound`, a broken precondition
-:class:`SizeError`, and a failed pipeline stage :class:`StageFailure`,
-which the pipeline turns into its report. A search that spends
-its node budget reports that itself: the exact-cover kernel returns a
+catch toolkit failures without swallowing genuine bugs. Six names cover every
+failure: a search that comes back empty raises :class:`NotFound`, a broken
+precondition (an enumeration too large to run included) :class:`SizeError`,
+a malformed structured argument such as an edge list :class:`ShapeError`, an
+unreadable file or string :class:`FormatError`, and a failed pipeline stage
+:class:`StageFailure`, which the pipeline turns into its report. A search that
+spends its node budget reports that itself: the exact-cover kernel returns a
 "partial" result, and the rooted-absorber walk raises ``NotFound("budget")``
 from its node charge. No private exception carries a budget stop.
 """
@@ -15,8 +17,6 @@ from __future__ import annotations
 __all__ = [
     "DiracLabError",
     "SizeError",
-    "CapacityError",
-    "SpecError",
     "ShapeError",
     "FormatError",
     "NotFound",
@@ -29,19 +29,13 @@ class DiracLabError(Exception):
 
 
 class SizeError(DiracLabError, ValueError):
-    """An argument violates a size or divisibility precondition."""
-
-
-class CapacityError(DiracLabError):
-    """The requested exact computation exceeds its enumeration budget."""
-
-
-class SpecError(DiracLabError, ValueError):
-    """A structured argument, such as an edge list, is malformed."""
+    """An argument violates a size or divisibility precondition, or asks for
+    an exact computation beyond its enumeration cap."""
 
 
 class ShapeError(DiracLabError, ValueError):
-    """Parts of a composite object do not fit together as required."""
+    """A structured argument, such as an edge list, is malformed, or the
+    parts of a composite object do not fit together as required."""
 
 
 class FormatError(DiracLabError, ValueError):
@@ -53,10 +47,11 @@ class NotFound(DiracLabError):
 
     ``reason`` distinguishes a completed search over the whole space
     (``"exhausted"``) from one cut short by a node budget (``"budget"``) or by a
-    trial limit (``"trials"``).
+    trial limit (``"trials"``). ``details`` is a dict of diagnostics keyed by
+    name, or None.
     """
 
-    def __init__(self, message: str, reason: str = "exhausted", details=None):
+    def __init__(self, message: str, reason: str = "exhausted", details: dict | None = None):
         super().__init__(message)
         if reason not in ("exhausted", "budget", "trials"):
             raise ValueError(f"unknown NotFound reason: {reason!r}")

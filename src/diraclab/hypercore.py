@@ -24,7 +24,7 @@ from itertools import chain, combinations, islice, repeat
 from operator import contains, itemgetter, lt
 from typing import Iterable, Sequence
 
-from .errors import DiracLabError, FormatError, SizeError, SpecError
+from .errors import DiracLabError, FormatError, ShapeError, SizeError
 
 __all__ = [
     "Hypergraph",
@@ -118,11 +118,11 @@ def _first_fault(edges: Sequence, n: int, k: int) -> tuple[int, DiracLabError] |
         if any(v < 0 or v >= n for v in e):
             return i, SizeError(f"edge {e} out of range for n={n}")
         if any(e[j] >= e[j + 1] for j in range(len(e) - 1)):
-            return i, SpecError(f"edge {e} is not strictly ascending")
+            return i, ShapeError(f"edge {e} is not strictly ascending")
         if prev is not None and e <= prev:
             if e == prev:
-                return i, SpecError(f"duplicate edge {e}")
-            return i, SpecError("edge list is not in lexicographic order")
+                return i, ShapeError(f"duplicate edge {e}")
+            return i, ShapeError("edge list is not in lexicographic order")
         prev = e
     return None
 
@@ -561,7 +561,7 @@ def parse_khg(text: str) -> Hypergraph:
     k, n, m = header
     try:
         H = Hypergraph(n, k, tuple(edges))
-    except (SizeError, SpecError):
+    except (SizeError, ShapeError):
         # the header is checked, so the constructor can only fault an edge
         index, reason = _first_fault(edges, n, k)
         raise FormatError(f"line {linenos[index]}: {reason}") from None

@@ -89,15 +89,18 @@ def sample_hk(n: int, k: int, p: float, seed: int = 0) -> Hypergraph:
 
 
 def build_host(kind: str, n: int, k: int, d: int, p: float, seed: int) -> Hypergraph:
-    """The host of one kind: "complete", the "space" or "parity" barrier
-    at degree d, or else "random", :func:`sample_hk` with p and seed."""
+    """The host of one kind from ``_HOSTS``: "complete", the "space" or
+    "parity" barrier at degree d, or "random", :func:`sample_hk` with p and
+    seed. Any other kind is a SizeError."""
     if kind == "complete":
         return Hypergraph.complete(n, k)
     if kind == "space":
         return space_barrier(n, k, d)
     if kind == "parity":
         return parity_barrier(n, k, d)
-    return sample_hk(n, k, p, seed)
+    if kind == "random":
+        return sample_hk(n, k, p, seed)
+    raise SizeError(f"host kind must be one of {_HOSTS}, got {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import CapacityError, NotFound, ShapeError, SizeError
+from .errors import FormatError, NotFound, ShapeError, SizeError
 from .hypercore import Hypergraph, mask_of
 
 __all__ = [
@@ -409,8 +409,8 @@ def aharoni_haxell_holds(
     The condition: for every nonempty index set I, the union of the chosen
     link graphs must contain a matching larger than k' * (|I| - 1), where
     k' is the links' common uniformity. Exhaustive mode sweeps all nonempty
-    subsets in (size, lex) order and reports the first violator; it is
-    capped at 12 families. Sampled mode checks ``samples`` random nonempty
+    subsets in (size, lex) order and reports the first violator; more than
+    12 families is a SizeError. Sampled mode checks ``samples`` random nonempty
     subsets and is evidence, not proof.
     """
     t = len(links)
@@ -433,9 +433,7 @@ def aharoni_haxell_holds(
     def subsets() -> Iterator[tuple[int, ...]]:
         # the cap raises once the sweep starts walking, after its own checks
         if t > _AH_EXACT_CAP:
-            raise CapacityError(
-                f"exhaustive subset sweep limited to {_AH_EXACT_CAP} families, got {t}"
-            )
+            raise SizeError(f"exhaustive subset sweep limited to {_AH_EXACT_CAP} families, got {t}")
         for size in range(1, t + 1):
             yield from combinations(range(t), size)
 
@@ -616,9 +614,9 @@ def parse_matching(text: str) -> Matching:
         try:
             ids = tuple(int(tok) for tok in line.split())
         except ValueError:
-            raise ShapeError(f"line {lineno}: non-integer vertex id") from None
+            raise FormatError(f"line {lineno}: non-integer vertex id") from None
         if any(ids[i] >= ids[i + 1] for i in range(len(ids) - 1)):
-            raise ShapeError(f"line {lineno}: vertex ids must be strictly ascending")
+            raise FormatError(f"line {lineno}: vertex ids must be strictly ascending")
         edges.append(ids)
     return Matching.from_edges(edges)
 

@@ -92,7 +92,10 @@ class PipelineParams:
                 raise SizeError(f"{name} must be at least {low}, got {value}")
 
     def block_size(self, k: int) -> int:
-        """Default block size: the smallest multiple of k from 2k up."""
+        """The block size for uniformity k: Q, by default 2k. A Q that k does
+        not divide is a SizeError."""
+        if self.Q is not None and self.Q % k != 0:
+            raise SizeError(f"block size {self.Q} must be divisible by k={k}")
         return self.Q if self.Q is not None else 2 * k
 
 
@@ -323,9 +326,12 @@ def dirac_perfect_matching(
     Never raises for a failed run and never fabricates success: a returned
     perfect matching has always passed the independent verifier. The
     minimum d-degree is compared against the conjectured density plus
-    gamma and recorded, but a short graph is still attempted.
+    gamma and recorded, but a short graph is still attempted. Raises
+    SizeError, before any stage runs, when k does not divide the block
+    size ``params.Q``.
     """
     n, k = G.n, G.k
+    Q = params.block_size(k)
     gamma_f = _frac(gamma)
     stages = dict.fromkeys(STAGES, "ok")
     counters: dict[str, object] = {}
@@ -357,7 +363,6 @@ def dirac_perfect_matching(
         counters["advisory_x_ok"] = Fraction(len(A.X)) <= advisory
 
         rest = sorted(set(range(n)) - A.X)
-        Q = params.block_size(k)
         block_edges: list[tuple[int, ...]] = []
         W: list[int] = []
         # with too few vertices for even one block everything is leftover,

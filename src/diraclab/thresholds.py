@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import CapacityError, DiracLabError, SizeError
+from .errors import DiracLabError, SizeError
 from .hypercore import Hypergraph, min_d_degree
 from .matchpower import find_perfect_matching
 
@@ -261,9 +261,7 @@ def exact_dirac_threshold(n: int, k: int, d: int, route: str = "pruned") -> Thre
         raise SizeError(f"unknown route {route!r}")
     e_total = math.comb(n, k)
     if e_total > _SWEEP_CAP:
-        raise CapacityError(
-            f"sweep needs 2^{e_total} graphs; cap is 2^{_SWEEP_CAP}"
-        )
+        raise SizeError(f"sweep needs 2^{e_total} graphs; cap is 2^{_SWEEP_CAP}")
     all_edges = list(combinations(range(n), k))
     edge_index = {e: i for i, e in enumerate(all_edges)}
     pm_masks = _perfect_matching_masks(n, k, edge_index)
@@ -420,11 +418,7 @@ def verify_threshold_sandwich(n: int, k: int, d: int) -> SandwichReport:
     degrees.append(min_d_degree(H, d)[0] if deg is None else deg)
     lower = 1 + max(degrees)
     denom = math.comb(n - d, k - d)
-    try:
-        rec = exact_dirac_threshold(n, k, d)
-        upper: int | None = rec.m_value
-    except CapacityError:
-        upper = None
+    upper = exact_dirac_threshold(n, k, d).m_value if math.comb(n, k) <= _SWEEP_CAP else None
     return SandwichReport(
         n=n,
         k=k,

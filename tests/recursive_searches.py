@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from diraclab.errors import CapacityError
+from diraclab.errors import SizeError
 from diraclab.hypercore import DensityResult, Hypergraph, mask_of
 
 # the walk doubles its time per edge (a few seconds at 20 edges)
@@ -149,11 +149,11 @@ def find_independent_set(H: Hypergraph, t: int) -> tuple[int, ...] | None:
 def _density_enumerate(H: Hypergraph) -> DensityResult:
     """The k-density over every edge subset of at least two edges, with the
     first best subset in include-first preorder as witness; more than
-    ``_ENUM_BUDGET`` edges is a CapacityError."""
+    ``_ENUM_BUDGET`` edges is a SizeError."""
     masks = H.edge_masks
     m = len(masks)
     if m > _ENUM_BUDGET:
-        raise CapacityError(
+        raise SizeError(
             f"exhaustive k-density enumeration limited to {_ENUM_BUDGET} edges, got {m}"
         )
     k = H.k

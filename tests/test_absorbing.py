@@ -35,7 +35,8 @@ from diraclab.absorbing import (
 )
 from diraclab import absorbing
 from diraclab.errors import DiracLabError, FormatError, NotFound, ShapeError, SizeError
-from diraclab.hypercore import Hypergraph, berge_girth_of, k_density
+from diraclab.cli import main
+from diraclab.hypercore import Hypergraph, berge_girth_of, k_density, write_khg
 from diraclab.matchpower import Matching, _pm_within, find_perfect_matching
 
 
@@ -293,6 +294,18 @@ def test_find_rooted_absorber_min_order():
     assert A.order == 3
     assert verify_absorber(A, K6) == (True, None)
     assert len(A.covering.edges) == 2 and len(A.noncovering.edges) == 1
+
+
+def test_negative_min_order_is_a_size_error(tmp_path, capsys):
+    # it used to be clamped to 0, so the search returned the order-0 edge
+    with pytest.raises(SizeError, match="^min_order must be nonnegative, got -3$"):
+        find_rooted_absorber(Hypergraph.complete(9, 3), (0, 1, 2), min_order=-3)
+    k9 = tmp_path / "K9.khg"
+    write_khg(Hypergraph.complete(9, 3), k9)
+    argv = ["absorber", "find", "--in", str(k9), "--roots", "0 1 2", "--min-order", "-3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--min-order: must be nonnegative, got -3" in err
 
 
 def test_find_rooted_absorber_single_edge_host():
@@ -740,8 +753,9 @@ def test_sparse_absorber_empty_host_diagnostics():
     with pytest.raises(NotFound) as exc:
         find_sparse_r_absorber(H, (0, 1, 2), K=4, q=3, trials=5)
     assert exc.value.reason == "trials"
-    assert len(exc.value.details) == 5
-    assert all(f["star"] is not None for f in exc.value.details)
+    failures = exc.value.details["failures"]
+    assert len(failures) == 5
+    assert all(f["star"] is not None for f in failures)
 
 
 def test_sparse_absorber_builds_no_host_edge_set():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab import hypercore
-from diraclab.errors import DiracLabError, FormatError, SizeError, SpecError
+from diraclab.errors import DiracLabError, FormatError, ShapeError, SizeError
 from diraclab.hypercore import (
     DensityResult,
     Hypergraph,
@@ -25,6 +25,7 @@ from diraclab.hypercore import (
     min_d_degree,
     parse_khg,
 )
+from diraclab.matchpower import Matching, parse_matching
 
 from conftest import make_contracted, small_hypergraph
 from recursive_searches import _density_enumerate as oracle_k_density
@@ -78,14 +79,27 @@ def test_from_edges_canonicalizes():
     assert H.edges == ((0, 1, 2), (2, 3, 4))
 
 
+def test_graph_and_matching_fault_a_descending_edge_alike():
+    for build in (lambda: Hypergraph(3, 3, ((0, 2, 1),)), lambda: Matching(((0, 2, 1),))):
+        with pytest.raises(ShapeError, match=r"edge \(0, 2, 1\) is not strictly ascending$"):
+            build()
+
+
+def test_readers_fault_a_non_integer_id_alike():
+    with pytest.raises(FormatError, match="^line 2: non-integer vertex id$"):
+        parse_khg("khg 1 3 3 1\n0 x 1\n")
+    with pytest.raises(FormatError, match="^line 1: non-integer vertex id$"):
+        parse_matching("0 x 1\n")
+
+
 def test_raw_constructor_rejects_disorder():
-    with pytest.raises(SpecError):
+    with pytest.raises(ShapeError):
         Hypergraph(5, 3, ((2, 3, 4), (0, 1, 2)))
-    with pytest.raises(SpecError):
+    with pytest.raises(ShapeError):
         Hypergraph(5, 3, ((0, 2, 1),))
-    with pytest.raises(SpecError, match="duplicate edge"):
+    with pytest.raises(ShapeError, match="duplicate edge"):
         Hypergraph(5, 3, ((0, 1, 2), (0, 1, 2)))
-    with pytest.raises(SpecError):
+    with pytest.raises(ShapeError):
         Hypergraph(5, 3, ((0, 1, 2), (1, 2, 3), (0, 1, 2)))
     with pytest.raises(SizeError):
         Hypergraph(3, 3, ((0, 1, 3),))
@@ -105,15 +119,15 @@ _MALFORMED = [
     (5, 3, ((3, 9, 1),), SizeError, "edge (3, 9, 1) out of range for n=5"),
     (5, 1, ((0,), (5,)), SizeError, "edge (5,) out of range for n=5"),
     (0, 2, ((0, 1),), SizeError, "edge (0, 1) out of range for n=0"),
-    (5, 3, ((0, 2, 1),), SpecError, "edge (0, 2, 1) is not strictly ascending"),
-    (5, 3, ((0, 1, 1),), SpecError, "edge (0, 1, 1) is not strictly ascending"),
-    (5, 3, ((0, 1, 2), (1, 1, 3)), SpecError, "edge (1, 1, 3) is not strictly ascending"),
-    (5, 3, ((0, 1, 2), (0, 1, 2)), SpecError, "duplicate edge (0, 1, 2)"),
-    (5, 1, ((2,), (2,)), SpecError, "duplicate edge (2,)"),
-    (5, 3, ((0, 1, 3), (0, 1, 2)), SpecError, "edge list is not in lexicographic order"),
-    (5, 3, ((0, 1, 3), (0, 1, 2), (0, 1)), SpecError, "edge list is not in lexicographic order"),
+    (5, 3, ((0, 2, 1),), ShapeError, "edge (0, 2, 1) is not strictly ascending"),
+    (5, 3, ((0, 1, 1),), ShapeError, "edge (0, 1, 1) is not strictly ascending"),
+    (5, 3, ((0, 1, 2), (1, 1, 3)), ShapeError, "edge (1, 1, 3) is not strictly ascending"),
+    (5, 3, ((0, 1, 2), (0, 1, 2)), ShapeError, "duplicate edge (0, 1, 2)"),
+    (5, 1, ((2,), (2,)), ShapeError, "duplicate edge (2,)"),
+    (5, 3, ((0, 1, 3), (0, 1, 2)), ShapeError, "edge list is not in lexicographic order"),
+    (5, 3, ((0, 1, 3), (0, 1, 2), (0, 1)), ShapeError, "edge list is not in lexicographic order"),
     (5, 3, ((0, 1, 2), (2, 3, 4), (0, 1, 9)), SizeError, "edge (0, 1, 9) out of range for n=5"),
-    (5, 3, ((0, 1, 2), (0, 2, 1), (0, 1)), SpecError, "edge (0, 2, 1) is not strictly ascending"),
+    (5, 3, ((0, 1, 2), (0, 2, 1), (0, 1)), ShapeError, "edge (0, 2, 1) is not strictly ascending"),
 ]
 
 
@@ -785,7 +799,7 @@ def first_bad_line(lines, n, k, edges):
     for j in range(len(edges)):
         try:
             Hypergraph(n, k, tuple(edges[: j + 1]))
-        except (SizeError, SpecError):
+        except (SizeError, ShapeError):
             return lines[j]
     raise AssertionError("no bad edge")
 
@@ -799,7 +813,7 @@ def test_khg_names_the_line_and_the_constructors_reason(kind, n, k):
         last = len(base) - (2 if kind == "swap" else 1)
         for i in (0, len(base) // 2, last):
             edges = _fault(base, i, kind)
-            with pytest.raises((SizeError, SpecError)) as info:
+            with pytest.raises((SizeError, ShapeError)) as info:
                 Hypergraph(n, k, edges)
             # comments and blank lines between the edges, so a line number
             # is not an edge index

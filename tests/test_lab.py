@@ -29,6 +29,7 @@ from diraclab.lab import (
     WILSON_Z,
     CsvTable,
     ExperimentConfig,
+    build_host,
     degrade_to_degree,
     derived_seed,
     dumps_config,
@@ -110,6 +111,14 @@ class TestDerivedSeed:
 
     def test_fits_eight_bytes(self):
         assert 0 <= derived_seed(42, 42) < 2**64
+
+
+def test_build_host_rejects_an_unknown_kind():
+    # an unknown kind used to fall through to a binomial host
+    with pytest.raises(SizeError, match=r"^host kind must be one of \('complete', 'space', "
+                       r"'parity', 'random'\), got 'bogus'$"):
+        build_host("bogus", 6, 3, 1, 0.5, 0)
+    assert build_host("random", 6, 3, 1, 0.5, 0) == sample_hk(6, 3, 0.5, 0)
 
 
 class TestSampleHk:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraclab.errors import CapacityError, NotFound, ShapeError, SizeError
+from diraclab.errors import FormatError, NotFound, ShapeError, SizeError
 from diraclab.hypercore import Hypergraph, induced, mask_of
 from diraclab.lab import sample_hk
 from diraclab.matchpower import (
@@ -635,7 +635,7 @@ def test_ah_disjoint_supports_hold():
 
 def test_ah_exact_cap():
     L = Hypergraph.from_edges(4, 2, [(0, 1)])
-    with pytest.raises(CapacityError):
+    with pytest.raises(SizeError, match="^exhaustive subset sweep limited to 12 families, got 13$"):
         aharoni_haxell_holds([L] * 13)
     res = aharoni_haxell_holds([L] * 13, mode="sampled", samples=50, seed=3)
     assert res.mode == "sampled"
@@ -1114,7 +1114,7 @@ def test_matching_text_round_trip():
     m = Matching.from_edges([(0, 1, 2), (3, 4, 5)])
     assert parse_matching(dumps_matching(m)) == m
     assert parse_matching("# note\n\n0 1 2\n") == Matching.from_edges([(0, 1, 2)])
-    with pytest.raises(ShapeError):
+    with pytest.raises(FormatError, match="^line 1: vertex ids must be strictly ascending$"):
         parse_matching("2 1 0\n")
     m = find_perfect_matching(Hypergraph.complete(9, 3)).matching
     assert parse_matching(dumps_matching(m)) == m

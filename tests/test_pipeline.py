@@ -18,7 +18,8 @@ from conftest import seeded_subgraph
 
 from diraclab import pipeline
 from diraclab.errors import DiracLabError, FormatError, NotFound, SizeError, StageFailure
-from diraclab.hypercore import Hypergraph
+from diraclab.cli import main
+from diraclab.hypercore import Hypergraph, write_khg
 from diraclab.lab import parse_key_values, sample_hk
 from diraclab.matchpower import Matching, find_perfect_matching
 from diraclab.pipeline import (
@@ -425,6 +426,24 @@ class TestDiracPerfectMatching:
         assert rep.status == "failure"
         assert rep.failure_stage == "precheck"
         assert rep.stages["rich_set"] == "skipped"
+
+    @pytest.mark.parametrize("n", [9, 30])
+    def test_block_size_k_does_not_divide_is_rejected_first(self, n, monkeypatch, tmp_path, capsys):
+        # blockwise_almost_perfect rejects Q=4 only once a block is cut, so
+        # on K9, where none is, the run used to succeed
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a pipeline stage ran")
+
+        monkeypatch.setattr(pipeline, "build_absorbing_set", no_stage)
+        why = "block size 4 must be divisible by k=3"
+        with pytest.raises(SizeError, match=f"^{why}$"):
+            dirac_perfect_matching(Hypergraph.complete(n, 3), 1, 0.1, PipelineParams(Q=4))
+        write_khg(Hypergraph.complete(n, 3), tmp_path / "K.khg")
+        (tmp_path / "p.cfg").write_text("Q = 4\n")
+        argv = ["pipeline", "run", "--in", str(tmp_path / "K.khg"), "--d", "1", "--gamma", "0.1",
+                "--params", str(tmp_path / "p.cfg")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {why}\n")
 
     def test_degree_shortfall_is_reported_not_fatal(self):
         G = Hypergraph.complete(18, 3)

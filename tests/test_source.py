@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import builtins
 import importlib
 import sys
 from pathlib import Path
@@ -383,8 +384,6 @@ def test_one_failure_vocabulary():
     assert errors.__all__ == [
         "DiracLabError",
         "SizeError",
-        "CapacityError",
-        "SpecError",
         "ShapeError",
         "FormatError",
         "NotFound",
@@ -401,3 +400,71 @@ def test_one_failure_vocabulary():
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
     assert stages == set(pipeline.STAGES)
+
+
+
+def _nodes_with_function(tree: ast.Module):
+    """Every node with the name of the innermost function around it ("" at
+    module level)."""
+    stack = [("", tree)]
+    while stack:
+        owner, node = stack.pop()
+        yield owner, node
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        stack.extend((owner, child) for child in ast.iter_child_nodes(node))
+
+
+def _resolve(module, node: ast.AST):
+    """What a name or dotted name in ``module`` stands for, or None."""
+    if isinstance(node, ast.Name):
+        return getattr(module, node.id, getattr(builtins, node.id, None))
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(module, node.value), node.attr, None)
+    return None
+
+
+def _is_exception_class(value) -> bool:
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def test_errors_owns_every_exception_class():
+    # no module but errors defines an exception class or binds one under
+    # another name, and every exception the package builds, raised at once
+    # or kept and raised later, is one of errors.__all__. Two builtins stay:
+    # argparse wants its own error from a flag's type function, and
+    # NotFound's guard on its reason is a programming error, not a failure
+    allowed = {("cli", "_count", "ArgumentTypeError"), ("errors", "__init__", "ValueError")}
+    vocabulary = set(errors.__all__)
+    seen, found = set(), []
+    for path in sorted(Path(diraclab.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"diraclab.{path.stem}")
+        found += [
+            f"{path.name}:{name}"
+            for name, value in vars(module).items()
+            if _is_exception_class(value) and not (name in vocabulary and value.__name__ == name)
+        ]
+        for owner, node in _nodes_with_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                if path.stem != "errors" and any(
+                    _is_exception_class(_resolve(module, base)) for base in node.bases
+                ):
+                    found.append(f"{path.name}:{node.lineno}:class {node.name}")
+                continue
+            if isinstance(node, ast.Call):
+                cls = _resolve(module, node.func)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                cls = _resolve(module, node.exc)
+            else:
+                continue
+            if not _is_exception_class(cls) or (
+                cls.__name__ in vocabulary and getattr(errors, cls.__name__) is cls
+            ):
+                continue
+            key = (path.stem, owner, cls.__name__)
+            if key in allowed:
+                seen.add(key)
+            else:
+                found.append(f"{path.name}:{node.lineno}:{cls.__name__}")
+    assert found == []
+    assert seen == allowed

@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from diraclab import thresholds
-from diraclab.errors import CapacityError, DiracLabError, SizeError
+from diraclab.errors import DiracLabError, SizeError
 from diraclab.hypercore import min_d_degree
 from diraclab.matchpower import _max_matching, find_perfect_matching
 from diraclab.thresholds import (
@@ -297,9 +297,9 @@ def test_threshold_rejects_fewer_vertices_than_k():
 
 
 def test_threshold_capacity_guard():
-    with pytest.raises(CapacityError):
+    with pytest.raises(SizeError, match=r"^sweep needs 2\^84 graphs; cap is 2\^24$"):
         exact_dirac_threshold(9, 3, 1)
-    with pytest.raises(CapacityError):
+    with pytest.raises(SizeError):
         exact_dirac_threshold(8, 4, 2)
 
 

@@ -1,9 +1,10 @@
 """The ``diraclab`` command line.
 
 Every subcommand writes its primary artifact to ``--out`` when given and to
-stdout otherwise.  Exit codes: 0 on success, 1 when a search or a
-verification fails (no matching, rejected absorber, pipeline failure), 2 on
-usage errors and malformed inputs.
+stdout otherwise; files are UTF-8.  Exit codes: 0 on success, 1 when a search
+or a verification fails (no matching, rejected absorber or an artifact a verify
+command cannot decode, pipeline failure), 2 on usage errors, on paths that
+cannot be opened and on any other malformed or undecodable input.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import time
 from fractions import Fraction
 from functools import partial
 from math import comb
-from pathlib import Path
 
 from .absorbing import (
     assemble_contractible,
@@ -29,7 +29,9 @@ from .absorbing import (
     verify_absorber,
 )
 from .errors import FormatError, NotFound, ShapeError, SizeError
-from .hypercore import Hypergraph, derived_seed, dumps_khg, girth, k_density, read_khg, write_khg
+from .hypercore import (
+    Hypergraph, derived_seed, dumps_khg, girth, k_density, read_khg, read_text, write_khg, write_text
+)
 from .lab import (
     EXPERIMENTS,
     build_host,
@@ -69,9 +71,16 @@ MDK_COLUMNS = ("n", "k", "d", "m", "ratio", "witness_file", "graphs_enumerated",
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="ascii")
+        write_text(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _verdict(ok: bool, line: str) -> int:
+    """A verify command's outcome: ``ok: <line>`` on stdout and exit 0, or
+    ``rejected: <line>`` on stderr and exit 1."""
+    print(f"ok: {line}" if ok else f"rejected: {line}", file=sys.stdout if ok else sys.stderr)
+    return 0 if ok else 1
 
 
 def _parse_ids(text: str) -> tuple[int, ...]:
@@ -167,15 +176,11 @@ def _cmd_mdk(args) -> int:
 def _cmd_verify(args) -> int:
     H = read_khg(args.input)
     try:
-        m = parse_matching(Path(args.matching).read_text(encoding="ascii"))
+        m = parse_matching(read_text(args.matching))
         ok, why = verify_matching(H, m, require_perfect=args.perfect)
     except _INPUT_ERRORS as exc:
         ok, why = False, str(exc)
-    if ok:
-        print(f"ok: {len(m.edges)} edges, {len(m.covered)} vertices covered")
-        return 0
-    print(f"rejected: {why}", file=sys.stderr)
-    return 1
+    return _verdict(ok, f"{len(m.edges)} edges, {len(m.covered)} vertices covered" if ok else why)
 
 
 def _cmd_absorber(args) -> int:
@@ -195,17 +200,13 @@ def _cmd_absorber(args) -> int:
     if args.action == "verify":
         host = read_khg(args.host) if args.host else None
         try:
-            A = parse_absorber(Path(args.input).read_text(encoding="ascii").strip())
+            A = parse_absorber(read_text(args.input).strip())
             ok, why = verify_absorber(A, host)
             if ok and args.sparsity is not None and not is_k_sparse(A, args.sparsity):
                 ok, why = False, f"not {args.sparsity}-sparse"
         except _INPUT_ERRORS as exc:
             ok, why = False, str(exc)
-        if ok:
-            print(f"ok: order {A.order} on roots {' '.join(map(str, A.roots))}")
-            return 0
-        print(f"rejected: {why}", file=sys.stderr)
-        return 1
+        return _verdict(ok, f"order {A.order} on roots {' '.join(map(str, A.roots))}" if ok else why)
 
     # contract: build the standard two-interior contractible shape on a
     # complete 3-graph and collapse its rooted triples. Each interior places
@@ -257,23 +258,19 @@ def _cmd_template(args) -> int:
         T = read_template(args.input)
         rep = verify_resilient_template(T, mode=args.mode, samples=args.samples, seed=args.seed)
     except _INPUT_ERRORS as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return 1
+        return _verdict(False, str(exc))
     if rep.ok:
-        print(f"ok: mode={rep.mode} removals_checked={rep.checked}")
-        return 0
-    bad = " ".join(map(str, rep.violating or ()))
-    print(f"rejected: removal [{bad}] leaves no perfect matching", file=sys.stderr)
-    return 1
+        return _verdict(True, f"mode={rep.mode} removals_checked={rep.checked}")
+    bad = " ".join(map(str, rep.violating))
+    return _verdict(False, f"removal [{bad}] leaves no perfect matching")
 
 
 def _cmd_pipeline(args) -> int:
     H = read_khg(args.input)
     params = PipelineParams()
     if args.params:
-        text = Path(args.params).read_text(encoding="ascii")
         # "lambda" is the documented spelling of lam, a Python keyword
-        params = parse_key_values(text, PipelineParams, aliases={"lambda": "lam"})
+        params = parse_key_values(read_text(args.params), PipelineParams, aliases={"lambda": "lam"})
     report = dirac_perfect_matching(H, args.d, args.gamma, params=params, seed=args.seed)
     _emit(report.to_json(), args.out)
     if report.status == "success" and report.matching is not None and args.out:
@@ -413,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotFound as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
-    except (*_INPUT_ERRORS, FileNotFoundError) as exc:
+    except (*_INPUT_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

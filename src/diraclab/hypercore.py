@@ -6,7 +6,8 @@ hypergraphs compare equal structurally. Performance-sensitive operations work
 on per-edge integer bitmasks.
 
 The module also provides the ``.khg`` text format (one header line, one edge
-per line) used by every command-line surface in the package.
+per line) used by every command-line surface in the package, and the one
+UTF-8 file reader and writer through which every artifact is read and written.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ __all__ = [
     "dumps_khg",
     "read_khg",
     "write_khg",
+    "read_text",
+    "write_text",
     "json_int",
 ]
 
@@ -517,7 +520,7 @@ def k_density(H: Hypergraph) -> DensityResult:
 
 
 # ---------------------------------------------------------------------------
-# .khg text format
+# .khg text format and file access
 # ---------------------------------------------------------------------------
 
 def parse_khg(text: str) -> Hypergraph:
@@ -587,13 +590,27 @@ def dumps_khg(H: Hypergraph, comment: str | None = None) -> str:
 
 
 def read_khg(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_khg(fh.read())
+    return parse_khg(read_text(path))
 
 
 def write_khg(H: Hypergraph, path, comment: str | None = None) -> None:
+    write_text(path, dumps_khg(H, comment=comment))
+
+
+def read_text(path) -> str:
+    """The file at ``path`` decoded as UTF-8; with :func:`write_text`, the
+    package's only file access. Undecodable bytes are a FormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, replacing the file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_khg(H, comment=comment))
+        fh.write(text)
 
 
 def json_int(value, what: str) -> int:

@@ -20,12 +20,11 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress
 from math import ceil, comb, isfinite, sqrt
-from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Sequence, TypeVar, get_args, get_type_hints
 
 from .errors import DiracLabError, FormatError, SizeError
-from .hypercore import Hypergraph, derived_seed, induced, min_d_degree
+from .hypercore import Hypergraph, derived_seed, induced, min_d_degree, read_text
 from .matchpower import find_perfect_matching
 from .thresholds import _frac, conjectured_density, parity_barrier, space_barrier
 
@@ -384,7 +383,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def read_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="ascii"))
+    return parse_config(read_text(path))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import FormatError, NotFound, ShapeError, SizeError
-from .hypercore import Hypergraph, mask_of
+from .hypercore import Hypergraph, mask_of, write_text
 
 __all__ = [
     "Matching",
@@ -476,22 +476,7 @@ def bipartite_matching(
     order. Returns the partner map, right vertex to left vertex, or None as
     soon as some left vertex cannot be matched."""
     partner: dict[int, int] = {}
-    return partner if _augment_all(adj, order, banned, partner) else None
-
-
-def _augment_all(
-    adj: Sequence[Sequence[int]],
-    order: Iterable[int],
-    banned: frozenset[int],
-    partner: dict[int, int],
-) -> bool:
-    """Grow the matching ``partner`` (right to left, no right vertex in
-    ``banned``) by one augmenting path per left vertex in ``order``, which
-    must be the unmatched ones. False as soon as one has no augmenting path:
-    then no matching avoiding ``banned`` saturates the left vertices, from
-    whichever matching the search started. Each path search counts the
-    ``banned`` vertices as seen."""
-    return all(_augment(adj, partner, a, set(banned)) for a in order)
+    return partner if all(_augment(adj, partner, a, set(banned)) for a in order) else None
 
 
 def _augment(adj: Sequence[Sequence[int]], partner: dict[int, int], a: int, seen: set[int]) -> bool:
@@ -607,6 +592,7 @@ def verify_matching(
 
 def parse_matching(text: str) -> Matching:
     edges = []
+    covered: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -617,6 +603,9 @@ def parse_matching(text: str) -> Matching:
             raise FormatError(f"line {lineno}: non-integer vertex id") from None
         if any(ids[i] >= ids[i + 1] for i in range(len(ids) - 1)):
             raise FormatError(f"line {lineno}: vertex ids must be strictly ascending")
+        if shared := covered.intersection(ids):
+            raise FormatError(f"line {lineno}: vertex {min(shared)} covered by two matching edges")
+        covered.update(ids)
         edges.append(ids)
     return Matching.from_edges(edges)
 
@@ -626,5 +615,4 @@ def dumps_matching(m: Matching) -> str:
 
 
 def write_matching(m: Matching, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_matching(m))
+    write_text(path, dumps_matching(m))

@@ -23,8 +23,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .absorbing import Absorber, find_rooted_absorber
 from .errors import DiracLabError, FormatError, NotFound, ShapeError, SizeError
-from .hypercore import Hypergraph, derived_seed, json_int, mask_of, read_khg, write_khg
-from .matchpower import Matching, SweepReport, _augment_all, _pm_searcher, _sweep
+from .hypercore import Hypergraph, derived_seed, json_int, mask_of, read_khg, read_text, write_khg, write_text
+from .matchpower import Matching, SweepReport, _augment, _pm_searcher, _sweep
 
 __all__ = [
     "BipartiteTemplate",
@@ -118,13 +118,13 @@ def verify_montgomery(
     if mode == "auto":
         mode = "exhaustive" if total <= _MONTGOMERY_EXHAUSTIVE_CAP else "sampled"
     # each removal unmatches only the partners of its own vertices, and only
-    # those are augmented again
+    # those are augmented again, each path search past the removed vertices
     partner: dict[int, int] = {}
     unmatched = list(range(len(adj)))
 
     def saturated(D: tuple[int, ...]) -> bool:
         unmatched.extend(partner.pop(w) for w in D if w in partner)
-        ok = _augment_all(adj, unmatched, frozenset(D), partner)
+        ok = all(_augment(adj, partner, a, set(D)) for a in unmatched)
         unmatched.clear()
         return ok
 
@@ -544,9 +544,10 @@ def structure_matching_after_removal(
     """Matching covering exactly the structure minus the removed flexible
     vertices: find a perfect matching of the template without them, then
     take covering matchings on its edges and noncovering matchings on the
-    rest. Raises SizeError for a removal the guarantee does not cover, and
-    NotFound("exhausted") when the template has no perfect matching without
-    the removed vertices; the search has no budget.
+    rest. Raises SizeError for a removal the guarantee does not cover (a
+    size outside :func:`feasible_removals`), and NotFound("exhausted") when
+    the template has no perfect matching without the removed vertices; the
+    search has no budget.
     """
     W = frozenset(W_removed)
     vmap = dict(S.vertex_map)
@@ -555,10 +556,9 @@ def structure_matching_after_removal(
     if not W <= Zh:
         raise SizeError("removed vertices must come from the flexible set")
     T = S.template
-    if 2 * len(W) >= T.r:
-        raise SizeError(f"can remove at most {(T.r - 1) // 2} flexible vertices")
-    if (T.T.n - len(W)) % T.k != 0:
-        raise SizeError("removal breaks divisibility")
+    sizes = feasible_removals(T)
+    if len(W) not in sizes:
+        raise SizeError(f"cannot remove {len(W)} flexible vertices: the feasible sizes are {sizes}")
 
     # T itself with the removed vertices covered at the start: the same
     # branching as on an induced copy of T - W, as in verify_resilient_template
@@ -593,16 +593,13 @@ def write_template(T: ResilientTemplate, path) -> None:
         "Z": list(T.Z),
         "provenance": dict(T.provenance),
     }
-    with open(f"{path}.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_text(f"{path}.json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
 def read_template(path) -> ResilientTemplate:
     graph = read_khg(path)
     try:
-        with open(f"{path}.json", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+        sidecar = json.loads(read_text(f"{path}.json"))
         k = json_int(sidecar["k"], "k")
         Z = tuple(json_int(z, "Z id") for z in sidecar["Z"])
         provenance = dict(sidecar["provenance"])

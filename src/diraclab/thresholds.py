@@ -408,14 +408,13 @@ def verify_threshold_sandwich(n: int, k: int, d: int) -> SandwichReport:
     is the exact sweep when it fits the enumeration cap, otherwise absent.
     Each barrier's degree is counted once, by its constructor if it can.
     """
-    degrees = []
-    try:
+    # the parity barrier checks every precondition but the space barrier's
+    # n >= 2k, so it goes first and any SizeError is its own
+    _, H, deg = _parity_choice(n, k, d)
+    degrees = [min_d_degree(H, d)[0] if deg is None else deg]
+    if n >= 2 * k:
         space_barrier(n, k, d)  # raises if its own checks fail
         degrees.append(_space_degree(n, k, d))
-    except SizeError:
-        pass
-    _, H, deg = _parity_choice(n, k, d)
-    degrees.append(min_d_degree(H, d)[0] if deg is None else deg)
     lower = 1 + max(degrees)
     denom = math.comb(n - d, k - d)
     upper = exact_dirac_threshold(n, k, d).m_value if math.comb(n, k) <= _SWEEP_CAP else None

@@ -21,7 +21,7 @@ from diraclab.errors import DiracLabError, FormatError, NotFound, SizeError, Sta
 from diraclab.cli import main
 from diraclab.hypercore import Hypergraph, write_khg
 from diraclab.lab import parse_key_values, sample_hk
-from diraclab.matchpower import Matching, find_perfect_matching
+from diraclab.matchpower import Matching, find_perfect_matching, verify_matching
 from diraclab.pipeline import (
     PipelineParams,
     RichSet,
@@ -405,6 +405,34 @@ class TestDiracPerfectMatching:
         assert rep.failure_stage == "almost_perfect"
         assert rep.counters["leftover"] > rep.counters["lambda_cap"]
         assert rep.matching is None
+
+    @pytest.mark.parametrize("n, template_v, leftover", [(57, 49, 2), (63, 50, 1)])
+    def test_absorb_stage_takes_a_nonempty_leftover(self, monkeypatch, n, template_v, leftover):
+        # the blocks leave a residue W within the capacity: the absorb stage
+        # matches W into Z and re-matches the structure without the partners
+        seen = {}
+        real_flexible = pipeline.match_into_flexible
+        real_removal = pipeline.structure_matching_after_removal
+
+        def spy_flexible(G, W, Z):
+            seen["W"] = sorted(W)
+            return real_flexible(G, W, Z)
+
+        def spy_removal(S, W):
+            seen["removed"] = sorted(W)
+            return real_removal(S, W)
+
+        monkeypatch.setattr(pipeline, "match_into_flexible", spy_flexible)
+        monkeypatch.setattr(pipeline, "structure_matching_after_removal", spy_removal)
+        G = Hypergraph.complete(n, 3)
+        params = PipelineParams(rho=0.15, template_mode="montgomery")
+        rep = dirac_perfect_matching(G, 1, 0.1, params, seed=0)
+        assert rep.status == "success"
+        assert rep.counters["template_v"] == template_v
+        assert rep.counters["leftover"] == len(seen["W"]) == leftover
+        # each leftover vertex takes k - 1 flexible partners out of the structure
+        assert len(seen["removed"]) == 2 * leftover
+        assert verify_matching(G, Matching.from_edges(rep.matching), require_perfect=True) == (True, None)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_barrier_never_succeeds(self, seed):

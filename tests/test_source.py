@@ -468,3 +468,19 @@ def test_errors_owns_every_exception_class():
                 found.append(f"{path.name}:{node.lineno}:{cls.__name__}")
     assert found == []
     assert seen == allowed
+
+
+def test_only_hypercore_opens_files():
+    # every file goes through hypercore.read_text or write_text, which fix
+    # the encoding at UTF-8 and turn undecodable bytes into a FormatError;
+    # the builtin open and a Path's (or io's, or os's) file methods appear
+    # nowhere else, called or passed on
+    file_methods = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+    found = set()
+    for path in sorted(Path(diraclab.__file__).parent.glob("*.py")):
+        for owner, node in _nodes_with_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == "open") or (
+                isinstance(node, ast.Attribute) and node.attr in file_methods
+            ):
+                found.add(f"{path.stem}.{owner}")
+    assert found == {"hypercore.read_text", "hypercore.write_text"}

@@ -681,6 +681,16 @@ class TestAbsorbingStructure:
         with pytest.raises(SizeError):
             structure_matching_after_removal(S, S.Z_host[:1])  # divisibility
 
+    def test_infeasible_removal_names_the_feasible_sizes(self):
+        # feasible_removals owns the removal rule; the structure checks |W|
+        # against it and names both
+        S = small_structure()
+        assert feasible_removals(S.template) == [0]
+        for j in (1, 2, 3):
+            with pytest.raises(SizeError) as exc:
+                structure_matching_after_removal(S, S.Z_host[:j])
+            assert str(exc.value) == f"cannot remove {j} flexible vertices: the feasible sizes are [0]"
+
     def test_broken_template_graph_raises_matching_failure(self):
         S = small_structure()
         stripped = ResilientTemplate(

@@ -433,6 +433,29 @@ def test_parity_barrier_needs_n_at_least_k():
         verify_threshold_sandwich(0, 3, 1)
 
 
+@pytest.mark.parametrize(
+    "n, k, d", [(0, 3, 1), (7, 3, 1), (8, 4, 0), (9, 3, 3), (7, 3, 5), (6, 3, 0), (8, 3, 7)]
+)
+def test_sandwich_raises_what_the_parity_barrier_raises(n, k, d):
+    # the space barrier's preconditions are the parity barrier's and n >= 2k,
+    # so the sandwich builds the space barrier only past n >= 2k and every
+    # other fault is the parity barrier's, message included (at (7,3,5) the
+    # space barrier would name d first)
+    with pytest.raises(SizeError) as want:
+        parity_barrier_set(n, k, d)
+    with pytest.raises(SizeError) as got:
+        verify_threshold_sandwich(n, k, d)
+    assert str(got.value) == str(want.value)
+
+
+def test_sandwich_on_the_smallest_hosts_skips_the_space_barrier():
+    # n = k < 2k: no space barrier exists, so the parity barrier alone
+    # gives the lower bound
+    rep = verify_threshold_sandwich(3, 3, 1)
+    assert rep.lower_bound == 1 + min_d_degree(parity_barrier(3, 3, 1), 1)[0]
+    assert verify_threshold_sandwich(2, 2, 1).lower_bound == 1
+
+
 def test_parity_barrier_set_is_deterministic():
     assert parity_barrier_set(12, 3, 1) == parity_barrier_set(12, 3, 1)
     a = len(parity_barrier_set(12, 3, 1))

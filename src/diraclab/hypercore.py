@@ -179,8 +179,14 @@ class Hypergraph:
 
     @classmethod
     def complete(cls, n: int, k: int) -> "Hypergraph":
-        """Every k-subset of ``0..n-1`` is an edge."""
-        return cls(n, k, tuple(combinations(range(n), k)))
+        """Every k-subset of ``0..n-1`` is an edge.
+
+        The edges go through a list because ``tuple()`` on the bare iterator
+        grows by resizing, which puts the half-built tuple back among the
+        collector's youngest objects, so every collection the new edges
+        trigger walks it again.
+        """
+        return cls(n, k, tuple(list(combinations(range(n), k))))
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
@@ -251,8 +257,8 @@ def induced(H: Hypergraph, S: Iterable[int]) -> tuple[Hypergraph, tuple[int, ...
     pos = {v: i for i, v in enumerate(old_ids)}
     keep = frozenset(old_ids)
     # pos is increasing, so the kept edges stay in lexicographic order
-    edges = tuple(tuple(pos[v] for v in e) for e in H.edges if keep.issuperset(e))
-    return Hypergraph(len(old_ids), H.k, edges), old_ids
+    edges = [tuple(pos[v] for v in e) for e in H.edges if keep.issuperset(e)]
+    return Hypergraph(len(old_ids), H.k, tuple(edges)), old_ids
 
 
 # ---------------------------------------------------------------------------

@@ -76,15 +76,17 @@ def sample_hk(n: int, k: int, p: float, seed: int = 0) -> Hypergraph:
 
     Candidate k-sets are visited in lexicographic order and every one of them
     consumes exactly one ``random()`` draw, so a fixed seed pins the outcome
-    with no short-circuiting at p = 0 or p = 1.
+    with no short-circuiting at p = 0 or p = 1. The kept k-sets go through a
+    list, as in :meth:`Hypergraph.complete`, so the collector does not walk
+    a half-built edge tuple again at every collection.
     """
     if not 1 <= k <= n:
         raise SizeError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not 0.0 <= p <= 1.0:
         raise SizeError(f"inclusion probability must be in [0, 1], got {p}")
     rng = Random(seed)
-    edges = tuple(c for c in combinations(range(n), k) if rng.random() < p)
-    return Hypergraph(n, k, edges)
+    edges = [c for c in combinations(range(n), k) if rng.random() < p]
+    return Hypergraph(n, k, tuple(edges))
 
 
 def build_host(kind: str, n: int, k: int, d: int, p: float, seed: int) -> Hypergraph:

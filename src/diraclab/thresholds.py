@@ -339,9 +339,8 @@ def space_barrier(n: int, k: int, d: int) -> Hypergraph:
 def _parity_graph(n: int, k: int, a: int) -> Hypergraph:
     """Every k-set meeting {0, ..., a-1} in an even number of vertices."""
     A = set(range(a))
-    return Hypergraph(
-        n, k, tuple(e for e in combinations(range(n), k) if len(A.intersection(e)) % 2 == 0)
-    )
+    edges = [e for e in combinations(range(n), k) if len(A.intersection(e)) % 2 == 0]
+    return Hypergraph(n, k, tuple(edges))
 
 
 def _parity_choice(n: int, k: int, d: int) -> tuple[int, Hypergraph, int | None]:

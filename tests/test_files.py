@@ -111,6 +111,25 @@ class TestCommandLine:
         assert code == 1 and out == ""
         one_line(err, f"rejected: {base} is not UTF-8 text")
 
+    def test_template_verify_without_its_sidecar_is_a_usage_error(self, tmp_path, capsys):
+        # the sidecar is a path that cannot be opened, as the template is
+        base = tmp_path / "t6"
+        assert run(capsys, "--out", base, "template", "build", "--r", "6", "--k", "3")[0] == 0
+        sidecar = tmp_path / "t6.json"
+        sidecar.unlink()
+        code, out, err = run(capsys, "template", "verify", "--in", base)
+        assert code == 2 and out == ""
+        one_line(err, f"error: [Errno 2] No such file or directory: '{sidecar}'")
+
+    def test_template_verify_rejects_an_undecodable_sidecar(self, tmp_path, capsys):
+        base = tmp_path / "t6"
+        assert run(capsys, "--out", base, "template", "build", "--r", "6", "--k", "3")[0] == 0
+        sidecar = tmp_path / "t6.json"
+        sidecar.write_bytes(sidecar.read_bytes().replace(b"{", b"{" + LATIN1, 1))
+        code, out, err = run(capsys, "template", "verify", "--in", base)
+        assert code == 1 and out == ""
+        one_line(err, f"rejected: bad template sidecar for {base}: {sidecar} is not UTF-8 text")
+
     def test_undecodable_params_are_a_usage_error(self, tmp_path, k6, capsys):
         params = tmp_path / "params.txt"
         params.write_bytes(b"rho = 0.2 # caf" + LATIN1 + b"\n")

@@ -307,6 +307,14 @@ def test_complete_graph_sizes():
     assert Hypergraph.complete(2, 3).edges == ()
 
 
+def test_complete_edges_are_every_k_subset_in_order():
+    for n in range(10):
+        for k in range(1, 5):
+            edges = Hypergraph.complete(n, k).edges
+            assert type(edges) is tuple
+            assert edges == tuple(combinations(range(n), k)), (n, k)
+
+
 @given(small_hypergraph())
 def test_min_d_degree_is_minimum_with_lex_first_witness(H):
     for d in range(1, H.k):
@@ -368,6 +376,13 @@ def test_induced_keeps_ids_traceable():
     assert old == (1, 2, 5)
     assert sub.edges == ((0, 1, 2),)
     assert tuple(old[v] for v in sub.edges[0]) == (1, 2, 5)
+
+
+def test_induced_on_a_complete_host_is_complete():
+    sub, old = induced(Hypergraph.complete(12, 3), [11, 0, 5, 3, 7, 3])
+    assert old == (0, 3, 5, 7, 11)
+    assert type(sub.edges) is tuple
+    assert (sub.n, sub.k, sub.edges) == (5, 3, tuple(combinations(range(5), 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,20 @@ class TestSampleHk:
         assert sample_hk(9, 3, 0.4, 8) == sample_hk(9, 3, 0.4, 8)
         assert sample_hk(9, 3, 0.4, 8) != sample_hk(9, 3, 0.4, 9)
 
+    @pytest.mark.parametrize(
+        "n, count, digest",
+        [
+            (30, 2833, "50df3e98a591f518485ae623fcea1e837cb124f4c85dbefad311bc7b512d6a4e"),
+            (60, 23936, "59582eea5ad5ab811efaf7f42015175fd405bb3ef1d0d49f95c199ee59faf09c"),
+        ],
+    )
+    def test_pinned_edges(self, n, count, digest):
+        # edge count and sha256 of repr(edges) at p = 0.7, seed 1: one draw
+        # per candidate k-set in lexicographic order, kept in that order
+        edges = sample_hk(n, 3, 0.7, 1).edges
+        assert type(edges) is tuple and len(edges) == count
+        assert sha256(repr(edges).encode()).hexdigest() == digest
+
     def test_validation(self):
         with pytest.raises(SizeError):
             sample_hk(5, 6, 0.5)

@@ -484,3 +484,29 @@ def test_only_hypercore_opens_files():
             ):
                 found.add(f"{path.stem}.{owner}")
     assert found == {"hypercore.read_text", "hypercore.write_text"}
+
+
+def _is_combinations_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "combinations" or getattr(node.func, "attr", None) == "combinations"
+    )
+
+
+def test_edge_tuples_are_not_grown_from_combinations():
+    # tuple() on an iterator with no length hint grows by resizing, which
+    # puts the half-built tuple back among the collector's youngest objects,
+    # so each collection the new edges trigger walks it again; bulk edges
+    # go through a list first. A combinations(...) call, or a generator
+    # expression that iterates one, must not be passed straight to tuple()
+    found = []
+    for path in sorted(Path(diraclab.__file__).parent.glob("*.py")):
+        for owner, node in _nodes_with_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tuple" and node.args):
+                continue
+            (arg,) = node.args
+            if _is_combinations_call(arg) or (
+                isinstance(arg, ast.GeneratorExp)
+                and any(_is_combinations_call(gen.iter) for gen in arg.generators)
+            ):
+                found.append(f"{path.stem}.{owner}:{node.lineno}")
+    assert found == []

@@ -767,7 +767,7 @@ class TestSerialization:
         path = tmp_path / "t6.khg"
         write_template(T, path)
         (tmp_path / "t6.khg.json").unlink()
-        with pytest.raises(FormatError):
+        with pytest.raises(FileNotFoundError):
             read_template(path)
 
     def test_sidecar_mismatch(self, tmp_path):

@@ -8,6 +8,7 @@ routes in agreement and are frozen below.
 
 import random
 from fractions import Fraction
+from hashlib import sha256
 from itertools import combinations
 
 import pytest
@@ -413,6 +414,14 @@ def test_parity_barrier_shape_and_certificate():
         # parity certificate: a matching covering A would split an odd set
         # into even parts
         assert find_perfect_matching(H).status == "none"
+
+
+def test_parity_barrier_pinned_edges():
+    # edge count and sha256 of repr(edges) at n = 18, k = 3, d = 1
+    H = parity_barrier(18, 3, 1)
+    assert type(H.edges) is tuple and len(H.edges) == 408
+    digest = "61fa32d78a50d41fdacbe17b458a2effe9aee8bd4be9120152eceaad3525567a"
+    assert sha256(repr(H.edges).encode()).hexdigest() == digest
 
 
 def test_parity_barrier_small_case_edges():

@@ -605,7 +605,7 @@ def read_template(path) -> ResilientTemplate:
         provenance = dict(sidecar["provenance"])
     except FormatError as exc:
         raise FormatError(f"bad template sidecar for {path}: {exc}") from None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad template sidecar for {path}: {exc!r}") from None
     if k != graph.k:
         raise FormatError(f"sidecar says k={k} but graph is {graph.k}-uniform")

@@ -124,7 +124,10 @@ def find_perfect_matching(H: Hypergraph, budget: int | None = None) -> MatchResu
     depth, and could not find a longer partial matching than the one
     already kept. The matching returned, and "none" as a proof, are the
     same as without the memo; only ``nodes_explored`` shrinks. The memo
-    holds at most one entry per failed inner node.
+    holds at most one entry per failed inner node. Masks where some
+    uncovered vertex has no available edge are leaves, kept apart for the
+    one search and never in the memo, and a revisit of one is counted as a
+    node without recomputing it.
 
     The search is :func:`_pm_searcher`, on bitsets over edge indices. Its
     counts are the list lengths the rule above compares, so the branching,
@@ -176,6 +179,16 @@ def _pm_searcher(
     a memo hit opens no frame, and no frame opens on a cover, so no dead
     mask is one. The nodes, ``best`` and budget stops are a visit's.
 
+    ``stuck`` holds, for one call of ``search``, the masks visited with
+    some live column of count 0. Such a visit opens no frame, and the
+    count is a function of the mask, so a later child with that mask is
+    treated as a dead one: it adds a node, becomes ``best`` if longer and
+    ends the search if that spends the budget, exactly as its visit would,
+    without the copy of ``live``, the edge removals and the counts. A mask
+    with a zero count only ever enters ``stuck``: ``dead`` keeps popped
+    frames alone, whose columns all had an available edge, so a memo
+    shared between searches, or read back as a refutation, holds no leaf.
+
     ``avail`` holds the edges that avoid every covered column, and ``live``
     lists uncovered primary columns in ascending order; an empty ``live``
     is a cover. The counts ``(avail & inc[v]).bit_count()`` for v in
@@ -223,6 +236,7 @@ def _pm_searcher(
     ) -> tuple[str, list[int], int]:
         chosen: list[int] = []
         best: list[int] = []
+        stuck: set[int] = set()
         covered, avail, nodes = start, (1 << E) - 1, 0
         for v in range(cols):
             if start >> v & 1:
@@ -242,8 +256,11 @@ def _pm_searcher(
                 c = min(cnts)
                 if c:
                     stack.append((covered, avail, live, avail & inc[live[cnts.index(c)]]))
-            # back up to the deepest frame with a candidate whose child is not
-            # dead; its last edge is on the path while len(chosen) == len(stack)
+                else:
+                    stuck.add(covered)
+            # back up to the deepest frame with a candidate whose child is
+            # neither dead nor stuck; its last edge is on the path while
+            # len(chosen) == len(stack)
             while stack:
                 covered, avail, live, cand = stack[-1]
                 if len(chosen) == len(stack):
@@ -252,7 +269,8 @@ def _pm_searcher(
                     low = cand & -cand
                     cand ^= low
                     i = low.bit_length() - 1
-                    if covered | emask[i] not in dead:
+                    child = covered | emask[i]
+                    if child not in dead and child not in stuck:
                         break
                     nodes += 1
                     if len(chosen) >= len(best):

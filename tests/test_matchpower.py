@@ -40,6 +40,7 @@ from diraclab.templates import (
 )
 from diraclab.thresholds import parity_barrier, space_barrier
 
+import untwinned_kernel
 from conftest import seeded_subgraph, small_hypergraph
 
 # ---------------------------------------------------------------------------
@@ -305,6 +306,22 @@ def test_pm_barrier_walks_pinned_under_budget(build, n, k, nodes):
     assert (res.status, res.nodes_explored) == ("none", nodes)
 
 
+@pytest.mark.parametrize(
+    "build, n, k, nodes",
+    [
+        (space_barrier, 16, 4, 32_744),
+        (parity_barrier, 16, 4, 54_881),
+        (space_barrier, 21, 3, 286_063),
+        (parity_barrier, 21, 3, 552_210),
+    ],
+)
+def test_pm_barrier_proofs_pinned_where_leaves_recur(build, n, k, nodes):
+    # the sizes where children with a vertex left without edges recur most;
+    # each revisit of such a leaf is still one node
+    res = find_perfect_matching(build(n, k, 1))
+    assert (res.status, res.nodes_explored) == ("none", nodes)
+
+
 def induced_pm(H: Hypergraph, verts, budget: int | None = None):
     """The subset search as an ``induced`` copy, searched and mapped back."""
     sub, old = induced(H, verts)
@@ -515,6 +532,89 @@ def test_bitset_kernel_matches_scanning_kernel_on_two_disjoint_complete_graphs()
     for start in (0, mask_of(range(6)), mask_of(range(6, 12))):
         assert_kernels_agree(H, start)
     assert find_perfect_matching(H).status == "perfect"
+
+
+LEAFY_BARRIERS = {
+    f"{build.__name__}{n}k{k}": build(n, k, 1)
+    for n, k in ((15, 3), (12, 4))
+    for build in (space_barrier, parity_barrier)
+}
+
+
+@pytest.mark.parametrize("H", LEAFY_BARRIERS.values(), ids=LEAFY_BARRIERS.keys())
+def test_kernel_matches_both_references_on_barriers(H):
+    # The kernel, the scanning reference and the kernel from before twin
+    # columns, whose visits to a leaf all recompute it, return the same
+    # status, edge indices and nodes and leave the same memo, unbudgeted
+    # and at budgets 1, half and the full node count.
+    search = _pm_searcher(H.edges, H.n)
+    untwinned = untwinned_kernel._pm_searcher(H.edges, H.n)
+
+    def all_three(budget):
+        dead: set[int] = set()
+        dead_scan: set[int] = set()
+        dead_untwinned: set[int] = set()
+        got = search(0, dead, budget)
+        assert got == _pm_search(H.edge_masks, H.incident, H.n, 0, dead_scan, budget)
+        assert got == untwinned(0, dead_untwinned, budget)
+        assert dead == dead_scan == dead_untwinned
+        return got[0], got[2]
+
+    status, nodes = all_three(None)
+    assert status == "none"
+    for budget in (1, nodes // 2, nodes):
+        assert all_three(budget)[0] == ("none" if budget == nodes else "partial")
+
+
+def vertices_of(mask: int) -> frozenset[int]:
+    """The vertices whose bits are set in ``mask``."""
+    return frozenset(v for v, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
+
+
+def stranded(edges: Sequence[tuple[int, ...]], n: int, covered: frozenset[int]) -> set[int]:
+    """The vertices below n outside ``covered`` on no edge that avoids it."""
+    left = set(range(n)) - covered
+    for e in edges:
+        if covered.isdisjoint(e):
+            left.difference_update(e)
+    return left
+
+
+def assert_memo_holds_no_leaf(edges: Sequence[tuple[int, ...]], n: int, dead: set[int]) -> None:
+    """Every memo mask, read as a vertex set, leaves each uncovered vertex
+    on an edge that avoids it, while some edge from a memo mask leads to
+    a leaf: the search met leaves and kept them out of the memo."""
+    sets = [vertices_of(S) for S in dead]
+    assert sets
+    assert all(not stranded(edges, n, S) for S in sets)
+    assert any(
+        stranded(edges, n, S | set(e)) for S in sets for e in edges if S.isdisjoint(e)
+    )
+
+
+MEMO_BARRIERS = {
+    f"{build.__name__}{n}": build(n, 3, 1) for n in (12, 15) for build in (space_barrier, parity_barrier)
+}
+
+
+@pytest.mark.parametrize("H", MEMO_BARRIERS.values(), ids=MEMO_BARRIERS.keys())
+def test_memo_holds_no_leaf_after_barrier_proofs(H):
+    dead: set[int] = set()
+    assert _pm_searcher(H.edges, H.n)(0, dead)[0] == "none"
+    assert_memo_holds_no_leaf(H.edges, H.n, dead)
+
+
+def test_memo_holds_no_leaf_after_template_removals():
+    # one searcher and one memo across every feasible removal, as
+    # verify_resilient_template keeps them
+    T = build_resilient_template(9, 3, seed=0)
+    G = T.T
+    search = _pm_searcher(G.edges, G.n)
+    dead: set[int] = set()
+    for j in feasible_removals(T):
+        for W in combinations(T.Z, j):
+            assert search(mask_of(W), dead)[0] == "perfect"
+    assert_memo_holds_no_leaf(G.edges, G.n, dead)
 
 
 def exact_cover_exists(rows: Sequence[tuple[int, ...]], n: int) -> bool:

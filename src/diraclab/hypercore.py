@@ -401,17 +401,17 @@ class _Dinic:
                     u = s
                     continue
                 arcs = adj[u]
-                i = it[u]
+                i, m = it[u], len(arcs)
                 want = level[u] + 1
-                while i < len(arcs):
+                while i < m:
                     a = arcs[i]
                     if cap[a] > 0 and level[to[a]] == want:
                         break
                     i += 1
                 it[u] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    u = to[arcs[i]]
+                if i < m:
+                    path.append(a)
+                    u = to[a]
                     continue
                 # dead end: retreat one arc and skip it
                 if not path:

@@ -143,13 +143,16 @@ def _hall_removal(R: BipartiteTemplate) -> tuple[int, ...] | None:
     """An s-removal from Z that leaves some set S of one or two X vertices
     fewer than |S| neighbours, or None. Removing min(s, |N(S) & Z|) of S's
     Z neighbours (the lowest first, topped up with the lowest other Z ids)
-    leaves |N(S) & Y| + max(0, |N(S) & Z| - s). Singletons come first."""
+    leaves |N(S) & Y| + max(0, |N(S) & Z| - s). Singletons come first.
+    A pair with an X vertex of two or more Y neighbours keeps two, so pairs
+    are tried only among the others, in the same order."""
     s = R.s
     Y = ((1 << 2 * s) - 1) << 3 * s
     nbrs = [0] * (3 * s)
     for x, w in R.edges:
         nbrs[x] |= 1 << w
-    for S in chain(((x,) for x in range(3 * s)), combinations(range(3 * s), 2)):
+    thin = [x for x in range(3 * s) if (nbrs[x] & Y).bit_count() <= 1]
+    for S in chain(((x,) for x in range(3 * s)), combinations(thin, 2)):
         N = nbrs[S[0]] | nbrs[S[-1]]
         if (N & Y).bit_count() + max(0, (N & Y << 2 * s).bit_count() - s) < len(S):
             hit = [w for w in R.Z if N >> w & 1][:s]
@@ -493,8 +496,12 @@ def build_absorbing_structure(
 
     Raises SizeError when embed_Z does not fit the template or the host is
     too small for it, and NotFound when some template edge gets no
-    absorber: the finder's reason ("exhausted" or "budget") is kept, and
-    ``details["template_edge"]`` names the edge in template ids.
+    absorber: the finder's reason ("exhausted" or "budget") is kept,
+    ``details["template_edge"]`` names the edge in template ids, and the
+    message and ``details`` give the vertex budget: the template's vertex
+    count (``template_vertices``), the host's (``host_vertices``) and the
+    host vertices outside the template and the absorbers placed so far
+    (``free_vertices``).
     """
     embed_Z = tuple(sorted(embed_Z))
     if len(embed_Z) != T.r:
@@ -522,10 +529,17 @@ def build_absorbing_structure(
                 host, roots, Q, used - set(roots), budget=budget, min_order=min_order
             )
         except NotFound as exc:
+            free = host.n - len(used)
             raise NotFound(
-                f"no absorber for template edge {edge} on roots {roots}: {exc}",
+                f"no absorber for template edge {edge} on roots {roots}: {exc}; "
+                f"template uses {T.T.n} of {host.n} host vertices, {free} free",
                 exc.reason,
-                details={"template_edge": edge},
+                details={
+                    "template_edge": edge,
+                    "template_vertices": T.T.n,
+                    "host_vertices": host.n,
+                    "free_vertices": free,
+                },
             ) from None
         used.update(A.vertices)
         placements.append((edge, A))

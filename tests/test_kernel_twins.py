@@ -73,11 +73,17 @@ def test_twin_kernel_matches_on_layered_templates():
         assert assert_agree(G.edges, G.n, starts) == {"perfect", "none"}
 
 
+START_KINDS = ("empty", "vertices", "families", "both", "above")
+
+
 def test_twin_kernel_matches_on_representative_rows():
     # rows as find_disjoint_representatives builds them: family f is primary
-    # column f, so two empty families are twins
+    # column f, so two empty families are twins. Besides the empty start,
+    # starts cover vertices (secondary columns t + v), families (primary
+    # columns, empty ones included), both, and a bit above the last column,
+    # which the search ignores
     rng = random.Random(2026)
-    statuses, empty_twins = set(), 0
+    statuses, empty_twins, seen = set(), 0, set()
     for _ in range(300):
         t, nv = rng.randint(1, 6), rng.randint(2, 8)
         pairs = list(combinations(range(nv), 2))
@@ -87,6 +93,13 @@ def test_twin_kernel_matches_on_representative_rows():
         ]
         rows = [(f,) + tuple(t + v for v in e) for f, fam in enumerate(families) for e in fam]
         empty_twins += sum(not fam for fam in families) >= 2
-        statuses |= assert_agree(rows, t, [0])
+        vertices = mask_of(t + v for v in rng.sample(range(nv), rng.randint(1, nv)))
+        fams = mask_of(rng.sample(range(t), rng.randint(1, t)))
+        above = 1 << (t + nv + rng.randint(0, 3))
+        starts = [0, vertices, fams, vertices | fams, above | vertices]
+        for name, start in zip(START_KINDS, starts):
+            seen |= {(name, status) for status in assert_agree(rows, t, [start])}
+        statuses |= assert_agree(rows, t, starts)
     assert empty_twins >= 20
     assert statuses == {"perfect", "none"}
+    assert seen == {(name, status) for name in START_KINDS for status in ("perfect", "none")}

@@ -587,7 +587,7 @@ def test_report_bytes_pinned_on_random_and_complete_hosts():
             yield dirac_perfect_matching(Hypergraph.complete(n, 3), d=1, gamma=0.1, seed=n)
 
     assert _digest(reports()) == (
-        "dda0be4447a5b4f717badadee63bacd60ee0746abb2fe922a6b3f959e6935932"
+        "97a6e956d77a5be5171d2bb3c81e47f950138a195961636c3b14ccf493d9219a"
     )
 
 

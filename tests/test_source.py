@@ -220,7 +220,9 @@ def test_budgeted_loops_are_the_known_two():
 def test_kernel_loop_maps_no_methods():
     # on 160- to 500-bit masks, map(avail.__and__, map(inc.__getitem__,
     # live)) and the like ran 1.6-1.8x slower than a list comprehension
-    # over the same columns; the kernel's search loop counts in bytecode
+    # over the same columns, which in turn lost to one plain loop over
+    # live that keeps the least count; the kernel's search loop picks its
+    # column in bytecode
     tree = ast.parse((Path(diraclab.__file__).parent / "matchpower.py").read_text(encoding="utf-8"))
     kernel = next(n for n in tree.body if getattr(n, "name", None) == "_pm_searcher")
     loops = [n for n in ast.walk(kernel) if isinstance(n, ast.While)]

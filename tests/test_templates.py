@@ -21,8 +21,8 @@ from diraclab.errors import (
     SizeError,
 )
 from diraclab import templates
-from diraclab.hypercore import Hypergraph, induced
-from diraclab.matchpower import Matching, bipartite_matching, find_perfect_matching
+from diraclab.hypercore import Hypergraph, induced, mask_of
+from diraclab.matchpower import Matching, _pm_searcher, bipartite_matching, find_perfect_matching
 from diraclab.templates import (
     AbsorbingStructure,
     BipartiteTemplate,
@@ -116,6 +116,22 @@ def scratch_template_verify(T, mode, samples=500, seed=0):
         if not survives(W):
             return (False, W, i + 1, mode)
     return (True, None, len(removals), mode)
+
+
+def scratch_hall_removal(R):
+    """templates._hall_removal as it ran before it skipped pairs: every
+    singleton, then every pair of X vertices, in lex order."""
+    s = R.s
+    Y = ((1 << 2 * s) - 1) << 3 * s
+    nbrs = [0] * (3 * s)
+    for x, w in R.edges:
+        nbrs[x] |= 1 << w
+    for S in [(x,) for x in range(3 * s)] + list(combinations(range(3 * s), 2)):
+        N = nbrs[S[0]] | nbrs[S[-1]]
+        if (N & Y).bit_count() + max(0, (N & Y << 2 * s).bit_count() - s) < len(S):
+            hit = [w for w in R.Z if N >> w & 1][:s]
+            return tuple(sorted(hit + [w for w in R.Z if not N >> w & 1][: s - len(hit)]))
+    return None
 
 
 def report_tuple(rep):
@@ -274,6 +290,18 @@ class TestMontgomery:
                     adj = [[w for x2, w in R.edges if x2 == x] for x in X]
                     assert bipartite_matching(adj, X, frozenset(D)) is None
         assert fired >= 600 and passed >= 300
+
+    def test_hall_removal_matches_the_all_pairs_scan(self):
+        # pairs are tried only among X vertices with at most one Y
+        # neighbour; the removal named, or None, is the all-pairs scan's
+        named = set()
+        for s in range(3, 7):
+            for cap in (1, 2, 3, 4, 5, 6):
+                for R in montgomery_candidates(s, cap, 60, seed=100 * s + cap):
+                    D = templates._hall_removal(R)
+                    assert D == scratch_hall_removal(R)
+                    named.add(D is None)
+        assert named == {True, False}
 
     def test_hall_removal_skips_the_sweep(self, monkeypatch):
         # the sweep runs only on candidates with no two-vertex violation,
@@ -524,6 +552,22 @@ class TestResilientTemplate:
         assert len({checked for mode, _, checked in outcomes if mode == "exhaustive"}) >= 5
         assert ("sampled", True, 60) in outcomes and ("sampled", False) in {o[:2] for o in outcomes}
 
+    @pytest.mark.parametrize("seed,nodes,memo", [(0, 11194, 980), (1, 10541, 469)])
+    def test_exhaustive_sweep_branching_pinned(self, seed, nodes, memo):
+        # SweepReport carries no nodes, so the branching of the sweep is
+        # pinned here: the kernel nodes summed over every removal, with one
+        # memo shared as verify_resilient_template shares it, and the memo
+        # left at the end
+        T = build_resilient_template(11, 3, seed=seed)
+        search = _pm_searcher(T.T.edges, T.T.n)
+        dead = set()
+        total = 0
+        for W in (W for j in feasible_removals(T) for W in combinations(T.Z, j)):
+            status, _, used = search(mask_of(W), dead)
+            assert status == "perfect"
+            total += used
+        assert (total, len(dead)) == (nodes, memo)
+
     def test_searcher_is_set_up_once_per_verification(self, monkeypatch):
         built = []
         real = templates._pm_searcher
@@ -733,8 +777,16 @@ class TestAbsorbingStructure:
             with pytest.raises(NotFound) as exc:
                 build_absorbing_structure(host, stub, embed_Z=(0, 1, 2), budget=budget, min_order=3)
             assert exc.value.reason == reason
-            assert exc.value.details == {"template_edge": (0, 1, 2)}
-            assert str(exc.value) == f"no absorber for template edge (0, 1, 2) on roots (0, 1, 2): {cause}"
+            assert exc.value.details == {
+                "template_edge": (0, 1, 2),
+                "template_vertices": 3,
+                "host_vertices": 12,
+                "free_vertices": 9,
+            }
+            assert str(exc.value) == (
+                f"no absorber for template edge (0, 1, 2) on roots (0, 1, 2): {cause}; "
+                "template uses 3 of 12 host vertices, 9 free"
+            )
 
     def test_default_order_cap_is_2k(self):
         # at k=4 the orders are 0, 4, 8: from min_order 5 only order 8 is

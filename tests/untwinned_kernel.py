@@ -4,7 +4,7 @@ verbatim.
 That kernel kept every uncovered primary column in ``live`` and counted
 column sizes through a chain of bound-method ``map`` calls. The library's
 ``_pm_searcher`` now leaves twins above the lowest of their class out of
-``live`` and counts in a list comprehension; ``test_kernel_twins.py``
+``live`` and picks its column in one loop over it; ``test_kernel_twins.py``
 requires both to return the same status, edge indices and nodes, and to
 leave the same dead memo.
 """
